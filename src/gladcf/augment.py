@@ -21,7 +21,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, TrainingDivergedError
 from .gcn import (GCNLayerParams, gcn_forward, init_gcn_layer,
-                  masked_mean_pool)
+                  masked_mean_pool, normalize_adjacency)
 from .graphs import Graph, Provenance, make_graph, pad_batch
 from .optim import Adam
 
@@ -140,7 +140,8 @@ def mask_features(pair: PerturbationPair, features: Tensor | Array,
 def probe_distribution(probe: ReadoutProbe, features: Tensor | Array,
                        adjacency: Tensor | Array, mask: Array) -> Tensor:
     """Two-way class distribution per graph: conv layer, mean pool, softmax."""
-    states = gcn_forward(probe.layer, features, adjacency, mask)
+    normalized = normalize_adjacency(adjacency, mask)
+    states = gcn_forward([probe.layer], features, normalized, mask)
     pooled = masked_mean_pool(states, mask)
     return ad.softmax_last(pooled)
 

@@ -32,11 +32,11 @@ from . import __version__
 from .augment import augment_training_set
 from .detector import load_checkpoint, predict_scores
 from .errors import ConfigError, GladcfError
-from .experiment import (DEFAULT_BETA_SWEEP, VARIANTS, ExperimentConfig,
-                         compute_auc, config_hash, export_score_histogram,
-                         fold_rng, load_dataset, load_report, run_cv,
-                         sweep_beta, write_histogram_csv, write_report,
-                         write_scores_csv, write_sweep_csv)
+from .experiment import (DEFAULT_BETA_SWEEP, ROLE_AUGMENT, VARIANTS,
+                         ExperimentConfig, compute_auc, config_hash,
+                         export_score_histogram, fold_rng, load_dataset,
+                         load_report, run_cv, sweep_beta, write_histogram_csv,
+                         write_report, write_scores_csv, write_sweep_csv)
 from .graphs import stratified_kfold
 from .tu import dataset_stats, write_tu_dataset
 
@@ -149,7 +149,7 @@ def _cmd_augment(args: argparse.Namespace) -> int:
     dataset = load_dataset(config)
     result = augment_training_set(
         list(dataset.graphs), dataset.n_max, config.augment_config(),
-        fold_rng(config.seed, 0, 1), count=args.count)
+        fold_rng(config.seed, 0, ROLE_AUGMENT), count=args.count)
     out_dir = Path(args.out_dir) / config.dataset / "generated"
     name = f"{config.dataset}_generated"
     write_tu_dataset(result.generated, out_dir, name)

@@ -2,10 +2,9 @@
 and an imbalance-aware binary objective.
 
 One branch convolves the node features, the other convolves the raw degree
-column; their node states are concatenated, rows are sorted by L1 norm,
-compressed by a linear reducer, reweighted by a trainable square matrix, and
-mean-pooled into one embedding per graph. A sigmoid head turns embeddings
-into anomaly scores in (0, 1).
+column; their node states are concatenated, compressed by a linear reducer,
+reweighted by a trainable square matrix, and mean-pooled into one embedding
+per graph. A sigmoid head turns embeddings into anomaly scores in (0, 1).
 
 The loss splits the batch three ways — normal, original-abnormal, generated —
 normalizes each term by its own count, and mixes the abnormal terms by the
@@ -26,8 +25,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, TrainingDivergedError
-from .gcn import (GCNLayerParams, gcn_layer, init_gcn_layer, masked_mean_pool,
-                  normalize_adjacency)
+from .gcn import (GCNLayerParams, gcn_forward, init_gcn_layer,
+                  masked_mean_pool, normalize_adjacency)
 from .graphs import PaddedBatch, Provenance, pad_batch
 from .optim import Adam
 
@@ -130,57 +129,30 @@ def init_detector(feature_dim: int, config: DetectorConfig,
 # -- forward pass ------------------------------------------------------------
 
 
-def _run_branch(layers: list[GCNLayerParams], features: Tensor | Array,
-                normalized: Tensor, mask: Array) -> Tensor:
-    h = features if isinstance(features, Tensor) else Tensor(features)
-    for i, layer in enumerate(layers):
-        if i > 0:
-            h = ad.relu(h)
-        h = gcn_layer(layer, h, normalized, mask)
-    return h
-
-
 def fuse_features(params: DetectorParams, batch: PaddedBatch) -> Tensor:
     """Concatenated per-node states from the active branches: (B, n, fused)."""
     normalized = normalize_adjacency(batch.adjacency_stack, batch.node_mask)
-    states = []
-    if params.feature_branch is not None:
-        states.append(_run_branch(params.feature_branch, batch.feature_stack,
-                                  normalized, batch.node_mask))
-    if params.degree_branch is not None:
-        states.append(_run_branch(params.degree_branch, batch.degree_stack,
-                                  normalized, batch.node_mask))
+    states = [gcn_forward(layers, inputs, normalized, batch.node_mask)
+              for layers, inputs in
+              ((params.feature_branch, batch.feature_stack),
+               (params.degree_branch, batch.degree_stack))
+              if layers is not None]
     if len(states) == 1:
         return states[0]
     return ad.concat_last(states[0], states[1])
 
 
-def sort_by_l1(fused: Tensor, mask: Array) -> tuple[Tensor, Array, Array]:
-    """Stable descending sort of node rows by L1 norm (ties: original index).
-
-    Padded rows have zero norm and the highest indices, so they stay at the
-    tail. Returns (sorted rows, sorted mask, order).
-    """
-    norms = ad.tsum(ad.absolute(fused), axis=-1)
-    order = np.argsort(-norms.data, axis=1, kind="stable")
-    sorted_rows = ad.take_nodes(fused, order)
-    sorted_mask = np.take_along_axis(mask, order, axis=1)
-    return sorted_rows, sorted_mask, order
-
-
 def adaptive_weighting(params: DetectorParams, fused: Tensor,
                        mask: Array) -> Tensor:
-    """Sort, reduce, reweight, and mean-pool node states into (B, r).
+    """Reduce, reweight, and mean-pool node states into (B, r).
 
-    With adaptive weighting off, the sort and the square reweighting matrix
-    are bypassed: the reducer applies directly and rows are mean-pooled.
+    The reducer and the square reweighting matrix act on every node row
+    alike, so the pooled embedding does not depend on node order. With
+    adaptive weighting off, the reweighting matrix is bypassed.
     """
-    if params.config.use_adaptive_weighting:
-        rows, row_mask, _ = sort_by_l1(fused, mask)
-        reduced = ad.matmul(rows, params.reducer.weight) + params.reducer.bias
-        weighted = ad.matmul(reduced, params.adaptive_weight)
-        return masked_mean_pool(weighted, row_mask)
     reduced = ad.matmul(fused, params.reducer.weight) + params.reducer.bias
+    if params.config.use_adaptive_weighting:
+        reduced = ad.matmul(reduced, params.adaptive_weight)
     return masked_mean_pool(reduced, mask)
 
 
@@ -221,8 +193,51 @@ def partition_masks(labels: Array, provenance) -> tuple[Array, Array, Array]:
     return is_normal, is_original_abnormal, is_generated_abnormal
 
 
-def _masked_log_sum(log_values: Tensor, mask: Array) -> Tensor:
-    return ad.tsum(log_values * mask.astype(np.float64))
+def _objective(scores: Tensor, masks: tuple[Array, Array, Array],
+               counts: tuple[int, int, int], beta: float,
+               include_normal: bool, include_abnormal: bool,
+               ) -> tuple[Tensor, dict]:
+    """The loss contributed by the graphs that ``masks`` select.
+
+    ``counts`` are the partition sizes (normal, original-abnormal, generated)
+    of the whole objective: they fix alpha and each term's 1/n, so the
+    contributions of disjoint chunks sum to the loss of their union.
+    """
+    n_nor, n_ori, n_gen = counts
+    n_abn = n_ori + n_gen
+    alpha = n_gen / n_abn if n_abn else 0.0
+    clamped = ad.clamp(scores, SCORE_FLOOR, 1.0 - SCORE_FLOOR)
+    log_normal = ad.log(1.0 - clamped)
+    log_abnormal = ad.log(clamped)
+
+    raw: list[Tensor | None] = []
+    for log_values, mask, n in ((log_normal, masks[0], n_nor),
+                                (log_abnormal, masks[1], n_ori),
+                                (log_abnormal, masks[2], n_gen)):
+        raw.append(ad.tsum(log_values * mask.astype(np.float64)) * (-1.0 / n)
+                   if mask.any() else None)
+    raw_nor, raw_ori, raw_gen = raw
+
+    terms: list[Tensor] = []
+    if include_normal and raw_nor is not None:
+        terms.append(raw_nor)
+    if include_abnormal and raw_ori is not None:
+        terms.append(raw_ori * (1.0 - alpha))
+    if include_abnormal and raw_gen is not None:
+        terms.append(raw_gen * (beta * alpha))
+
+    loss = terms[0] if terms else Tensor(0.0)
+    for t in terms[1:]:
+        loss = loss + t
+    components = {
+        "l_normal": float(raw_nor.data) if raw_nor is not None else 0.0,
+        "l_original": float(raw_ori.data) if raw_ori is not None else 0.0,
+        "l_generated": float(raw_gen.data) if raw_gen is not None else 0.0,
+        "alpha": alpha, "beta": beta,
+        "n_normal": n_nor, "n_original": n_ori, "n_generated": n_gen,
+        "loss": float(loss.data),
+    }
+    return loss, components
 
 
 def composite_loss(scores: Tensor, labels: Array, provenance,
@@ -235,47 +250,13 @@ def composite_loss(scores: Tensor, labels: Array, provenance,
     share of the abnormal samples, and empty partitions contribute zero.
     Log arguments are clamped away from 0 and 1.
     """
-    is_nor, is_ori, is_gen = partition_masks(labels, provenance)
-    n_nor, n_ori, n_gen = int(is_nor.sum()), int(is_ori.sum()), int(is_gen.sum())
-    n_abn = n_ori + n_gen
-    alpha = n_gen / n_abn if n_abn else 0.0
-    if n_abn == 0:
+    masks = partition_masks(labels, provenance)
+    counts = tuple(int(m.sum()) for m in masks)
+    if counts[1] + counts[2] == 0:
         logger.debug("no abnormal samples in batch; loss reduces to the "
                      "normal term")
-
-    clamped = ad.clamp(scores, SCORE_FLOOR, 1.0 - SCORE_FLOOR)
-
-    raw_nor = raw_ori = raw_gen = None
-    if n_nor:
-        raw_nor = _masked_log_sum(ad.log(1.0 - clamped), is_nor) * (-1.0 / n_nor)
-    if n_ori:
-        raw_ori = _masked_log_sum(ad.log(clamped), is_ori) * (-1.0 / n_ori)
-    if n_gen:
-        raw_gen = _masked_log_sum(ad.log(clamped), is_gen) * (-1.0 / n_gen)
-
-    terms: list[Tensor] = []
-    if include_normal and raw_nor is not None:
-        terms.append(raw_nor)
-    if include_abnormal and raw_ori is not None:
-        terms.append(raw_ori * (1.0 - alpha))
-    if include_abnormal and raw_gen is not None:
-        terms.append(raw_gen * (beta * alpha))
-
-    if terms:
-        loss = terms[0]
-        for t in terms[1:]:
-            loss = loss + t
-    else:
-        loss = Tensor(0.0)
-    components = {
-        "l_normal": float(raw_nor.data) if raw_nor is not None else 0.0,
-        "l_original": float(raw_ori.data) if raw_ori is not None else 0.0,
-        "l_generated": float(raw_gen.data) if raw_gen is not None else 0.0,
-        "alpha": alpha, "beta": beta,
-        "n_normal": n_nor, "n_original": n_ori, "n_generated": n_gen,
-        "loss": float(loss.data),
-    }
-    return loss, components
+    return _objective(scores, masks, counts, beta, include_normal,
+                      include_abnormal)
 
 
 # -- training ----------------------------------------------------------------
@@ -299,9 +280,7 @@ class TrainConfig:
 class _Chunk:
     batch: PaddedBatch
     indices: Array
-    is_nor: Array
-    is_ori: Array
-    is_gen: Array
+    masks: tuple[Array, Array, Array]  # see partition_masks
 
 
 def _plan_chunks(graphs, chunk_size: int) -> list[_Chunk]:
@@ -315,40 +294,9 @@ def _plan_chunks(graphs, chunk_size: int) -> list[_Chunk]:
         members = [graphs[i] for i in idx]
         width = max(g.num_nodes for g in members)
         batch = pad_batch(members, width)
-        is_nor, is_ori, is_gen = partition_masks(
-            labels[idx], [provenance[i] for i in idx])
-        chunks.append(_Chunk(batch=batch, indices=idx, is_nor=is_nor,
-                             is_ori=is_ori, is_gen=is_gen))
+        masks = partition_masks(labels[idx], [provenance[i] for i in idx])
+        chunks.append(_Chunk(batch=batch, indices=idx, masks=masks))
     return chunks
-
-
-def _chunk_partial_loss(scores: Tensor, chunk: _Chunk, counts: dict,
-                        beta: float, include_normal: bool,
-                        include_abnormal: bool) -> Tensor:
-    """This chunk's contribution; summed over chunks it equals the full loss."""
-    clamped = ad.clamp(scores, SCORE_FLOOR, 1.0 - SCORE_FLOOR)
-    terms = []
-    alpha = counts["alpha"]
-    if include_normal and counts["n_nor"] and chunk.is_nor.any():
-        terms.append(_masked_log_sum(ad.log(1.0 - clamped), chunk.is_nor)
-                     * (-1.0 / counts["n_nor"]))
-    if include_abnormal:
-        log_scores = None
-        if counts["n_ori"] and chunk.is_ori.any():
-            log_scores = ad.log(clamped)
-            terms.append(_masked_log_sum(log_scores, chunk.is_ori)
-                         * (-(1.0 - alpha) / counts["n_ori"]))
-        if counts["n_gen"] and chunk.is_gen.any():
-            if log_scores is None:
-                log_scores = ad.log(clamped)
-            terms.append(_masked_log_sum(log_scores, chunk.is_gen)
-                         * (-(beta * alpha) / counts["n_gen"]))
-    if not terms:
-        return Tensor(0.0)
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return total
 
 
 def train_detector(graphs, config: DetectorConfig, train_config: TrainConfig,
@@ -370,14 +318,9 @@ def train_detector(graphs, config: DetectorConfig, train_config: TrainConfig,
     optimizer = Adam(params.trainables(), lr=train_config.lr)
     chunks = _plan_chunks(graphs, train_config.chunk_size)
 
-    all_labels = np.array([g.label for g in graphs])
-    is_nor, is_ori, is_gen = partition_masks(all_labels,
-                                             [g.provenance for g in graphs])
-    n_ori, n_gen = int(is_ori.sum()), int(is_gen.sum())
-    n_abn = n_ori + n_gen
-    counts = {"n_nor": int(is_nor.sum()), "n_ori": n_ori, "n_gen": n_gen,
-              "alpha": (n_gen / n_abn) if n_abn else 0.0}
-    if n_abn == 0:
+    counts = tuple(int(m.sum()) for m in partition_masks(
+        [g.label for g in graphs], [g.provenance for g in graphs]))
+    if counts[1] + counts[2] == 0:
         logger.warning("training set has no abnormal graphs; the loss "
                        "reduces to its normal term")
 
@@ -387,8 +330,8 @@ def train_detector(graphs, config: DetectorConfig, train_config: TrainConfig,
         epoch_loss = 0.0
         for chunk in chunks:
             scores = detector_scores(params, chunk.batch)
-            partial = _chunk_partial_loss(
-                scores, chunk, counts, train_config.beta,
+            partial, _ = _objective(
+                scores, chunk.masks, counts, train_config.beta,
                 train_config.include_normal_term,
                 train_config.include_abnormal_term)
             if partial.requires_grad:

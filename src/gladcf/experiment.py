@@ -37,8 +37,8 @@ VARIANTS = ("no_asgm", "no_awlm", "no_gcn_d", "no_gcn_x",
             "no_loss_nor", "no_loss_abn")
 
 # role keys for per-fold seed derivation
-_ROLE_AUGMENT = 1
-_ROLE_DETECTOR = 2
+ROLE_AUGMENT = 1
+ROLE_DETECTOR = 2
 
 # beta / learning-rate defaults by dataset (case-insensitive), falling back
 # to 1.2 and 0.001
@@ -241,31 +241,16 @@ class EvalReport:
     format_version: int = REPORT_VERSION
 
     def to_dict(self) -> dict:
-        return {
-            "format_version": self.format_version,
-            "dataset": self.dataset,
-            "config": self.config,
-            "config_hash": self.config_hash,
-            "fold_aucs": self.fold_aucs,
-            "mean_auc": self.mean_auc,
-            "std_auc": self.std_auc,
-            "scores": self.scores,
-            "fold_seconds": self.fold_seconds,
-            "total_seconds": self.total_seconds,
-            "generated_per_fold": self.generated_per_fold,
-            "created_at": self.created_at,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "EvalReport":
         validate_report(payload)
-        fields = dict(payload)
-        version = fields.pop("format_version")
-        return cls(format_version=version, **fields)
+        return cls(**payload)
 
 
 def validate_report(payload: dict) -> None:
-    """Lightweight structural check mirroring REPORT_SCHEMA."""
+    """Lightweight structural check of the fields REPORT_SCHEMA requires."""
     if not isinstance(payload, dict):
         raise ConfigError("report must be a JSON object")
     if payload.get("format_version") != REPORT_VERSION:
@@ -277,9 +262,9 @@ def validate_report(payload: dict) -> None:
     if not isinstance(payload["fold_aucs"], list) or not all(
             isinstance(x, (int, float)) for x in payload["fold_aucs"]):
         raise ConfigError("fold_aucs must be a list of numbers")
+    row_keys = REPORT_SCHEMA["properties"]["scores"]["items"]["required"]
     for row in payload["scores"]:
-        for key in ("graph_id", "fold", "label", "provenance", "score",
-                    "decision"):
+        for key in row_keys:
             if key not in row:
                 raise ConfigError(f"score row missing field {key!r}")
 
@@ -302,13 +287,13 @@ def _run_fold(config: ExperimentConfig, dataset: GraphDataset,
     if config.variant != "no_asgm":
         result = augment_training_set(
             train_graphs, dataset.n_max, config.augment_config(),
-            fold_rng(config.seed, fold_index, _ROLE_AUGMENT))
+            fold_rng(config.seed, fold_index, ROLE_AUGMENT))
         generated = result.generated
         augment_trace = result.loss_trace
 
     params, train_trace = train_detector(
         train_graphs + generated, config.detector_config(),
-        config.train_config(), fold_rng(config.seed, fold_index, _ROLE_DETECTOR))
+        config.train_config(), fold_rng(config.seed, fold_index, ROLE_DETECTOR))
 
     scores = predict_scores(params, test_graphs,
                             chunk_size=config.chunk_size)

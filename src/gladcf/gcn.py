@@ -75,14 +75,14 @@ def gcn_layer(params: GCNLayerParams, features: Tensor,
     return out * np.asarray(mask)[..., None]
 
 
-def gcn_forward(params: GCNLayerParams | Sequence[GCNLayerParams],
-                features: Tensor | Array,
-                adjacency: Tensor | Array,
-                mask: Array) -> Tensor:
-    """Run one or more convolution layers with ReLU between (not after) them."""
-    layers = [params] if isinstance(params, GCNLayerParams) else list(params)
+def gcn_forward(layers: Sequence[GCNLayerParams], features: Tensor | Array,
+                normalized: Tensor, mask: Array) -> Tensor:
+    """Run convolution layers over a pre-normalized adjacency ``Â``.
+
+    ReLU goes between the layers, not after the last one. Pass the output of
+    ``normalize_adjacency`` so that several stacks can share one normalization.
+    """
     h = features if isinstance(features, Tensor) else Tensor(features)
-    normalized = normalize_adjacency(adjacency, mask)
     for i, layer in enumerate(layers):
         if i > 0:
             h = ad.relu(h)

@@ -11,7 +11,7 @@ from gladcf.detector import (DetectorConfig, TrainConfig, adaptive_weighting,
                              composite_loss, decide, detector_scores,
                              fuse_features, init_detector, load_checkpoint,
                              partition_masks, predict_scores, save_checkpoint,
-                             score, sort_by_l1, train_detector)
+                             score, train_detector)
 from gladcf.errors import ConfigError
 from gladcf.graphs import GraphDataset, Provenance, make_graph, pad_batch
 from util import (assert_grads_close, connected_random_graph, random_graph,
@@ -165,21 +165,6 @@ def test_fuse_features_concat_order_and_padding():
                                   fused[:, :, :6])
 
 
-def test_sort_by_l1_order_and_ties():
-    fused = Tensor(np.array([[[3.0, 0.0], [-1.0, 1.0], [1.0, 1.0], [0.0, 0.0]]]))
-    mask = np.array([[1.0, 1.0, 1.0, 0.0]])
-    rows, row_mask, order = sort_by_l1(fused, mask)
-    # L1 norms: (3, 2, 2, 0) — stable sort keeps node 1 before node 2
-    np.testing.assert_array_equal(order[0], [0, 1, 2, 3])
-    np.testing.assert_array_equal(row_mask[0], [1.0, 1.0, 1.0, 0.0])
-    shuffled = Tensor(fused.data[:, [3, 2, 1, 0], :])
-    shuffled_mask = np.array([[0.0, 1.0, 1.0, 1.0]])
-    rows2, mask2, order2 = sort_by_l1(shuffled, shuffled_mask)
-    # descending norms with ties by original position: 3.0 first, padded last
-    np.testing.assert_array_equal(order2[0], [3, 1, 2, 0])
-    np.testing.assert_array_equal(mask2[0], [1.0, 1.0, 1.0, 0.0])
-
-
 def test_adaptive_weighting_matches_numpy_replay():
     rng = np.random.default_rng(5)
     params = init_detector(5, TOY, rng)
@@ -295,6 +280,31 @@ def test_training_is_deterministic_and_chunking_exact():
     np.testing.assert_allclose(trace_a, trace_c, atol=1e-9)
     np.testing.assert_allclose(params_a.reducer.weight.data,
                                params_c.reducer.weight.data, atol=1e-9)
+
+
+@pytest.mark.parametrize("include_normal,include_abnormal",
+                         [(True, True), (True, False), (False, True)])
+def test_training_optimizes_composite_loss(include_normal, include_abnormal):
+    # chunks of 4 split the 11 graphs so that some chunks miss a partition
+    rng = np.random.default_rng(14)
+    graphs = [connected_random_graph(rng, int(rng.integers(3, 9)), 3,
+                                     label=lab, provenance=prov)
+              for lab, prov in [(0, N)] * 6 + [(1, A)] * 2 + [(1, G)] * 3]
+    beta = 1.7
+    _, trace = train_detector(
+        graphs, TOY,
+        TrainConfig(epochs=1, beta=beta, chunk_size=4,
+                    include_normal_term=include_normal,
+                    include_abnormal_term=include_abnormal),
+        np.random.default_rng(3))
+    params = init_detector(3, TOY, np.random.default_rng(3))
+    scores = detector_scores(
+        params, pad_batch(graphs, max(g.num_nodes for g in graphs)))
+    loss, _ = composite_loss(scores, [g.label for g in graphs],
+                             [g.provenance for g in graphs], beta,
+                             include_normal=include_normal,
+                             include_abnormal=include_abnormal)
+    assert abs(trace[0] - float(loss.data)) < 1e-9
 
 
 def test_predict_scores_restores_input_order():

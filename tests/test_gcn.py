@@ -53,7 +53,9 @@ def test_forward_hand_oracle():
     d = np.array([2.0, 3.0, 2.0])
     a_hat = (a + np.eye(3)) / np.sqrt(np.outer(d, d))
     expected = a_hat @ (x @ w) + b
-    got = gcn_forward(params, x[None], a[None], np.ones((1, 3))).data[0]
+    mask = np.ones((1, 3))
+    got = gcn_forward([params], x[None], normalize_adjacency(a[None], mask),
+                      mask).data[0]
     np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
@@ -63,9 +65,10 @@ def test_stacked_layers_relu_between_not_after():
     a = ring_adjacency(5)[None]
     x = rng.normal(size=(1, 5, 3))
     mask = np.ones((1, 5))
-    out = gcn_forward(layers, x, a, mask).data
+    normalized = normalize_adjacency(a, mask)
+    out = gcn_forward(layers, x, normalized, mask).data
     # a manual replay: layer, relu, layer — with no trailing relu
-    norm = normalize_adjacency(a, mask).data[0]
+    norm = normalized.data[0]
     h = norm @ (x[0] @ layers[0].weight.data) + layers[0].bias.data
     h = np.maximum(h, 0.0)
     h = norm @ (h @ layers[1].weight.data) + layers[1].bias.data
@@ -81,7 +84,7 @@ def test_padded_rows_zero_through_layers():
     x = np.zeros((1, 5, 2))
     x[0, :3] = rng.normal(size=(3, 2))
     mask = np.array([[1.0, 1.0, 1.0, 0.0, 0.0]])
-    out = gcn_forward(layers, x, a, mask).data
+    out = gcn_forward(layers, x, normalize_adjacency(a, mask), mask).data
     assert np.all(out[0, 3:, :] == 0.0)
 
 
@@ -91,7 +94,8 @@ def test_equivalent_nodes_get_equal_rows():
     layer = init_gcn_layer(2, 3, rng)
     a = np.array([[0.0, 1.0], [1.0, 0.0]])[None]
     x = np.array([[0.3, -0.7], [0.3, -0.7]])[None]
-    out = gcn_forward(layer, x, a, np.ones((1, 2))).data[0]
+    mask = np.ones((1, 2))
+    out = gcn_forward([layer], x, normalize_adjacency(a, mask), mask).data[0]
     np.testing.assert_allclose(out[0], out[1], atol=1e-12)
 
 
@@ -116,7 +120,7 @@ def test_gradients_through_forward_and_adjacency():
               layers[1].weight, layers[1].bias, soft]
 
     def loss():
-        out = gcn_forward(layers, x, soft, mask)
+        out = gcn_forward(layers, x, normalize_adjacency(soft, mask), mask)
         return ad.tsum(out * weights)
 
     assert_grads_close(loss, params)
