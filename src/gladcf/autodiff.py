@@ -65,9 +65,14 @@ class Tensor:
     # -- autograd plumbing ----------------------------------------------------
 
     def _accumulate(self, grad: Array) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+        """Add one gradient contribution, never writing into a gradient.
+
+        The first contribution is stored as it arrives, without a copy. It
+        may be a read-only broadcast view, or the very array a sibling node
+        holds (``add`` hands ``g`` to both operands), so every later one
+        rebinds ``self.grad`` to a new sum instead of adding in place.
+        """
+        self.grad = grad if self.grad is None else self.grad + grad
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -187,10 +192,28 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with numpy's stacked-matrix broadcasting rules."""
+    """Matrix product with numpy's stacked-matrix broadcasting rules.
+
+    A shared right operand ``(k, m)`` is applied to all leading axes of ``a``
+    at once: one flat ``(rows, k) @ (k, m)`` GEMM forward, and one
+    ``a₂ᵀ @ g₂`` weight gradient instead of a per-matrix stack summed away.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul operands must be at least 2-D")
+    if b.ndim == 2:
+        a2 = a.data.reshape(-1, a.shape[-1])
+        data = (a2 @ b.data).reshape(a.shape[:-1] + b.shape[1:])
+
+        def backward(g: Array) -> None:
+            g2 = g.reshape(-1, g.shape[-1])
+            if a.requires_grad:
+                a._accumulate((g2 @ b.data.T).reshape(a.shape))
+            if b.requires_grad:
+                b._accumulate(a2.T @ g2)
+
+        return _node(data, (a, b), backward)
+
     data = a.data @ b.data
 
     def backward(g: Array) -> None:
@@ -210,9 +233,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def sigmoid(t: Tensor) -> Tensor:
     t = _as_tensor(t)
     x = t.data
-    # Stable in both tails.
-    out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    # Stable in both tails: exp only ever sees a non-positive argument.
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
 
     def backward(g: Array) -> None:
         t._accumulate(g * out * (1.0 - out))
@@ -307,13 +330,10 @@ def tsum(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = t.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g: Array) -> None:
-        if axis is None:
-            t._accumulate(np.broadcast_to(g, t.shape).copy())
-            return
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        if not keepdims:
+        if axis is not None and not keepdims:
+            axes = (axis,) if isinstance(axis, int) else tuple(axis)
             g = np.expand_dims(g, axes)
-        t._accumulate(np.broadcast_to(g, t.shape).copy())
+        t._accumulate(np.broadcast_to(g, t.shape))
 
     return _node(data, (t,), backward)
 

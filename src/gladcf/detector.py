@@ -100,6 +100,28 @@ class DetectorParams:
         out.extend([self.head_weight, self.head_bias])
         return out
 
+    def detached(self) -> DetectorParams:
+        """The same parameters as tape-free tensors sharing these arrays.
+
+        Every field is carried over, ``adaptive_weight`` included when it is
+        not trainable, so the view scores exactly as ``self`` does.
+        """
+        def layers(branch):
+            if branch is None:
+                return None
+            return [GCNLayerParams(weight=Tensor(layer.weight.data),
+                                   bias=Tensor(layer.bias.data))
+                    for layer in branch]
+
+        return DetectorParams(
+            feature_branch=layers(self.feature_branch),
+            degree_branch=layers(self.degree_branch),
+            reducer=LinearParams(weight=Tensor(self.reducer.weight.data),
+                                 bias=Tensor(self.reducer.bias.data)),
+            adaptive_weight=Tensor(self.adaptive_weight.data),
+            head_weight=Tensor(self.head_weight.data),
+            head_bias=Tensor(self.head_bias.data), config=self.config)
+
 
 def init_detector(feature_dim: int, config: DetectorConfig,
                   rng: np.random.Generator) -> DetectorParams:
@@ -351,20 +373,18 @@ def train_detector(graphs, config: DetectorConfig, train_config: TrainConfig,
 
 def predict_scores(params: DetectorParams, graphs,
                    chunk_size: int = 128) -> Array:
-    """Scores for a list of graphs, in input order, without building a tape."""
+    """Scores for a list of graphs, in input order, without building a tape.
+
+    Scoring runs on a detached view, so the caller's parameters are only
+    read, never flagged or unflagged.
+    """
     graphs = list(graphs)
     if not graphs:
         return np.zeros(0)
-    flags = [(t, t.requires_grad) for t in params.trainables()]
-    for t, _ in flags:
-        t.requires_grad = False
-    try:
-        out = np.zeros(len(graphs))
-        for chunk in _plan_chunks(graphs, chunk_size):
-            out[chunk.indices] = detector_scores(params, chunk.batch).data
-    finally:
-        for t, was in flags:
-            t.requires_grad = was
+    frozen = params.detached()
+    out = np.zeros(len(graphs))
+    for chunk in _plan_chunks(graphs, chunk_size):
+        out[chunk.indices] = detector_scores(frozen, chunk.batch).data
     return out
 
 

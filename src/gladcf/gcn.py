@@ -69,8 +69,17 @@ def normalize_adjacency(adjacency: Tensor | Array, mask: Array) -> Tensor:
 
 def gcn_layer(params: GCNLayerParams, features: Tensor,
               normalized: Tensor, mask: Array) -> Tensor:
-    """One propagation step: ``Â · H · W + b``, padded rows forced to zero."""
-    propagated = ad.matmul(normalized, ad.matmul(features, params.weight))
+    """One propagation step: ``Â · H · W + b``, padded rows forced to zero.
+
+    ``Â`` multiplies the narrower of ``H`` and ``H · W``: a widening layer
+    computes ``(Â · H) · W``, any other ``Â · (H · W)``. Both orders give the
+    same product, but the first detector layers then propagate their input
+    columns (identity features, one degree column) instead of ``hidden1``.
+    """
+    if params.in_dim < params.out_dim:
+        propagated = ad.matmul(ad.matmul(normalized, features), params.weight)
+    else:
+        propagated = ad.matmul(normalized, ad.matmul(features, params.weight))
     out = propagated + params.bias
     return out * np.asarray(mask)[..., None]
 

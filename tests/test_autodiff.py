@@ -55,6 +55,25 @@ def test_matmul_grads_shared_times_batched():
     assert_grads_close(lambda: ad.tsum(ad.sigmoid(m @ stack)), [m, stack])
 
 
+def test_matmul_batched_times_shared_matches_per_graph_loop():
+    # the flat (B·n, k) @ (k, m) product against one matmul per stack entry
+    rng = np.random.default_rng(11)
+    a = leaf(rng, (4, 5, 3))
+    w = leaf(rng, (3, 2))
+    upstream = rng.normal(size=(4, 5, 2))
+    out = a @ w
+    ad.tsum(out * upstream).backward()
+    np.testing.assert_allclose(
+        out.data, np.stack([a.data[i] @ w.data for i in range(4)]),
+        rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        a.grad, np.stack([upstream[i] @ w.data.T for i in range(4)]),
+        rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        w.grad, sum(a.data[i].T @ upstream[i] for i in range(4)),
+        rtol=0, atol=1e-12)
+
+
 def test_matmul_rejects_vectors():
     with pytest.raises(ValueError):
         ad.matmul(Tensor([1.0, 2.0]), Tensor([[1.0], [2.0]]))
@@ -159,6 +178,18 @@ def test_gradient_accumulates_across_reuse():
     y = x * x + x * 2.0  # dy/dx = 2x + 2 = 8
     ad.tsum(y).backward()
     np.testing.assert_allclose(x.grad, [8.0])
+
+
+def test_gradient_shared_by_sibling_operands_stays_separate():
+    # add hands one upstream array to both operands, and a's first gradient
+    # is stored without a copy: a's second contribution must not reach b
+    a = Tensor([1.0, 2.0], requires_grad=True)
+    b = Tensor([5.0, 6.0], requires_grad=True)
+    c = a + b
+    loss = ad.tsum(c) + ad.tsum(a * 3.0)
+    loss.backward()
+    np.testing.assert_array_equal(a.grad, [4.0, 4.0])
+    np.testing.assert_array_equal(b.grad, [1.0, 1.0])
 
 
 def test_backward_requires_scalar():

@@ -318,6 +318,40 @@ def test_predict_scores_restores_input_order():
     assert predict_scores(params, []).shape == (0,)
 
 
+class _FlagRecorder(Tensor):
+    """A parameter that logs every assignment to ``requires_grad``."""
+
+    assignments: list = []
+
+    def __setattr__(self, name, value):
+        if name == "requires_grad":
+            _FlagRecorder.assignments.append(value)
+        super().__setattr__(name, value)
+
+
+@pytest.mark.parametrize("adaptive", [True, False])
+def test_predict_scores_leaves_parameter_flags_alone(adaptive):
+    rng = np.random.default_rng(14)
+    graphs = [random_graph(rng, n, 3) for n in (5, 3, 6)]
+    config = DetectorConfig(hidden1=8, hidden2=6, reduce_dim=4,
+                            use_adaptive_weighting=adaptive)
+    params = init_detector(3, config, rng)
+    expected = predict_scores(params, graphs)
+    for layer in params.feature_branch + params.degree_branch:
+        layer.weight = _FlagRecorder(layer.weight.data, requires_grad=True)
+        layer.bias = _FlagRecorder(layer.bias.data, requires_grad=True)
+    for holder, name in ((params.reducer, "weight"), (params.reducer, "bias"),
+                         (params, "adaptive_weight"), (params, "head_weight"),
+                         (params, "head_bias")):
+        setattr(holder, name, _FlagRecorder(getattr(holder, name).data,
+                                            requires_grad=True))
+    _FlagRecorder.assignments.clear()
+    got = predict_scores(params, graphs)
+    assert _FlagRecorder.assignments == []
+    np.testing.assert_array_equal(got, expected)
+    assert all(t.requires_grad for t in params.trainables())
+
+
 def test_checkpoint_roundtrip(tmp_path):
     rng = np.random.default_rng(13)
     params = init_detector(5, TOY, rng)

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 import gladcf.autodiff as ad
 from gladcf.autodiff import Tensor
-from gladcf.gcn import (GCNLayerParams, gcn_forward, init_gcn_layer,
-                        masked_mean_pool, normalize_adjacency)
+from gladcf.gcn import (GCNLayerParams, gcn_forward, gcn_layer,
+                        init_gcn_layer, masked_mean_pool, normalize_adjacency)
 
-from util import assert_grads_close, ring_adjacency, path_adjacency
+from util import (assert_grads_close, path_adjacency, random_adjacency,
+                  ring_adjacency)
 
 
 def test_ring_normalization_identity():
@@ -57,6 +59,36 @@ def test_forward_hand_oracle():
     got = gcn_forward([params], x[None], normalize_adjacency(a[None], mask),
                       mask).data[0]
     np.testing.assert_allclose(got, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("in_dim,out_dim", [(2, 5), (3, 3), (5, 2)])
+def test_layer_matches_dense_math_in_either_order(in_dim, out_dim):
+    # widening layers propagate before the weight, the others after it
+    rng = np.random.default_rng(4)
+    layer = init_gcn_layer(in_dim, out_dim, rng)
+    layer.bias.data[:] = rng.normal(size=out_dim)
+    a = np.zeros((2, 5, 5))
+    a[0] = random_adjacency(rng, 5)
+    a[1, :3, :3] = path_adjacency(3)
+    mask = np.array([[1.0] * 5, [1.0, 1.0, 1.0, 0.0, 0.0]])
+    x = rng.normal(size=(2, 5, in_dim)) * mask[..., None]
+    normalized = normalize_adjacency(a, mask)
+    got = gcn_layer(layer, Tensor(x), normalized, mask).data
+    expected = mask[..., None] * (
+        normalized.data @ x @ layer.weight.data + layer.bias.data)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    # gradients through a differentiable soft adjacency, as the augmenter's
+    # probe takes them
+    soft = Tensor(rng.uniform(0.1, 0.9, size=(2, 5, 5)), requires_grad=True)
+    features = Tensor(x, requires_grad=True)
+    weights = rng.normal(size=(2, 5, out_dim))
+
+    def loss():
+        out = gcn_layer(layer, features, normalize_adjacency(soft, mask), mask)
+        return ad.tsum(out * weights)
+
+    assert_grads_close(loss, [layer.weight, layer.bias, soft, features])
 
 
 def test_stacked_layers_relu_between_not_after():
