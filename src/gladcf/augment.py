@@ -8,6 +8,11 @@ minus the feature-mask norm) while pushing a small frozen readout probe's
 class distribution away from the original graph's (negated KL terms). Smooth
 sigmoid surrogates are used during training; hard thresholds apply only when
 samples are generated.
+
+Seed graphs are processed in size-ordered chunks, each padded only to its own
+largest node count ``w``. The objective is still the one defined on the
+dataset-wide ``n_max`` padding: the columns cut off past ``w`` enter it as two
+closed-form constants (see ``counterfactual_loss``).
 """
 
 from __future__ import annotations
@@ -19,10 +24,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, TrainingDivergedError
+from .errors import ConfigError, SizeError, TrainingDivergedError
 from .gcn import (GCNLayerParams, gcn_forward, init_gcn_layer,
                   masked_mean_pool, normalize_adjacency)
-from .graphs import Graph, Provenance, make_graph, pad_batch
+from .graphs import (Graph, PaddedBatch, Provenance, make_graph, pad_batch,
+                     size_chunks)
 from .optim import Adam
 
 logger = logging.getLogger(__name__)
@@ -30,11 +36,16 @@ logger = logging.getLogger(__name__)
 Array = np.ndarray
 
 PROBABILITY_FLOOR = 1e-12
+GENERATION_CHUNK_SIZE = 128  # seeds per padded stack in generate_samples
 
 
 @dataclass
 class PerturbationPair:
-    """Trainable rewiring logits (n_max, n_max) and feature-mask logits (n_max, h)."""
+    """Trainable rewiring logits (n_max, n_max) and feature-mask logits (n_max, h).
+
+    The rewrite ops take graphs padded to any width ``w ≤ n_max`` and use the
+    logits' leading rows and columns; ``n_max`` is ``edge_logits.shape[0]``.
+    """
 
     edge_logits: Tensor
     mask_logits: Tensor
@@ -101,19 +112,29 @@ def perturb_structure(pair: PerturbationPair, adjacency: Tensor | Array,
                       hard: bool):
     """Rewire adjacency: sigmoid of (edge_logits @ A), thresholded if hard.
 
-    Smooth mode returns a differentiable tensor of edge probabilities. Hard
-    mode returns a binary numpy array: threshold at sigma (inclusive), then
-    symmetrize by elementwise max with the transpose and zero the diagonal.
-    Accepts a single (n, n) matrix or a stack (B, n, n).
+    ``adjacency`` is a zero-padded ``(w, w)`` matrix or ``(B, w, w)`` stack
+    with ``w ≤ n_max``. It stands for the same graphs padded to ``n_max``,
+    whose columns past ``w`` would all hold ``sigmoid(0) = 0.5``.
+
+    Smooth mode returns the differentiable ``sigmoid(E[:, :w] @ A)`` of shape
+    ``(..., n_max, w)``: all ``n_max`` rows of the ``n_max``-wide rewrite
+    (rows past a graph's ``n`` are not zero), but none of its constant
+    columns past ``w``.
+    Hard mode returns a binary numpy ``(..., w, w)``: ``sigmoid(E[:w, :w] @
+    A)`` thresholded at sigma (inclusive), symmetrized by elementwise max
+    with the transpose, diagonal zeroed. A graph's ``[:n, :n]`` block equals
+    that of the ``n_max``-wide rewrite, because A's padded rows are zero.
     """
     adjacency_t = adjacency if isinstance(adjacency, Tensor) else Tensor(adjacency)
-    smooth = ad.sigmoid(ad.matmul(pair.edge_logits, adjacency_t))
+    width = adjacency_t.shape[-1]
+    rows = width if hard else pair.edge_logits.shape[0]
+    logits = ad.block(pair.edge_logits, rows, width)
+    smooth = ad.sigmoid(ad.matmul(logits, adjacency_t))
     if not hard:
         return smooth
     binary = (smooth.data >= pair.sigma).astype(np.float64)
     binary = np.maximum(binary, np.swapaxes(binary, -1, -2))
-    n = binary.shape[-1]
-    binary[..., np.arange(n), np.arange(n)] = 0.0
+    binary[..., np.arange(width), np.arange(width)] = 0.0
     return binary
 
 
@@ -122,16 +143,16 @@ def mask_features(pair: PerturbationPair, features: Tensor | Array,
     """Gate node features through the sigmoid mask, thresholded at tau if hard.
 
     Every surviving entry of a hard-masked matrix equals the original entry;
-    the rest are zero. Accepts (n, h) or (B, n, h); in the batched case the
-    mask broadcasts across the stack, so ``n`` must equal the pair's n_max.
+    the rest are zero. Accepts ``(w, h)`` or ``(B, w, h)`` with ``w ≤ n_max``
+    and gates with the mask's first ``w`` rows, broadcast across the stack;
+    the rows past ``w`` would only meet zero padding.
     """
     features_t = features if isinstance(features, Tensor) else Tensor(features)
-    gate = ad.sigmoid(pair.mask_logits)
+    gate = ad.sigmoid(ad.block(pair.mask_logits, *features_t.shape[-2:]))
     if not hard:
         return features_t * gate
     keep = (gate.data >= pair.tau).astype(np.float64)
-    return keep * (features_t.data if isinstance(features, Tensor) else
-                   np.asarray(features, dtype=np.float64))
+    return keep * features_t.data
 
 
 # -- probe readout and the training loss -------------------------------------
@@ -141,9 +162,13 @@ def probe_distribution(probe: ReadoutProbe, features: Tensor | Array,
                        adjacency: Tensor | Array, mask: Array) -> Tensor:
     """Two-way class distribution per graph: conv layer, mean pool, softmax."""
     normalized = normalize_adjacency(adjacency, mask)
+    return _readout(probe, features, normalized, mask)
+
+
+def _readout(probe: ReadoutProbe, features: Tensor | Array,
+             normalized: Tensor, mask: Array) -> Tensor:
     states = gcn_forward([probe.layer], features, normalized, mask)
-    pooled = masked_mean_pool(states, mask)
-    return ad.softmax_last(pooled)
+    return ad.softmax_last(masked_mean_pool(states, mask))
 
 
 def _kl_rows(p: Array, q: Tensor) -> Tensor:
@@ -166,11 +191,27 @@ def counterfactual_loss(pair: PerturbationPair, probe: ReadoutProbe,
     adjacency, minus the Frobenius norm of the smooth feature mask, minus the
     two KL divergence terms between the probe's distribution on the original
     graph and on each perturbed view.
+
+    The stacks may be padded to any width ``w ≤ n_max``; the value is that of
+    the same graphs padded to ``n_max``. Each of the ``n_max − w`` columns
+    cut off holds ``sigmoid(0) = 0.5`` in all ``n_max`` rows of the smooth
+    adjacency and meets only zeros, so it enters as two constants: ``0.25``
+    per cell added to the squared distance, and ``0.5`` per column added to
+    every row's degree in the structure probe. They are the objective's whole
+    dependence on ``n_max``, and both are 0 at ``w = n_max``.
     """
+    n_max = pair.edge_logits.shape[0]
+    width = adjacency_stack.shape[-1]
+    cut_distance = 0.25 * n_max * (n_max - width)
+    cut_degree = 0.5 * (n_max - width)
+
     smooth_adj = perturb_structure(pair, adjacency_stack, hard=False)
     smooth_feats = mask_features(pair, Tensor(feature_stack), hard=False)
-    diff = Tensor(adjacency_stack) - smooth_adj
-    structure_dist = ad.sqrt(ad.tsum(diff * diff, axis=(-2, -1)))
+    target = np.zeros(smooth_adj.shape)
+    target[..., :width, :] = adjacency_stack
+    diff = Tensor(target) - smooth_adj
+    structure_dist = ad.sqrt(
+        ad.tsum(diff * diff, axis=(-2, -1)) + cut_distance)
     gate = ad.sigmoid(pair.mask_logits)
     gate_norm = ad.sqrt(ad.tsum(gate * gate))
     closeness = structure_dist - gate_norm
@@ -179,7 +220,9 @@ def counterfactual_loss(pair: PerturbationPair, probe: ReadoutProbe,
         original_distribution = probe_distribution(
             probe, feature_stack, adjacency_stack, node_mask).data
     clamped = bool((original_distribution < PROBABILITY_FLOOR).any())
-    p_structure = probe_distribution(probe, feature_stack, smooth_adj, node_mask)
+    p_structure = _readout(probe, feature_stack, normalize_adjacency(
+        ad.block(smooth_adj, width, width), node_mask,
+        extra_degree=cut_degree), node_mask)
     p_features = probe_distribution(probe, smooth_feats, adjacency_stack, node_mask)
     clamped = clamped or bool((p_structure.data < PROBABILITY_FLOOR).any())
     clamped = clamped or bool((p_features.data < PROBABILITY_FLOOR).any())
@@ -226,6 +269,20 @@ def select_seeds(graphs, rng: np.random.Generator,
     return np.sort(chosen), minority
 
 
+def _padded_chunks(graphs, chunk_size: int, n_max: int
+                   ) -> list[tuple[Array, PaddedBatch]]:
+    """Size-ordered chunks of ``graphs``, each padded to its own largest n."""
+    chunks = []
+    for idx in size_chunks(graphs, chunk_size):
+        members = [graphs[i] for i in idx]
+        width = members[-1].num_nodes
+        if width > n_max:
+            raise SizeError(
+                f"seed graph has {width} nodes, exceeding n_max={n_max}")
+        chunks.append((idx, pad_batch(members, width)))
+    return chunks
+
+
 def train_perturbations(seed_graphs, n_max: int, config: AugmentConfig,
                         rng: np.random.Generator,
                         probe: ReadoutProbe | None = None,
@@ -234,7 +291,8 @@ def train_perturbations(seed_graphs, n_max: int, config: AugmentConfig,
 
     One adaptive-moment step per epoch over the full seed set; chunked
     gradient accumulation keeps memory flat without changing the math
-    (chunk losses are reweighted so their sum is the global mean).
+    (chunk losses are reweighted so their sum is the global mean). Chunks
+    are size-ordered and padded to their own width, not to ``n_max``.
     """
     seed_graphs = list(seed_graphs)
     if not seed_graphs:
@@ -250,8 +308,7 @@ def train_perturbations(seed_graphs, n_max: int, config: AugmentConfig,
 
     total = len(seed_graphs)
     chunks = []
-    for start in range(0, total, config.chunk_size):
-        batch = pad_batch(seed_graphs[start:start + config.chunk_size], n_max)
+    for _, batch in _padded_chunks(seed_graphs, config.chunk_size, n_max):
         original = probe_distribution(
             probe, batch.feature_stack, batch.adjacency_stack,
             batch.node_mask).data
@@ -271,6 +328,8 @@ def train_perturbations(seed_graphs, n_max: int, config: AugmentConfig,
             scaled.backward()
             epoch_loss += float(scaled.data)
             ever_clamped = ever_clamped or components["clamped"]
+            # free this chunk's tape before the next chunk's forward
+            del loss, scaled
         if not np.isfinite(epoch_loss):
             raise TrainingDivergedError(
                 f"counterfactual loss diverged at epoch {epoch}: "
@@ -289,24 +348,23 @@ def train_perturbations(seed_graphs, n_max: int, config: AugmentConfig,
 
 def generate_samples(pair: PerturbationPair, graphs, indices: Array,
                      minority_label: int, n_max: int) -> list[Graph]:
-    """Apply the hard rewrite to each selected seed graph.
+    """Apply the hard rewrite to each selected seed, in ``indices`` order.
 
-    The seed's padded adjacency and features go through the thresholded
-    operations; the top-left n×n block is kept so a generated graph has its
-    seed's node count, and degrees are recomputed from the new structure.
+    Seeds go through the thresholded operations in size-ordered chunks, each
+    padded to its own largest n; the top-left n×n block is kept so a
+    generated graph has its seed's node count, and degrees are recomputed
+    from the new structure.
     """
-    generated = []
-    for index in indices:
-        seed = graphs[index]
-        n = seed.num_nodes
-        padded_adj = np.zeros((n_max, n_max))
-        padded_adj[:n, :n] = seed.adjacency
-        padded_feats = np.zeros((n_max, seed.feature_dim))
-        padded_feats[:n, :] = seed.node_features
-        hard_adj = perturb_structure(pair, padded_adj, hard=True)[:n, :n]
-        hard_feats = mask_features(pair, padded_feats, hard=True)[:n, :]
-        generated.append(make_graph(hard_adj, hard_feats, minority_label,
-                                    Provenance.GENERATED))
+    seeds = [graphs[i] for i in indices]
+    generated: list[Graph | None] = [None] * len(seeds)
+    for idx, batch in _padded_chunks(seeds, GENERATION_CHUNK_SIZE, n_max):
+        hard_adj = perturb_structure(pair, batch.adjacency_stack, hard=True)
+        hard_feats = mask_features(pair, batch.feature_stack, hard=True)
+        for row, i in enumerate(idx):
+            n = seeds[i].num_nodes
+            generated[i] = make_graph(hard_adj[row, :n, :n].copy(),
+                                      hard_feats[row, :n].copy(),
+                                      minority_label, Provenance.GENERATED)
     return generated
 
 

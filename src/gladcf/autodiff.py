@@ -1,11 +1,11 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 Only the operations the graph models actually need live here: broadcasted
-elementwise arithmetic, (batched) matmul, a few activations, reductions, and
-two gather-style ops. Everything is float64. ``backward()`` runs an iterative
-topological sweep, so deep tapes cannot hit the recursion limit. A node whose
-inputs all have ``requires_grad=False`` records no tape entry at all, which
-makes "no grad" evaluation free.
+elementwise arithmetic, (batched) matmul, a few activations, reductions,
+two gather-style ops and a block slice. Everything is float64. ``backward()``
+runs an iterative topological sweep, so deep tapes cannot hit the recursion
+limit. A node whose inputs all have ``requires_grad=False`` records no tape
+entry at all, which makes "no grad" evaluation free.
 """
 
 from __future__ import annotations
@@ -355,6 +355,22 @@ def reshape(t: Tensor, shape: tuple[int, ...]) -> Tensor:
 
     def backward(g: Array) -> None:
         t._accumulate(g.reshape(original))
+
+    return _node(data, (t,), backward)
+
+
+def block(t: Tensor, rows: int, cols: int) -> Tensor:
+    """The leading ``rows × cols`` block of the last two axes (a view).
+
+    The backward pass zero-fills the cropped-off rows and columns.
+    """
+    t = _as_tensor(t)
+    data = t.data[..., :rows, :cols]
+
+    def backward(g: Array) -> None:
+        full = np.zeros(t.shape)
+        full[..., :rows, :cols] = g
+        t._accumulate(full)
 
     return _node(data, (t,), backward)
 

@@ -27,7 +27,7 @@ from .autodiff import Tensor
 from .errors import ConfigError, TrainingDivergedError
 from .gcn import (GCNLayerParams, gcn_forward, init_gcn_layer,
                   masked_mean_pool, normalize_adjacency)
-from .graphs import PaddedBatch, Provenance, pad_batch
+from .graphs import PaddedBatch, Provenance, pad_batch, size_chunks
 from .optim import Adam
 
 logger = logging.getLogger(__name__)
@@ -307,15 +307,12 @@ class _Chunk:
 
 def _plan_chunks(graphs, chunk_size: int) -> list[_Chunk]:
     """Stable size-bucketed chunks, each padded only to its own max n."""
-    order = sorted(range(len(graphs)), key=lambda i: (graphs[i].num_nodes, i))
     provenance = [g.provenance for g in graphs]
     labels = np.array([g.label for g in graphs])
     chunks = []
-    for start in range(0, len(order), chunk_size):
-        idx = np.array(order[start:start + chunk_size])
+    for idx in size_chunks(graphs, chunk_size):
         members = [graphs[i] for i in idx]
-        width = max(g.num_nodes for g in members)
-        batch = pad_batch(members, width)
+        batch = pad_batch(members, members[-1].num_nodes)
         masks = partition_masks(labels[idx], [provenance[i] for i in idx])
         chunks.append(_Chunk(batch=batch, indices=idx, masks=masks))
     return chunks

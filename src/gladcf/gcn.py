@@ -44,18 +44,22 @@ def init_gcn_layer(in_dim: int, out_dim: int,
                           bias=Tensor(np.zeros(out_dim), requires_grad=True))
 
 
-def normalize_adjacency(adjacency: Tensor | Array, mask: Array) -> Tensor:
+def normalize_adjacency(adjacency: Tensor | Array, mask: Array, *,
+                        extra_degree: float = 0.0) -> Tensor:
     """Symmetrically normalized adjacency with masked self-loops.
 
     Computes ``D^{-1/2} (A + I·mask) D^{-1/2}`` where the self-loop diagonal
     carries 1 only for real nodes and zero degrees are treated as 1. Accepts a
     single ``(n, n)`` matrix with mask ``(n,)`` or a stack ``(B, n, n)`` with
-    mask ``(B, n)``.
+    mask ``(B, n)``. ``extra_degree`` is added to every row's degree: the row
+    mass of columns cut off the matrix, which meet only zero features.
     """
     adjacency = adjacency if isinstance(adjacency, Tensor) else Tensor(adjacency)
     mask = np.asarray(mask, dtype=np.float64)
     with_loops = ad.add_diagonal(adjacency, mask)
     degrees = ad.tsum(with_loops, axis=-1)
+    if extra_degree:
+        degrees = degrees + extra_degree
     inv_sqrt = ad.power(ad.safe_nonzero(degrees), -0.5)
     if adjacency.ndim == 2:
         row = ad.reshape(inv_sqrt, (adjacency.shape[0], 1))

@@ -196,6 +196,18 @@ def pad_batch(graphs: Sequence[Graph], n_max: int) -> PaddedBatch:
                        degree_stack=degrees, node_mask=mask, labels=labels)
 
 
+def size_chunks(graphs: Sequence[Graph], chunk_size: int) -> list[Array]:
+    """Split graph indices into chunks of similar size.
+
+    Indices are ordered by ``(num_nodes, index)`` and cut into runs of
+    ``chunk_size``, so each chunk's last index names its largest graph: the
+    width the chunk needs to be padded to.
+    """
+    order = sorted(range(len(graphs)), key=lambda i: (graphs[i].num_nodes, i))
+    return [np.array(order[start:start + chunk_size], dtype=np.int64)
+            for start in range(0, len(order), chunk_size)]
+
+
 def stratified_kfold(dataset: GraphDataset, k: int,
                      seed: int) -> list[tuple[Array, Array]]:
     """Deterministic stratified k-fold split over original graphs.

@@ -253,29 +253,23 @@ def write_tu_dataset(graphs: Sequence[Graph], directory: str | Path,
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    offsets = np.cumsum([0] + [g.num_nodes for g in graphs])
-    edge_lines = []
-    indicator_lines = []
-    label_lines = []
-    for gid, g in enumerate(graphs):
-        base = offsets[gid]
-        rows, cols = np.nonzero(g.adjacency)
-        for u, v in zip(rows, cols):
-            edge_lines.append((base + u + 1, base + v + 1))
-        indicator_lines.extend([gid + 1] * g.num_nodes)
-        label_lines.append(g.label)
-    edge_lines.sort()
-    with open(directory / f"{name}_A.txt", "w", encoding="ascii") as fh:
-        for u, v in edge_lines:
-            fh.write(f"{u}, {v}\n")
-    with open(directory / f"{name}_graph_indicator.txt", "w",
-              encoding="ascii") as fh:
-        for gid in indicator_lines:
-            fh.write(f"{gid}\n")
-    with open(directory / f"{name}_graph_labels.txt", "w",
-              encoding="ascii") as fh:
-        for label in label_lines:
-            fh.write(f"{label}\n")
+    sizes = [g.num_nodes for g in graphs]
+    offsets = np.cumsum([0] + sizes)
+    # argwhere lists each graph's edges in (row, col) order and node ids grow
+    # from graph to graph, so the concatenation is already sorted
+    edges = [np.argwhere(g.adjacency) + (base + 1)
+             for g, base in zip(graphs, offsets)]
+    pairs = np.concatenate(edges).ravel().tolist() if edges else []
+    indicator = np.repeat(np.arange(1, len(graphs) + 1), sizes).tolist()
+    contents = {
+        "A": "%d, %d\n" * (len(pairs) // 2) % tuple(pairs),
+        "graph_indicator": "".join(f"{gid}\n" for gid in indicator),
+        "graph_labels": "".join(f"{g.label}\n" for g in graphs),
+    }
+    for suffix, text in contents.items():
+        with open(directory / f"{name}_{suffix}.txt", "w",
+                  encoding="ascii") as fh:
+            fh.write(text)
 
 
 def dataset_stats(graphs: Sequence[Graph]) -> dict:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import gladcf.autodiff as ad
+from gladcf import augment
 from gladcf.autodiff import Tensor
 from gladcf.augment import (AugmentConfig, PerturbationPair, augment_training_set,
                             counterfactual_loss, generate_samples,
@@ -175,6 +176,28 @@ def test_loss_gradients_match_finite_differences():
     assert_grads_close(loss, pair.trainables())
 
 
+def test_loss_at_own_width_equals_loss_at_n_max():
+    # The two cut-off constants stand in exactly for the columns past w.
+    rng = np.random.default_rng(22)
+    graphs = [random_graph(rng, n, 3) for n in (3, 6, 4, 5)]
+    pair = _pair(9, 3, seed=23, scale=1.5)
+    probe = make_probe(3, np.random.default_rng(24))
+    results = []
+    for width in (6, 9):
+        batch = pad_batch(graphs, width)
+        pair.edge_logits.zero_grad()
+        pair.mask_logits.zero_grad()
+        loss, _ = counterfactual_loss(pair, probe, batch.adjacency_stack,
+                                      batch.feature_stack, batch.node_mask)
+        loss.backward()
+        results.append((float(loss.data), pair.edge_logits.grad.copy(),
+                        pair.mask_logits.grad.copy()))
+    (own, edge_own, mask_own), (full, edge_full, mask_full) = results
+    assert abs(own - full) < 1e-12
+    np.testing.assert_allclose(edge_own, edge_full, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(mask_own, mask_full, rtol=0, atol=1e-12)
+
+
 def test_probe_is_frozen_and_seeded():
     probe_a = make_probe(3, np.random.default_rng(11))
     probe_b = make_probe(3, np.random.default_rng(11))
@@ -232,15 +255,20 @@ def test_train_perturbations_runs_and_is_deterministic():
 
 
 def test_train_perturbations_chunking_matches_single_batch():
+    # equal sizes, then mixed sizes: chunk widths 3..8 inside n_max = 10
     rng = np.random.default_rng(15)
-    seeds = [random_graph(rng, 4, 2) for _ in range(6)]
-    chunked = train_perturbations(seeds, 5, AugmentConfig(epochs=5, chunk_size=2),
-                                  np.random.default_rng(7))
-    whole = train_perturbations(seeds, 5, AugmentConfig(epochs=5, chunk_size=64),
-                                np.random.default_rng(7))
-    np.testing.assert_allclose(chunked[0].edge_logits.data,
-                               whole[0].edge_logits.data, atol=1e-12)
-    np.testing.assert_allclose(chunked[2], whole[2], atol=1e-12)
+    equal = [random_graph(rng, 4, 2) for _ in range(6)]
+    mixed = [random_graph(rng, int(rng.integers(3, 9)), 2) for _ in range(9)]
+    for seeds, n_max in ((equal, 5), (mixed, 10)):
+        chunked = train_perturbations(
+            seeds, n_max, AugmentConfig(epochs=5, lr=0.05, chunk_size=2),
+            np.random.default_rng(7))
+        whole = train_perturbations(
+            seeds, n_max, AugmentConfig(epochs=5, lr=0.05, chunk_size=64),
+            np.random.default_rng(7))
+        for a, b in zip(chunked[0].trainables(), whole[0].trainables()):
+            np.testing.assert_allclose(a.data, b.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(chunked[2], whole[2], rtol=0, atol=1e-12)
 
 
 def test_train_requires_features_and_seeds():
@@ -280,23 +308,30 @@ def test_generate_samples_integrity():
                                       seed.node_features[kept])
 
 
-def test_generated_sample_matches_manual_rewrite():
-    rng = np.random.default_rng(19)
-    graph = random_graph(rng, 4, 2)
-    pair = _pair(6, 2, seed=20, scale=2.0)
-    (sample,) = generate_samples(pair, [graph], np.array([0]), 1, n_max=6)
+def test_generated_sample_matches_manual_rewrite(monkeypatch):
+    # several size chunks; indices out of order and repeated
+    monkeypatch.setattr(augment, "GENERATION_CHUNK_SIZE", 2)
+    rng = np.random.default_rng(26)
+    graphs = [random_graph(rng, n, 3) for n in (5, 2, 7, 3, 7, 4)]
+    pair = _pair(9, 3, seed=27, scale=2.0)
+    indices = np.array([4, 1, 0, 5, 1, 2, 3])
+    generated = generate_samples(pair, graphs, indices, 1, n_max=9)
     sig = lambda x: 1.0 / (1.0 + np.exp(-x))
-    padded = np.zeros((6, 6))
-    padded[:4, :4] = graph.adjacency
-    hard = (sig(pair.edge_logits.data @ padded) >= 0.5).astype(float)
-    hard = np.maximum(hard, hard.T)
-    np.fill_diagonal(hard, 0.0)
-    np.testing.assert_array_equal(sample.adjacency, hard[:4, :4])
     keep = (sig(pair.mask_logits.data) >= 0.5).astype(float)
-    padded_feats = np.zeros((6, 2))
-    padded_feats[:4] = graph.node_features
-    np.testing.assert_array_equal(sample.node_features,
-                                  (keep * padded_feats)[:4])
+    assert len(generated) == len(indices)
+    for sample, index in zip(generated, indices):
+        seed = graphs[index]
+        n = seed.num_nodes
+        padded = np.zeros((9, 9))
+        padded[:n, :n] = seed.adjacency
+        hard = (sig(pair.edge_logits.data @ padded) >= 0.5).astype(float)
+        hard = np.maximum(hard, hard.T)
+        np.fill_diagonal(hard, 0.0)
+        np.testing.assert_array_equal(sample.adjacency, hard[:n, :n])
+        padded_feats = np.zeros((9, 3))
+        padded_feats[:n] = seed.node_features
+        np.testing.assert_array_equal(sample.node_features,
+                                      (keep * padded_feats)[:n])
 
 
 def test_augment_training_set_balances():

@@ -161,6 +161,19 @@ def test_take_nodes_reorders_and_scatters():
     assert_grads_close(lambda: ad.tsum(ad.take_nodes(t, order) * scale), [t])
 
 
+def test_block_crops_and_zero_fills_gradient():
+    rng = np.random.default_rng(11)
+    for shape, rows, cols in (((5, 4), 3, 2), ((2, 4, 5), 4, 3)):
+        t = leaf(rng, shape)
+        out = ad.block(t, rows, cols)
+        np.testing.assert_array_equal(out.data, t.data[..., :rows, :cols])
+        scale = rng.normal(size=out.shape)
+        assert_grads_close(
+            lambda: ad.tsum(ad.sigmoid(ad.block(t, rows, cols)) * scale), [t])
+        assert not t.grad[..., rows:, :].any()
+        assert not t.grad[..., :, cols:].any()
+
+
 def test_add_diagonal():
     rng = np.random.default_rng(10)
     t = leaf(rng, (2, 3, 3))

@@ -44,6 +44,24 @@ def test_normalization_padded_rows_stay_zero():
         got[0, :3, :3], normalize_adjacency(path_adjacency(3), np.ones(3)).data)
 
 
+def test_extra_degree_equals_appended_half_columns():
+    # Raising every row's degree by c is normalizing with 2c extra columns of
+    # 0.5 (and zero rows, not real nodes) appended, then cropping them off.
+    rng = np.random.default_rng(12)
+    b, n, c = 3, 5, 1.5
+    soft = rng.random((b, n, n))
+    mask = np.array([[1.0] * 5, [1.0] * 3 + [0.0] * 2, [1.0] * 4 + [0.0]])
+    soft *= mask[:, :, None] * mask[:, None, :]
+    extra = int(2 * c)
+    wide = np.zeros((b, n + extra, n + extra))
+    wide[:, :n, :n] = soft
+    wide[:, :n, n:] = 0.5
+    wide_mask = np.concatenate([mask, np.zeros((b, extra))], axis=1)
+    expected = normalize_adjacency(wide, wide_mask).data[:, :n, :n]
+    got = normalize_adjacency(soft, mask, extra_degree=c).data
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
+
+
 def test_forward_hand_oracle():
     # One layer on the path graph, feature dim 2 -> 2, explicit dense math.
     a = path_adjacency(3)

@@ -7,7 +7,7 @@ import pytest
 
 from gladcf.errors import ConfigError, SizeError
 from gladcf.graphs import (Graph, GraphDataset, Provenance, make_graph,
-                           pad_batch, stratified_kfold)
+                           pad_batch, size_chunks, stratified_kfold)
 
 from util import path_adjacency, random_graph
 
@@ -157,3 +157,14 @@ def test_stratified_kfold_errors():
         random_graph(rng, 4, 2, label=1, provenance=Provenance.GENERATED),))
     with pytest.raises(ConfigError, match="GENERATED"):
         stratified_kfold(polluted, k=2, seed=0)
+
+
+def test_size_chunks_order_by_size_then_index():
+    rng = np.random.default_rng(6)
+    sizes = [5, 3, 5, 2, 3, 7, 2]
+    graphs = [random_graph(rng, n, 1) for n in sizes]
+    chunks = size_chunks(graphs, 3)
+    assert [c.tolist() for c in chunks] == [[3, 6, 1], [4, 0, 2], [5]]
+    for chunk in chunks:
+        assert sizes[chunk[-1]] == max(sizes[i] for i in chunk)
+    assert size_chunks([], 3) == []

@@ -209,6 +209,25 @@ def test_write_is_byte_deterministic(tmp_path):
         assert a == b
 
 
+def test_write_golden_bytes(tmp_path):
+    # a path on nodes 1..3, then a triangle on 4..6 beside an isolated node 7
+    triangle = np.zeros((4, 4))
+    triangle[:3, :3] = 1.0 - np.eye(3)
+    graphs = [make_graph(path_adjacency(3), np.zeros((3, 0)), 0,
+                         Provenance.ORIGINAL_NORMAL),
+              make_graph(triangle, np.zeros((4, 0)), 1,
+                         Provenance.ORIGINAL_ABNORMAL)]
+    write_tu_dataset(graphs, tmp_path, "G")
+    expected = {
+        "A": b"1, 2\n2, 1\n2, 3\n3, 2\n"
+             b"4, 5\n4, 6\n5, 4\n5, 6\n6, 4\n6, 5\n",
+        "graph_indicator": b"1\n1\n1\n2\n2\n2\n2\n",
+        "graph_labels": b"0\n1\n",
+    }
+    for suffix, content in expected.items():
+        assert (tmp_path / f"G_{suffix}.txt").read_bytes() == content
+
+
 def test_dataset_stats():
     g1 = make_graph(path_adjacency(3), np.zeros((3, 0)), 0,
                     Provenance.ORIGINAL_NORMAL)
