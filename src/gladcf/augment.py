@@ -25,8 +25,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, SizeError, TrainingDivergedError
-from .gcn import (GCNLayerParams, gcn_forward, init_gcn_layer,
-                  masked_mean_pool, normalize_adjacency)
+from .gcn import (GCNLayerParams, gcn_readout, init_gcn_layer,
+                  normalize_adjacency)
 from .graphs import (Graph, PaddedBatch, Provenance, make_graph, pad_batch,
                      size_chunks)
 from .optim import Adam
@@ -167,8 +167,8 @@ def probe_distribution(probe: ReadoutProbe, features: Tensor | Array,
 
 def _readout(probe: ReadoutProbe, features: Tensor | Array,
              normalized: Tensor, mask: Array) -> Tensor:
-    states = gcn_forward([probe.layer], features, normalized, mask)
-    return ad.softmax_last(masked_mean_pool(states, mask))
+    return ad.softmax_last(gcn_readout([probe.layer], features, normalized,
+                                       mask))
 
 
 def _kl_rows(p: Array, q: Tensor) -> Tensor:

@@ -1,10 +1,11 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 Only the operations the graph models actually need live here: broadcasted
-elementwise arithmetic, (batched) matmul, a few activations, reductions,
-two gather-style ops and a block slice. Everything is float64. ``backward()``
-runs an iterative topological sweep, so deep tapes cannot hit the recursion
-limit. A node whose inputs all have ``requires_grad=False`` records no tape
+elementwise arithmetic, (batched) matmul, a few activations (one fused with
+the bias and padding mask a GCN layer applies), reductions, two gather-style
+ops and a block slice. Everything is float64. ``backward()`` runs an
+iterative topological sweep, so deep tapes cannot hit the recursion limit.
+A node whose inputs all have ``requires_grad=False`` records no tape
 entry at all, which makes "no grad" evaluation free.
 """
 
@@ -251,6 +252,29 @@ def relu(t: Tensor) -> Tensor:
         t._accumulate(g * (t.data > 0))
 
     return _node(data, (t,), backward)
+
+
+def bias_mask_relu(t: Tensor, bias: Tensor, mask: Array) -> Tensor:
+    """``relu((t + bias) ⊙ mask)`` as one node, for a 0/1 ``mask``.
+
+    The sum, the masked sum and the activation are computed in turn in one
+    output buffer, with the same values as the three separate ops. The
+    backward pass is the one product ``g ⊙ (out > 0)``: an entry can only be
+    positive where the mask is 1, so that product already applies the mask.
+    """
+    t, bias = _as_tensor(t), _as_tensor(bias)
+    out = t.data + bias.data
+    out *= mask
+    np.maximum(out, 0.0, out=out)
+
+    def backward(g: Array) -> None:
+        grad = g * (out > 0)
+        if t.requires_grad:
+            t._accumulate(_unbroadcast(grad, t.shape))
+        if bias.requires_grad:
+            bias._accumulate(_unbroadcast(grad, bias.shape))
+
+    return _node(out, (t, bias), backward)
 
 
 def log(t: Tensor) -> Tensor:

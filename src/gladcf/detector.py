@@ -2,9 +2,13 @@
 and an imbalance-aware binary objective.
 
 One branch convolves the node features, the other convolves the raw degree
-column; their node states are concatenated, compressed by a linear reducer,
-reweighted by a trainable square matrix, and mean-pooled into one embedding
-per graph. A sigmoid head turns embeddings into anomaly scores in (0, 1).
+column. Each branch's hidden layer runs per node; its last layer is linear,
+so each branch is mean-pooled first and its last weight applied to one row
+per graph (``gcn.gcn_readout``). The two pooled vectors are concatenated,
+then compressed by a linear reducer, then reweighted by a trainable square
+matrix: pool, then reduce, then reweight, which gives the same embedding as
+reducing and reweighting every node row before the pool. A sigmoid head
+turns embeddings into anomaly scores in (0, 1).
 
 The loss splits the batch three ways — normal, original-abnormal, generated —
 normalizes each term by its own count, and mixes the abnormal terms by the
@@ -25,8 +29,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, TrainingDivergedError
-from .gcn import (GCNLayerParams, gcn_forward, init_gcn_layer,
-                  masked_mean_pool, normalize_adjacency)
+from .gcn import (GCNLayerParams, gcn_readout, init_gcn_layer,
+                  normalize_adjacency, pooled_bias)
 from .graphs import PaddedBatch, Provenance, pad_batch, size_chunks
 from .optim import Adam
 
@@ -151,31 +155,42 @@ def init_detector(feature_dim: int, config: DetectorConfig,
 # -- forward pass ------------------------------------------------------------
 
 
-def fuse_features(params: DetectorParams, batch: PaddedBatch) -> Tensor:
-    """Concatenated per-node states from the active branches: (B, n, fused)."""
-    normalized = normalize_adjacency(batch.adjacency_stack, batch.node_mask)
-    states = [gcn_forward(layers, inputs, normalized, batch.node_mask)
+def fuse_features(params: DetectorParams, batch: PaddedBatch,
+                  normalized: Tensor | None = None) -> Tensor:
+    """Concatenated pooled outputs of the active branches: (B, fused).
+
+    ``normalized`` is the batch's ``normalize_adjacency``, computed here when
+    not given; both branches share it.
+    """
+    if normalized is None:
+        normalized = normalize_adjacency(batch.adjacency_stack,
+                                         batch.node_mask)
+    pooled = [gcn_readout(layers, inputs, normalized, batch.node_mask)
               for layers, inputs in
               ((params.feature_branch, batch.feature_stack),
                (params.degree_branch, batch.degree_stack))
               if layers is not None]
-    if len(states) == 1:
-        return states[0]
-    return ad.concat_last(states[0], states[1])
+    if len(pooled) == 1:
+        return pooled[0]
+    return ad.concat_last(pooled[0], pooled[1])
 
 
 def adaptive_weighting(params: DetectorParams, fused: Tensor,
                        mask: Array) -> Tensor:
-    """Reduce, reweight, and mean-pool node states into (B, r).
+    """Reduce and reweight pooled branch outputs into (B, r) embeddings.
 
-    The reducer and the square reweighting matrix act on every node row
-    alike, so the pooled embedding does not depend on node order. With
-    adaptive weighting off, the reweighting matrix is bypassed.
+    The reducer and the square reweighting matrix are linear maps applied to
+    every node row alike, so applying them to the pooled vector gives the
+    mean of their per-node outputs, independent of node order. The reducer's
+    bias joins only graphs with real nodes (``pooled_bias``), so an empty
+    graph keeps a zero embedding. With adaptive weighting off, the
+    reweighting matrix is bypassed.
     """
-    reduced = ad.matmul(fused, params.reducer.weight) + params.reducer.bias
+    reduced = (ad.matmul(fused, params.reducer.weight)
+               + pooled_bias(params.reducer.bias, mask))
     if params.config.use_adaptive_weighting:
         reduced = ad.matmul(reduced, params.adaptive_weight)
-    return masked_mean_pool(reduced, mask)
+    return reduced
 
 
 def score(params: DetectorParams, embedding: Tensor) -> Tensor:
@@ -185,8 +200,9 @@ def score(params: DetectorParams, embedding: Tensor) -> Tensor:
     return ad.sigmoid(ad.reshape(logits, (logits.shape[0],)))
 
 
-def detector_scores(params: DetectorParams, batch: PaddedBatch) -> Tensor:
-    fused = fuse_features(params, batch)
+def detector_scores(params: DetectorParams, batch: PaddedBatch,
+                    normalized: Tensor | None = None) -> Tensor:
+    fused = fuse_features(params, batch, normalized)
     embedding = adaptive_weighting(params, fused, batch.node_mask)
     return score(params, embedding)
 
@@ -301,12 +317,17 @@ class TrainConfig:
 @dataclass
 class _Chunk:
     batch: PaddedBatch
+    normalized: Tensor  # the batch's normalize_adjacency, made once
     indices: Array
     masks: tuple[Array, Array, Array]  # see partition_masks
 
 
 def _plan_chunks(graphs, chunk_size: int) -> list[_Chunk]:
-    """Stable size-bucketed chunks, each padded only to its own max n."""
+    """Stable size-bucketed chunks, each padded only to its own max n.
+
+    A chunk's adjacency never changes, so it is normalized here once and
+    every epoch and every scoring pass reuses it.
+    """
     provenance = [g.provenance for g in graphs]
     labels = np.array([g.label for g in graphs])
     chunks = []
@@ -314,7 +335,10 @@ def _plan_chunks(graphs, chunk_size: int) -> list[_Chunk]:
         members = [graphs[i] for i in idx]
         batch = pad_batch(members, members[-1].num_nodes)
         masks = partition_masks(labels[idx], [provenance[i] for i in idx])
-        chunks.append(_Chunk(batch=batch, indices=idx, masks=masks))
+        normalized = normalize_adjacency(batch.adjacency_stack,
+                                         batch.node_mask)
+        chunks.append(_Chunk(batch=batch, normalized=normalized,
+                             indices=idx, masks=masks))
     return chunks
 
 
@@ -348,7 +372,7 @@ def train_detector(graphs, config: DetectorConfig, train_config: TrainConfig,
         optimizer.zero_grad()
         epoch_loss = 0.0
         for chunk in chunks:
-            scores = detector_scores(params, chunk.batch)
+            scores = detector_scores(params, chunk.batch, chunk.normalized)
             partial, _ = _objective(
                 scores, chunk.masks, counts, train_config.beta,
                 train_config.include_normal_term,
@@ -381,7 +405,8 @@ def predict_scores(params: DetectorParams, graphs,
     frozen = params.detached()
     out = np.zeros(len(graphs))
     for chunk in _plan_chunks(graphs, chunk_size):
-        out[chunk.indices] = detector_scores(frozen, chunk.batch).data
+        out[chunk.indices] = detector_scores(frozen, chunk.batch,
+                                             chunk.normalized).data
     return out
 
 

@@ -1,9 +1,11 @@
 """Graph convolution with symmetric degree normalization, batch-padded.
 
 Self-loops are added only on real nodes (via the node mask), zero degrees are
-normalized as degree 1, and padded rows stay exactly zero through every layer.
-The adjacency may itself be a differentiable tensor — the counterfactual
-generator backpropagates through the normalization.
+normalized as degree 1, and padded rows stay exactly zero through every
+hidden layer. A stack is read out pooled: the hidden layers run per node,
+then the mean pool, then the last layer's weight and bias on one row per
+graph (``gcn_readout``). The adjacency may itself be a differentiable tensor
+— the counterfactual generator backpropagates through the normalization.
 """
 
 from __future__ import annotations
@@ -71,45 +73,69 @@ def normalize_adjacency(adjacency: Tensor | Array, mask: Array, *,
     return with_loops * row * col
 
 
-def gcn_layer(params: GCNLayerParams, features: Tensor,
+def gcn_layer(params: GCNLayerParams, features: Tensor | Array,
               normalized: Tensor, mask: Array) -> Tensor:
-    """One propagation step: ``Â · H · W + b``, padded rows forced to zero.
+    """One hidden propagation step: ``relu((Â · H · W + b) ⊙ m)``.
 
     ``Â`` multiplies the narrower of ``H`` and ``H · W``: a widening layer
     computes ``(Â · H) · W``, any other ``Â · (H · W)``. Both orders give the
     same product, but the first detector layers then propagate their input
     columns (identity features, one degree column) instead of ``hidden1``.
+    The bias, the padding mask and the ReLU are one fused tape node, so
+    padded rows come out exactly zero.
     """
     if params.in_dim < params.out_dim:
         propagated = ad.matmul(ad.matmul(normalized, features), params.weight)
     else:
         propagated = ad.matmul(normalized, ad.matmul(features, params.weight))
-    out = propagated + params.bias
-    return out * np.asarray(mask)[..., None]
+    return ad.bias_mask_relu(propagated, params.bias,
+                             np.asarray(mask)[..., None])
 
 
-def gcn_forward(layers: Sequence[GCNLayerParams], features: Tensor | Array,
+def gcn_readout(layers: Sequence[GCNLayerParams], features: Tensor | Array,
                 normalized: Tensor, mask: Array) -> Tensor:
-    """Run convolution layers over a pre-normalized adjacency ``Â``.
+    """Mean-pooled output of a convolution stack, ``(B, out)``.
 
-    ReLU goes between the layers, not after the last one. Pass the output of
-    ``normalize_adjacency`` so that several stacks can share one normalization.
+    Every layer but the last is a ``gcn_layer``, run per node with a ReLU
+    after it. The last layer and the mean pool are both linear, so the pool
+    goes first: ``mean_i (Â H W + b)_i = ((mᵀÂ / n) · H) · W + b``. The pool
+    weights ``mᵀÂ / n`` are ``masked_mean_pool`` over the rows of ``Â``,
+    which holds for any ``Â``, soft ones with non-zero padded cells
+    included, and the last weight and bias then act on ``B`` rows instead of
+    ``B · n``. Pass the output of ``normalize_adjacency`` so that several
+    stacks can share one normalization. A graph with no real nodes pools to
+    zero.
     """
+    mask = np.asarray(mask, dtype=np.float64)
     h = features if isinstance(features, Tensor) else Tensor(features)
-    for i, layer in enumerate(layers):
-        if i > 0:
-            h = ad.relu(h)
+    for layer in layers[:-1]:
         h = gcn_layer(layer, h, normalized, mask)
-    return h
+    b, n = mask.shape
+    weights = ad.reshape(masked_mean_pool(normalized, mask), (b, 1, n))
+    pooled = ad.reshape(ad.matmul(weights, h), (b, h.shape[-1]))
+    last = layers[-1]
+    return ad.matmul(pooled, last.weight) + pooled_bias(last.bias, mask)
 
 
 def masked_mean_pool(node_states: Tensor, mask: Array) -> Tensor:
     """Average real-node rows of a ``(B, n, F)`` tensor into ``(B, F)``.
 
-    A batch element with no real nodes pools to zero.
+    One batched product of each graph's row ``m / n`` with its states, so
+    no masked copy of the states is made. A batch element with no real
+    nodes pools to zero.
     """
     mask = np.asarray(mask, dtype=np.float64)
     counts = mask.sum(axis=-1)
     scale = np.where(counts > 0, 1.0 / np.maximum(counts, 1.0), 0.0)
-    summed = ad.tsum(node_states * mask[..., None], axis=1)
-    return summed * scale[:, None]
+    pooled = ad.matmul((mask * scale[:, None])[:, None, :], node_states)
+    return ad.reshape(pooled, (pooled.shape[0], pooled.shape[-1]))
+
+
+def pooled_bias(bias: Tensor, mask: Array) -> Tensor:
+    """The mean over real nodes of a bias added to every node row, ``(B, F)``.
+
+    That is the bias itself for a graph with real nodes, and zero for an
+    empty one, as ``masked_mean_pool`` gives it.
+    """
+    nonempty = (np.asarray(mask).sum(axis=-1) > 0).astype(np.float64)
+    return bias * nonempty[:, None]

@@ -101,6 +101,33 @@ def test_unary_grads():
     assert_grads_close(lambda: ad.tsum(ad.absolute(off_kink)), [off_kink])
 
 
+def test_bias_mask_relu_equals_unfused_chain():
+    rng = np.random.default_rng(16)
+    mask = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 0.0, 0.0]])[..., None]
+    x = leaf(rng, (2, 4, 3))
+    b = leaf(rng, (3,))
+    weights = rng.normal(size=(2, 4, 3))
+    fused = ad.bias_mask_relu(x, b, mask)
+    chain = ad.relu((x + b) * mask)
+    np.testing.assert_array_equal(fused.data, chain.data)
+    # the ReLU both passes and clips some real entries
+    assert (fused.data > 0).any() and ((x.data + b.data) * mask < 0).any()
+    assert np.all(fused.data[0, 3:] == 0.0) and np.all(fused.data[1, 2:] == 0.0)
+
+    grads = []
+    for build in (lambda: ad.bias_mask_relu(x, b, mask),
+                  lambda: ad.relu((x + b) * mask)):
+        x.zero_grad()
+        b.zero_grad()
+        ad.tsum(build() * weights).backward()
+        grads.append((x.grad, b.grad))
+    np.testing.assert_array_equal(grads[0][0], grads[1][0])
+    np.testing.assert_array_equal(grads[0][1], grads[1][1])
+    assert np.all(grads[0][0][0, 3:] == 0.0)  # no gradient into padding
+    assert_grads_close(
+        lambda: ad.tsum(ad.bias_mask_relu(x, b, mask) * weights), [x, b])
+
+
 def test_clamp_blocks_gradient_outside_range():
     t = Tensor([-1.0, 0.5, 2.0], requires_grad=True)
     out = ad.tsum(ad.clamp(t, 0.0, 1.0))

@@ -13,6 +13,7 @@ from gladcf.detector import (DetectorConfig, TrainConfig, adaptive_weighting,
                              partition_masks, predict_scores, save_checkpoint,
                              score, train_detector)
 from gladcf.errors import ConfigError
+from gladcf.gcn import normalize_adjacency
 from gladcf.graphs import GraphDataset, Provenance, make_graph, pad_batch
 from util import (assert_grads_close, connected_random_graph, random_graph,
                   ring_adjacency)
@@ -148,39 +149,74 @@ def _toy_batch(rng, b=3, h=5, n_lo=3, n_hi=6):
     return graphs, pad_batch(graphs, n_hi)
 
 
+def _random_biases(params, rng):
+    """Non-zero biases everywhere, so a bias leaking into padding shows."""
+    for branch in (params.feature_branch, params.degree_branch):
+        for layer in branch or ():
+            layer.bias.data[:] = rng.normal(size=layer.out_dim)
+    params.reducer.bias.data[:] = rng.normal(size=params.config.reduce_dim)
+
+
+def _per_node_states(params, batch):
+    """Concatenated per-node branch states, replayed in NumPy: (B, n, fused).
+
+    Each branch runs layer, ReLU, layer on every node, with every layer's
+    padded rows masked; this is the detector's function before any pooling.
+    """
+    mask = batch.node_mask
+    normalized = normalize_adjacency(batch.adjacency_stack, mask).data
+    states = []
+    for layers, h in ((params.feature_branch, batch.feature_stack),
+                      (params.degree_branch, batch.degree_stack)):
+        if layers is None:
+            continue
+        for i, layer in enumerate(layers):
+            if i > 0:
+                h = np.maximum(h, 0.0)
+            h = (normalized @ h @ layer.weight.data
+                 + layer.bias.data) * mask[..., None]
+        states.append(h)
+    return np.concatenate(states, axis=-1)
+
+
+def _masked_mean(rows, mask):
+    return (rows * mask[..., None]).sum(axis=1) / mask.sum(axis=1)[:, None]
+
+
 def test_fuse_features_concat_order_and_padding():
     rng = np.random.default_rng(4)
     graphs, batch = _toy_batch(rng)
     params = init_detector(5, TOY, rng)
+    _random_biases(params, rng)
     fused = fuse_features(params, batch).data
-    assert fused.shape == (3, 6, 12)
-    # padded rows stay zero
-    for i, g in enumerate(graphs):
-        assert np.all(fused[i, g.num_nodes:, :] == 0.0)
+    assert fused.shape == (3, 12)
+    expected = _masked_mean(_per_node_states(params, batch), batch.node_mask)
+    np.testing.assert_allclose(fused, expected, rtol=0, atol=1e-12)
     # the first half of the channels comes from the feature branch
     solo = init_detector(5, DetectorConfig(hidden1=8, hidden2=6, reduce_dim=4,
                                            use_degree_branch=False), rng)
     solo.feature_branch = params.feature_branch
     np.testing.assert_array_equal(fuse_features(solo, batch).data,
-                                  fused[:, :, :6])
+                                  fused[:, :6])
 
 
 def test_adaptive_weighting_matches_numpy_replay():
     rng = np.random.default_rng(5)
     params = init_detector(5, TOY, rng)
+    _random_biases(params, rng)
     graphs, batch = _toy_batch(rng)
     fused = fuse_features(params, batch)
     got = adaptive_weighting(params, fused, batch.node_mask).data
 
-    z = fused.data
+    # per node: rows sorted by L1 norm, reduced, reweighted; then pooled
+    z = _per_node_states(params, batch)
     order = np.argsort(-np.abs(z).sum(axis=-1), axis=1, kind="stable")
     rows = np.take_along_axis(z, order[:, :, None], axis=1)
     mask = np.take_along_axis(batch.node_mask, order, axis=1)
     reduced = rows @ params.reducer.weight.data + params.reducer.bias.data
     weighted = reduced @ params.adaptive_weight.data
-    counts = mask.sum(axis=1, keepdims=True)
-    pooled = (weighted * mask[:, :, None]).sum(axis=1) / counts
-    np.testing.assert_allclose(got, pooled, atol=1e-12)
+    np.testing.assert_allclose(got, _masked_mean(weighted, mask), rtol=0,
+                               atol=1e-12)
 
 
 def test_adaptive_weighting_bypass():
@@ -188,15 +224,70 @@ def test_adaptive_weighting_bypass():
     config = DetectorConfig(hidden1=8, hidden2=6, reduce_dim=4,
                             use_adaptive_weighting=False)
     params = init_detector(5, config, rng)
+    _random_biases(params, rng)
     graphs, batch = _toy_batch(rng)
     fused = fuse_features(params, batch)
     got = adaptive_weighting(params, fused, batch.node_mask).data
-    z = fused.data
+    z = _per_node_states(params, batch)
     reduced = z @ params.reducer.weight.data + params.reducer.bias.data
-    counts = batch.node_mask.sum(axis=1, keepdims=True)
-    pooled = (reduced * batch.node_mask[:, :, None]).sum(axis=1) / counts
-    np.testing.assert_allclose(got, pooled, atol=1e-12)
+    np.testing.assert_allclose(got, _masked_mean(reduced, batch.node_mask),
+                               rtol=0, atol=1e-12)
     assert params.adaptive_weight not in params.trainables()
+
+
+def test_scores_do_not_depend_on_padding_width():
+    rng = np.random.default_rng(17)
+    graphs = [random_graph(rng, n, 5) for n in (3, 6, 4, 5)]
+    params = init_detector(5, TOY, rng)
+    _random_biases(params, rng)
+    tight = detector_scores(params, pad_batch(graphs, 6)).data
+    wide = detector_scores(params, pad_batch(graphs, 6 + 7)).data
+    np.testing.assert_allclose(wide, tight, rtol=0, atol=1e-12)
+
+
+def test_empty_graph_gets_zero_embedding():
+    rng = np.random.default_rng(18)
+    empty = make_graph(np.zeros((0, 0)), np.zeros((0, 5)), 0, N)
+    graphs = [random_graph(rng, 4, 5), empty, random_graph(rng, 3, 5)]
+    params = init_detector(5, TOY, rng)
+    _random_biases(params, rng)
+
+    def embed(members):
+        batch = pad_batch(members, 4)
+        return adaptive_weighting(params, fuse_features(params, batch),
+                                  batch.node_mask).data
+
+    embedding = embed(graphs)
+    np.testing.assert_array_equal(embedding[1], 0.0)
+    # and it leaves its batch mates alone
+    np.testing.assert_allclose(embedding[[0, 2]],
+                               embed([graphs[0], graphs[2]]), rtol=0,
+                               atol=1e-12)
+
+
+def test_tape_holds_no_per_node_last_layer_state():
+    # The last GCN layer runs on pooled rows, so one forward and backward
+    # pass never holds a (B, n, hidden2) array, as a value or a gradient.
+    rng = np.random.default_rng(19)
+    graphs, batch = _toy_batch(rng, n_hi=6)
+    config = DetectorConfig(hidden1=8, hidden2=7, reduce_dim=4)
+    params = init_detector(5, config, rng)
+    loss, _ = composite_loss(detector_scores(params, batch), batch.labels,
+                             [g.provenance for g in graphs], beta=1.2)
+    loss.backward()
+    shapes, seen, stack = set(), set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        shapes.add(node.shape)
+        if node.grad is not None:
+            shapes.add(np.shape(node.grad))
+        stack.extend(node._parents)
+    b, n = batch.node_mask.shape
+    assert (b, n, config.hidden1) in shapes  # the walk reaches the hidden layer
+    assert (b, n, config.hidden2) not in shapes
 
 
 def test_scores_are_probabilities():

@@ -7,7 +7,7 @@ import pytest
 
 import gladcf.autodiff as ad
 from gladcf.autodiff import Tensor
-from gladcf.gcn import (GCNLayerParams, gcn_forward, gcn_layer,
+from gladcf.gcn import (GCNLayerParams, gcn_layer, gcn_readout,
                         init_gcn_layer, masked_mean_pool, normalize_adjacency)
 
 from util import (assert_grads_close, path_adjacency, random_adjacency,
@@ -62,6 +62,22 @@ def test_extra_degree_equals_appended_half_columns():
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
 
 
+def _per_node_readout(layers, x, normalized, mask):
+    """The stack run on every node, then mean-pooled: the NumPy reference.
+
+    ReLU between the layers, every layer's output rows masked, the last
+    layer's bias added per node before the masked mean.
+    """
+    h = x
+    for i, layer in enumerate(layers):
+        if i > 0:
+            h = np.maximum(h, 0.0)
+        h = normalized @ h @ layer.weight.data + layer.bias.data
+        h = h * mask[..., None]
+    counts = mask.sum(axis=-1, keepdims=True)
+    return h.sum(axis=1) / np.maximum(counts, 1.0)
+
+
 def test_forward_hand_oracle():
     # One layer on the path graph, feature dim 2 -> 2, explicit dense math.
     a = path_adjacency(3)
@@ -72,11 +88,14 @@ def test_forward_hand_oracle():
                             bias=Tensor(b, requires_grad=True))
     d = np.array([2.0, 3.0, 2.0])
     a_hat = (a + np.eye(3)) / np.sqrt(np.outer(d, d))
-    expected = a_hat @ (x @ w) + b
+    per_node = a_hat @ (x @ w) + b
     mask = np.ones((1, 3))
-    got = gcn_forward([params], x[None], normalize_adjacency(a[None], mask),
-                      mask).data[0]
-    np.testing.assert_allclose(got, expected, atol=1e-12)
+    normalized = normalize_adjacency(a[None], mask)
+    # as a hidden layer, ReLU after; as the last one, mean-pooled
+    hidden = gcn_layer(params, x[None], normalized, mask).data[0]
+    np.testing.assert_allclose(hidden, np.maximum(per_node, 0.0), atol=1e-12)
+    got = gcn_readout([params], x[None], normalized, mask).data[0]
+    np.testing.assert_allclose(got, per_node.mean(axis=0), atol=1e-12)
 
 
 @pytest.mark.parametrize("in_dim,out_dim", [(2, 5), (3, 3), (5, 2)])
@@ -92,8 +111,8 @@ def test_layer_matches_dense_math_in_either_order(in_dim, out_dim):
     x = rng.normal(size=(2, 5, in_dim)) * mask[..., None]
     normalized = normalize_adjacency(a, mask)
     got = gcn_layer(layer, Tensor(x), normalized, mask).data
-    expected = mask[..., None] * (
-        normalized.data @ x @ layer.weight.data + layer.bias.data)
+    expected = np.maximum(mask[..., None] * (
+        normalized.data @ x @ layer.weight.data + layer.bias.data), 0.0)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     # gradients through a differentiable soft adjacency, as the augmenter's
@@ -116,26 +135,34 @@ def test_stacked_layers_relu_between_not_after():
     x = rng.normal(size=(1, 5, 3))
     mask = np.ones((1, 5))
     normalized = normalize_adjacency(a, mask)
-    out = gcn_forward(layers, x, normalized, mask).data
-    # a manual replay: layer, relu, layer — with no trailing relu
+    out = gcn_readout(layers, x, normalized, mask).data
+    # a manual replay: layer, relu, layer, mean — with no trailing relu
     norm = normalized.data[0]
     h = norm @ (x[0] @ layers[0].weight.data) + layers[0].bias.data
     h = np.maximum(h, 0.0)
     h = norm @ (h @ layers[1].weight.data) + layers[1].bias.data
-    np.testing.assert_allclose(out[0], h, atol=1e-12)
+    np.testing.assert_allclose(out[0], h.mean(axis=0), atol=1e-12)
     assert (out < 0).any()  # negatives survive the final layer
 
 
 def test_padded_rows_zero_through_layers():
     rng = np.random.default_rng(1)
-    layers = [init_gcn_layer(2, 3, rng), init_gcn_layer(3, 3, rng)]
+    layers = [init_gcn_layer(2, 3, rng), init_gcn_layer(3, 3, rng),
+              init_gcn_layer(3, 2, rng)]
     a = np.zeros((1, 5, 5))
     a[0, :3, :3] = path_adjacency(3)
     x = np.zeros((1, 5, 2))
     x[0, :3] = rng.normal(size=(3, 2))
     mask = np.array([[1.0, 1.0, 1.0, 0.0, 0.0]])
-    out = gcn_forward(layers, x, normalize_adjacency(a, mask), mask).data
-    assert np.all(out[0, 3:, :] == 0.0)
+    normalized = normalize_adjacency(a, mask)
+    h = gcn_layer(layers[1], gcn_layer(layers[0], x, normalized, mask),
+                  normalized, mask).data
+    assert np.all(h[0, 3:, :] == 0.0)
+    # the padding changes nothing the readout sees
+    tight = gcn_readout(layers, x[:, :3], normalize_adjacency(
+        a[:, :3, :3], mask[:, :3]), mask[:, :3]).data
+    padded = gcn_readout(layers, x, normalized, mask).data
+    np.testing.assert_allclose(padded, tight, rtol=0, atol=1e-15)
 
 
 def test_equivalent_nodes_get_equal_rows():
@@ -145,7 +172,8 @@ def test_equivalent_nodes_get_equal_rows():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])[None]
     x = np.array([[0.3, -0.7], [0.3, -0.7]])[None]
     mask = np.ones((1, 2))
-    out = gcn_forward([layer], x, normalize_adjacency(a, mask), mask).data[0]
+    out = gcn_layer(layer, x, normalize_adjacency(a, mask), mask).data[0]
+    assert (out > 0).any()  # not equal merely because the ReLU zeroed both
     np.testing.assert_allclose(out[0], out[1], atol=1e-12)
 
 
@@ -159,21 +187,37 @@ def test_init_bounds_and_determinism():
 
 
 def test_gradients_through_forward_and_adjacency():
-    rng = np.random.default_rng(3)
-    layers = [init_gcn_layer(2, 3, rng), init_gcn_layer(3, 2, rng)]
-    # a strictly positive soft adjacency so the normalization is smooth
-    soft = Tensor(rng.uniform(0.1, 0.9, size=(2, 4, 4)), requires_grad=True)
-    x = rng.normal(size=(2, 4, 2))
-    mask = np.ones((2, 4))
-    weights = rng.normal(size=(2, 4, 2))
-    params = [layers[0].weight, layers[0].bias,
-              layers[1].weight, layers[1].bias, soft]
+    # The augmenter's structure probe reads a soft adjacency whose padded
+    # rows and columns are not zero. Pooling through Â's rows first must
+    # still give the per-node mean, value and gradients alike, and a graph
+    # with no real nodes must pool to zero.
+    rng = np.random.default_rng(15)
+    layers = [init_gcn_layer(2, 4, rng), init_gcn_layer(4, 3, rng)]
+    for layer in layers:
+        layer.bias.data[:] = rng.normal(size=layer.out_dim)
+    mask = np.array([[1.0] * 5, [1.0] * 3 + [0.0] * 2, [0.0] * 5])
+    soft = Tensor(rng.uniform(0.1, 0.9, size=(3, 5, 5)), requires_grad=True)
+    features = Tensor(rng.normal(size=(3, 5, 2)) * mask[..., None],
+                      requires_grad=True)
+
+    normalized = normalize_adjacency(soft, mask)
+    assert (normalized.data[1, 3:] != 0).any()  # padded rows
+    assert (normalized.data[1, :, 3:] != 0).any()  # and padded columns
+    got = gcn_readout(layers, features, normalized, mask).data
+    expected = _per_node_readout(layers, features.data, normalized.data, mask)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(got[2], 0.0)
+
+    weights = rng.normal(size=(3, 3))
 
     def loss():
-        out = gcn_forward(layers, x, normalize_adjacency(soft, mask), mask)
+        out = gcn_readout(layers, features, normalize_adjacency(soft, mask),
+                          mask)
         return ad.tsum(out * weights)
 
-    assert_grads_close(loss, params)
+    assert_grads_close(loss, [soft, features, layers[0].weight,
+                              layers[0].bias, layers[1].weight,
+                              layers[1].bias])
 
 
 def test_masked_mean_pool():
