@@ -26,7 +26,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, SizeError, TrainingDivergedError
 from .gcn import (GCNLayerParams, gcn_readout, init_gcn_layer,
-                  normalize_adjacency)
+                  normalize_adjacency, plan_readout)
 from .graphs import (Graph, PaddedBatch, Provenance, make_graph, pad_batch,
                      size_chunks)
 from .optim import Adam
@@ -167,8 +167,8 @@ def probe_distribution(probe: ReadoutProbe, features: Tensor | Array,
 
 def _readout(probe: ReadoutProbe, features: Tensor | Array,
              normalized: Tensor, mask: Array) -> Tensor:
-    return ad.softmax_last(gcn_readout([probe.layer], features, normalized,
-                                       mask))
+    plan = plan_readout(1, features, normalized, mask)
+    return ad.softmax_last(gcn_readout([probe.layer], plan))
 
 
 def _kl_rows(p: Array, q: Tensor) -> Tensor:
@@ -339,6 +339,7 @@ def train_perturbations(seed_graphs, n_max: int, config: AugmentConfig,
                 and np.isfinite(pair.mask_logits.data).all()):
             raise TrainingDivergedError(
                 f"perturbation logits became non-finite at epoch {epoch}")
+        logger.debug("augmenter epoch %d: loss %.6g", epoch, epoch_loss)
         trace.append(epoch_loss)
     if ever_clamped:
         logger.warning("probe probabilities hit the %g floor during "

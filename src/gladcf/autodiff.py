@@ -2,16 +2,17 @@
 
 Only the operations the graph models actually need live here: broadcasted
 elementwise arithmetic, (batched) matmul, a few activations (one fused with
-the bias and padding mask a GCN layer applies), reductions, two gather-style
-ops and a block slice. Everything is float64. ``backward()`` runs an
-iterative topological sweep, so deep tapes cannot hit the recursion limit.
-A node whose inputs all have ``requires_grad=False`` records no tape
-entry at all, which makes "no grad" evaluation free.
+the bias and padding mask a GCN layer applies, one summed over sorted
+scalars in closed form), reductions, two gather-style ops and a block
+slice. Everything is float64. ``backward()`` runs an iterative topological
+sweep, so deep tapes cannot hit the recursion limit. A node whose inputs
+all have ``requires_grad=False`` records no tape entry at all, which makes
+"no grad" evaluation free.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -275,6 +276,79 @@ def bias_mask_relu(t: Tensor, bias: Tensor, mask: Array) -> Tensor:
             bias._accumulate(_unbroadcast(grad, bias.shape))
 
     return _node(out, (t, bias), backward)
+
+
+class RampSums(NamedTuple):
+    """Per-row scalars in ascending order, with prefix sums of their weights.
+
+    ``weights[:, k]`` and ``moments[:, k]`` sum ``q`` and ``q·s`` over the
+    first ``k`` sorted entries of each row, so column 0 is zero and the last
+    column is the row total. ``values`` repeats each row's last entry up to
+    ``2^j − 1`` columns, so a bisection over it needs no bounds check.
+    """
+
+    values: Array   # (B, 2^j − 1) for n entries, 2^j > n; rows ascending
+    weights: Array  # (B, n + 1)
+    moments: Array  # (B, n + 1)
+
+
+def ramp_sums(values: Array, weights: Array) -> RampSums:
+    """Sort each row of ``values`` (B, n) and sum ``weights`` along it."""
+    order = np.argsort(values, axis=-1, kind="stable")
+    s = np.take_along_axis(values, order, axis=-1)
+    q = np.take_along_axis(weights, order, axis=-1)
+    n = s.shape[-1]
+    zero = np.zeros((s.shape[0], 1))
+    return RampSums(
+        values=np.pad(s, ((0, 0), (0, (1 << n.bit_length()) - 1 - n)),
+                      mode="edge"),
+        weights=np.concatenate([zero, np.cumsum(q, axis=-1)], axis=-1),
+        moments=np.concatenate([zero, np.cumsum(q * s, axis=-1)], axis=-1))
+
+
+def ramp_relu_sum(weight: Tensor, bias: Tensor, sums: RampSums) -> Tensor:
+    """``Σᵢ qᵢ·relu(sᵢ·w_j + b_j)`` per row and unit ``j``, ``(B, h)``.
+
+    ``weight`` holds the ``h`` slopes (``(1, h)`` or ``(h,)``), ``bias`` the
+    ``h`` offsets, ``sums`` the rows' sorted ``s`` and prefix sums of ``q``
+    and ``q·s`` (``ramp_sums``). The predicate ``s·w_j + b_j > 0`` is the
+    one ``bias_mask_relu`` evaluates, in the same float operations, and it
+    is monotone in ``s``: its true entries are a suffix of the sorted row
+    for ``w_j ≥ 0`` and a prefix for ``w_j < 0``. A bisection over the
+    sorted row finds that boundary for every row and unit at once, and the
+    unit is ``w_j·S₁ + b_j·S₀``, with ``S₀`` and ``S₁`` the sums of ``q``
+    and ``q·s`` over the active side. Those two sums are also the gradients
+    of ``w_j`` and ``b_j``; ``s`` and ``q`` are constants.
+    """
+    weight, bias = _as_tensor(weight), _as_tensor(bias)
+    w = weight.data.reshape(1, -1)
+    b = bias.data.reshape(1, -1)
+    rows, width = sums.values.shape
+    falling = w < 0
+    # k counts the leading sorted entries whose predicate equals w_j < 0:
+    # the inactive ones of a rising unit, the active ones of a falling one
+    flat = sums.values.ravel()
+    before_row = (np.arange(rows) * width - 1)[:, None]
+    k = np.zeros((rows, w.shape[1]), dtype=np.intp)
+    step = (width + 1) >> 1
+    while step:
+        s = flat.take(k + (before_row + step))  # entry k + step − 1
+        k += step * ((s * w + b > 0) == falling)
+        step >>= 1
+    np.minimum(k, sums.weights.shape[1] - 1, out=k)
+    below_w = np.take_along_axis(sums.weights, k, axis=-1)
+    below_m = np.take_along_axis(sums.moments, k, axis=-1)
+    s0 = np.where(falling, below_w, sums.weights[:, -1:] - below_w)
+    s1 = np.where(falling, below_m, sums.moments[:, -1:] - below_m)
+    data = s1 * w + s0 * b
+
+    def backward(g: Array) -> None:
+        if weight.requires_grad:
+            weight._accumulate((g * s1).sum(axis=0).reshape(weight.shape))
+        if bias.requires_grad:
+            bias._accumulate((g * s0).sum(axis=0).reshape(bias.shape))
+
+    return _node(data, (weight, bias), backward)
 
 
 def log(t: Tensor) -> Tensor:

@@ -2,13 +2,19 @@
 and an imbalance-aware binary objective.
 
 One branch convolves the node features, the other convolves the raw degree
-column. Each branch's hidden layer runs per node; its last layer is linear,
-so each branch is mean-pooled first and its last weight applied to one row
-per graph (``gcn.gcn_readout``). The two pooled vectors are concatenated,
-then compressed by a linear reducer, then reweighted by a trainable square
-matrix: pool, then reduce, then reweight, which gives the same embedding as
-reducing and reweighting every node row before the pool. A sigmoid head
-turns embeddings into anomaly scores in (0, 1).
+column. Each branch's last layer is linear, so each branch is mean-pooled
+first and its last weight applied to one row per graph (``gcn.gcn_readout``).
+What the branches read of the graphs alone — ``Â·X``, the pool weights
+``mᵀÂ/n`` and ``s = Â·d`` — is planned once per chunk
+(``gcn.plan_readout``), so no training epoch and no scoring pass touches
+``Â``. The feature branch's hidden layer runs per node from ``Â·X``. The
+degree branch's input is one column, so its pooled hidden layer has a
+closed form in the sorted ``s`` and builds no per-node state at all. The
+two pooled vectors are concatenated, then compressed by a linear reducer,
+then reweighted by a trainable square matrix: pool, then reduce, then
+reweight, which gives the same embedding as reducing and reweighting every
+node row before the pool. A sigmoid head turns embeddings into anomaly
+scores in (0, 1).
 
 The loss splits the batch three ways — normal, original-abnormal, generated —
 normalizes each term by its own count, and mixes the abnormal terms by the
@@ -29,8 +35,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, TrainingDivergedError
-from .gcn import (GCNLayerParams, gcn_readout, init_gcn_layer,
-                  normalize_adjacency, pooled_bias)
+from .gcn import (GCNLayerParams, ReadoutPlan, gcn_readout, init_gcn_layer,
+                  normalize_adjacency, plan_readout, pooled_bias)
 from .graphs import PaddedBatch, Provenance, pad_batch, size_chunks
 from .optim import Adam
 
@@ -155,20 +161,33 @@ def init_detector(feature_dim: int, config: DetectorConfig,
 # -- forward pass ------------------------------------------------------------
 
 
+Plans = tuple[ReadoutPlan | None, ReadoutPlan | None]
+
+
+def plan_branches(params: DetectorParams, batch: PaddedBatch) -> Plans:
+    """Each branch's ``gcn.plan_readout`` for one batch, None where it is off.
+
+    Both branches share one ``normalize_adjacency``; the plans depend on the
+    graphs and the branch depths only, never on parameter values.
+    """
+    normalized = normalize_adjacency(batch.adjacency_stack, batch.node_mask)
+    return tuple(
+        None if layers is None
+        else plan_readout(len(layers), inputs, normalized, batch.node_mask)
+        for layers, inputs in ((params.feature_branch, batch.feature_stack),
+                               (params.degree_branch, batch.degree_stack)))
+
+
 def fuse_features(params: DetectorParams, batch: PaddedBatch,
-                  normalized: Tensor | None = None) -> Tensor:
+                  plans: Plans | None = None) -> Tensor:
     """Concatenated pooled outputs of the active branches: (B, fused).
 
-    ``normalized`` is the batch's ``normalize_adjacency``, computed here when
-    not given; both branches share it.
+    ``plans`` are the batch's ``plan_branches``, made here when not given.
     """
-    if normalized is None:
-        normalized = normalize_adjacency(batch.adjacency_stack,
-                                         batch.node_mask)
-    pooled = [gcn_readout(layers, inputs, normalized, batch.node_mask)
-              for layers, inputs in
-              ((params.feature_branch, batch.feature_stack),
-               (params.degree_branch, batch.degree_stack))
+    if plans is None:
+        plans = plan_branches(params, batch)
+    pooled = [gcn_readout(layers, plan) for layers, plan in
+              zip((params.feature_branch, params.degree_branch), plans)
               if layers is not None]
     if len(pooled) == 1:
         return pooled[0]
@@ -201,8 +220,8 @@ def score(params: DetectorParams, embedding: Tensor) -> Tensor:
 
 
 def detector_scores(params: DetectorParams, batch: PaddedBatch,
-                    normalized: Tensor | None = None) -> Tensor:
-    fused = fuse_features(params, batch, normalized)
+                    plans: Plans | None = None) -> Tensor:
+    fused = fuse_features(params, batch, plans)
     embedding = adaptive_weighting(params, fused, batch.node_mask)
     return score(params, embedding)
 
@@ -317,16 +336,17 @@ class TrainConfig:
 @dataclass
 class _Chunk:
     batch: PaddedBatch
-    normalized: Tensor  # the batch's normalize_adjacency, made once
+    plans: Plans  # the batch's plan_branches, made once
     indices: Array
     masks: tuple[Array, Array, Array]  # see partition_masks
 
 
-def _plan_chunks(graphs, chunk_size: int) -> list[_Chunk]:
+def _plan_chunks(graphs, chunk_size: int,
+                 params: DetectorParams) -> list[_Chunk]:
     """Stable size-bucketed chunks, each padded only to its own max n.
 
-    A chunk's adjacency never changes, so it is normalized here once and
-    every epoch and every scoring pass reuses it.
+    A chunk's graphs never change, so the branches' graph-only terms are
+    computed here once and every epoch and every scoring pass reuses them.
     """
     provenance = [g.provenance for g in graphs]
     labels = np.array([g.label for g in graphs])
@@ -335,9 +355,8 @@ def _plan_chunks(graphs, chunk_size: int) -> list[_Chunk]:
         members = [graphs[i] for i in idx]
         batch = pad_batch(members, members[-1].num_nodes)
         masks = partition_masks(labels[idx], [provenance[i] for i in idx])
-        normalized = normalize_adjacency(batch.adjacency_stack,
-                                         batch.node_mask)
-        chunks.append(_Chunk(batch=batch, normalized=normalized,
+        chunks.append(_Chunk(batch=batch,
+                             plans=plan_branches(params, batch),
                              indices=idx, masks=masks))
     return chunks
 
@@ -359,7 +378,7 @@ def train_detector(graphs, config: DetectorConfig, train_config: TrainConfig,
     if params is None:
         params = init_detector(feature_dim, config, rng)
     optimizer = Adam(params.trainables(), lr=train_config.lr)
-    chunks = _plan_chunks(graphs, train_config.chunk_size)
+    chunks = _plan_chunks(graphs, train_config.chunk_size, params)
 
     counts = tuple(int(m.sum()) for m in partition_masks(
         [g.label for g in graphs], [g.provenance for g in graphs]))
@@ -372,7 +391,7 @@ def train_detector(graphs, config: DetectorConfig, train_config: TrainConfig,
         optimizer.zero_grad()
         epoch_loss = 0.0
         for chunk in chunks:
-            scores = detector_scores(params, chunk.batch, chunk.normalized)
+            scores = detector_scores(params, chunk.batch, chunk.plans)
             partial, _ = _objective(
                 scores, chunk.masks, counts, train_config.beta,
                 train_config.include_normal_term,
@@ -388,6 +407,7 @@ def train_detector(graphs, config: DetectorConfig, train_config: TrainConfig,
             if not np.isfinite(t.data).all():
                 raise TrainingDivergedError(
                     f"detector parameters became non-finite at epoch {epoch}")
+        logger.debug("detector epoch %d: loss %.6g", epoch, epoch_loss)
         trace.append(epoch_loss)
     return params, trace
 
@@ -404,9 +424,9 @@ def predict_scores(params: DetectorParams, graphs,
         return np.zeros(0)
     frozen = params.detached()
     out = np.zeros(len(graphs))
-    for chunk in _plan_chunks(graphs, chunk_size):
+    for chunk in _plan_chunks(graphs, chunk_size, frozen):
         out[chunk.indices] = detector_scores(frozen, chunk.batch,
-                                             chunk.normalized).data
+                                             chunk.plans).data
     return out
 
 

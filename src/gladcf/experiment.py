@@ -272,6 +272,11 @@ def validate_report(payload: dict) -> None:
 # -- cross-validation ----------------------------------------------------------
 
 
+def _last(trace: list[float]) -> str:
+    """A loss trace's last value for a log line; "none" for an empty trace."""
+    return f"{trace[-1]:.6g}" if trace else "none"
+
+
 def _run_fold(config: ExperimentConfig, dataset: GraphDataset,
               fold_index: int, train_idx: Array, test_idx: Array,
               checkpoint_dir: str | None) -> dict:
@@ -285,20 +290,30 @@ def _run_fold(config: ExperimentConfig, dataset: GraphDataset,
     generated = []
     augment_trace: list[float] = []
     if config.variant != "no_asgm":
+        phase = time.perf_counter()
         result = augment_training_set(
             train_graphs, dataset.n_max, config.augment_config(),
             fold_rng(config.seed, fold_index, ROLE_AUGMENT))
         generated = result.generated
         augment_trace = result.loss_trace
+        logger.info("fold %d: augmentation %.3f s, last loss %s, %d graphs "
+                    "generated", fold_index, time.perf_counter() - phase,
+                    _last(augment_trace), len(generated))
 
+    phase = time.perf_counter()
     params, train_trace = train_detector(
         train_graphs + generated, config.detector_config(),
         config.train_config(), fold_rng(config.seed, fold_index, ROLE_DETECTOR))
+    logger.info("fold %d: detector training %.3f s, last loss %s",
+                fold_index, time.perf_counter() - phase, _last(train_trace))
 
+    phase = time.perf_counter()
     scores = predict_scores(params, test_graphs,
                             chunk_size=config.chunk_size)
     labels = np.array([g.label for g in test_graphs])
     auc = compute_auc(scores, labels)
+    logger.info("fold %d: prediction %.3f s, AUC %.4f", fold_index,
+                time.perf_counter() - phase, auc)
     decisions = decide(scores, config.threshold)
     rows = [
         {"graph_id": int(graph_id), "fold": fold_index,

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import gladcf.autodiff as ad
+import gladcf.detector as detector_module
+import gladcf.gcn as gcn_module
 from gladcf.autodiff import Tensor
 from gladcf.detector import (DetectorConfig, TrainConfig, adaptive_weighting,
                              composite_loss, decide, detector_scores,
@@ -268,26 +270,73 @@ def test_empty_graph_gets_zero_embedding():
 def test_tape_holds_no_per_node_last_layer_state():
     # The last GCN layer runs on pooled rows, so one forward and backward
     # pass never holds a (B, n, hidden2) array, as a value or a gradient.
+    # The degree branch's hidden layer is pooled in closed form, so it holds
+    # no (B, n, hidden1) array either: only the feature branch does.
     rng = np.random.default_rng(19)
     graphs, batch = _toy_batch(rng, n_hi=6)
-    config = DetectorConfig(hidden1=8, hidden2=7, reduce_dim=4)
-    params = init_detector(5, config, rng)
-    loss, _ = composite_loss(detector_scores(params, batch), batch.labels,
-                             [g.provenance for g in graphs], beta=1.2)
-    loss.backward()
-    shapes, seen, stack = set(), set(), [loss]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        shapes.add(node.shape)
-        if node.grad is not None:
-            shapes.add(np.shape(node.grad))
-        stack.extend(node._parents)
     b, n = batch.node_mask.shape
+
+    def tape_shapes(config):
+        params = init_detector(5, config, rng)
+        loss, _ = composite_loss(detector_scores(params, batch),
+                                 batch.labels, [g.provenance for g in graphs],
+                                 beta=1.2)
+        loss.backward()
+        shapes, seen, stack = set(), set(), [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            shapes.add(node.shape)
+            if node.grad is not None:
+                shapes.add(np.shape(node.grad))
+            stack.extend(node._parents)
+        return shapes
+
+    config = DetectorConfig(hidden1=8, hidden2=7, reduce_dim=4)
+    shapes = tape_shapes(config)
     assert (b, n, config.hidden1) in shapes  # the walk reaches the hidden layer
     assert (b, n, config.hidden2) not in shapes
+    degree_only = tape_shapes(DetectorConfig(hidden1=8, hidden2=7,
+                                             reduce_dim=4,
+                                             use_feature_branch=False))
+    assert (config.hidden1,) in degree_only  # the walk reaches its bias
+    assert not any(len(shape) == 3 for shape in degree_only)
+
+
+def test_training_epochs_reuse_the_planned_graph_terms(monkeypatch):
+    # Â, its pool weights and the degree sort are made once per chunk: after
+    # planning, no epoch normalizes an adjacency or pools one again.
+    rng = np.random.default_rng(20)
+    graphs = [random_graph(rng, n, 3, label=i % 2,
+                           provenance=A if i % 2 else N)
+              for i, n in enumerate((3, 5, 4, 6, 5, 3))]
+    calls = {"planned": False, "during": 0, "after": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls["after" if calls["planned"] else "during"] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    plan_chunks = detector_module._plan_chunks
+
+    def plan_then_flag(*args, **kwargs):
+        chunks = plan_chunks(*args, **kwargs)
+        calls["planned"] = True
+        return chunks
+
+    monkeypatch.setattr(detector_module, "_plan_chunks", plan_then_flag)
+    for module, name in ((detector_module, "normalize_adjacency"),
+                         (gcn_module, "normalize_adjacency"),
+                         (gcn_module, "masked_mean_pool")):
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    _, trace = train_detector(graphs, TOY, TrainConfig(epochs=3, chunk_size=2),
+                              np.random.default_rng(0))
+    assert calls["planned"] and len(trace) == 3
+    assert calls["during"] > 0  # the counters see the planning
+    assert calls["after"] == 0
 
 
 def test_scores_are_probabilities():

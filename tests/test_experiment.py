@@ -3,6 +3,8 @@ cross-validation integrity, determinism (serial and parallel), report and
 CSV artifacts, sweeps, and histograms."""
 
 import json
+import logging
+import re
 
 import numpy as np
 import pytest
@@ -192,6 +194,36 @@ def test_parallel_folds_match_serial():
     parallel = run_cv(fast_config(parallel_folds=2), dataset)
     assert parallel.fold_aucs == serial.fold_aucs
     assert parallel.scores == serial.scores
+
+
+def test_run_cv_logs_each_fold_phase(caplog):
+    # INFO names each fold's phases with their seconds and last loss; the
+    # per-epoch losses of both trainers go to DEBUG
+    dataset = separable_dataset()
+    config = fast_config(epochs=3, cf_epochs=2)
+    with caplog.at_level(logging.DEBUG, logger="gladcf"):
+        report = run_cv(config, dataset)
+    info = [r.getMessage() for r in caplog.records
+            if r.levelno == logging.INFO and r.name == "gladcf.experiment"]
+    for fold in range(config.folds):
+        lines = [m for m in info if m.startswith(f"fold {fold}: ")]
+        assert [m.split()[2] for m in lines] == [
+            "augmentation", "detector", "prediction"]
+        augment, train, predict = lines
+        assert re.search(r"augmentation \d+\.\d{3} s, last loss -?\d", augment)
+        assert f"{report.generated_per_fold[fold]} graphs generated" in augment
+        assert re.search(r"training \d+\.\d{3} s, last loss -?\d", train)
+        assert f"AUC {report.fold_aucs[fold]:.4f}" in predict
+    debug = [r.getMessage() for r in caplog.records
+             if r.levelno == logging.DEBUG]
+    assert sum(m.startswith("detector epoch ") for m in debug) == 3 * 3
+    assert sum(m.startswith("augmenter epoch ") for m in debug) == 3 * 2
+
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="gladcf"):
+        run_cv(fast_config(variant="no_asgm", epochs=2), dataset)
+    assert not any("augmentation" in r.getMessage() for r in caplog.records)
+    assert not any(r.levelno == logging.DEBUG for r in caplog.records)
 
 
 def test_no_asgm_variant_skips_augmentation():

@@ -8,7 +8,8 @@ import pytest
 import gladcf.autodiff as ad
 from gladcf.autodiff import Tensor
 from gladcf.gcn import (GCNLayerParams, gcn_layer, gcn_readout,
-                        init_gcn_layer, masked_mean_pool, normalize_adjacency)
+                        init_gcn_layer, masked_mean_pool, normalize_adjacency,
+                        plan_readout, pooled_bias)
 
 from util import (assert_grads_close, path_adjacency, random_adjacency,
                   ring_adjacency)
@@ -62,6 +63,10 @@ def test_extra_degree_equals_appended_half_columns():
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
 
 
+def _readout(layers, x, normalized, mask):
+    return gcn_readout(layers, plan_readout(len(layers), x, normalized, mask))
+
+
 def _per_node_readout(layers, x, normalized, mask):
     """The stack run on every node, then mean-pooled: the NumPy reference.
 
@@ -94,7 +99,7 @@ def test_forward_hand_oracle():
     # as a hidden layer, ReLU after; as the last one, mean-pooled
     hidden = gcn_layer(params, x[None], normalized, mask).data[0]
     np.testing.assert_allclose(hidden, np.maximum(per_node, 0.0), atol=1e-12)
-    got = gcn_readout([params], x[None], normalized, mask).data[0]
+    got = _readout([params], x[None], normalized, mask).data[0]
     np.testing.assert_allclose(got, per_node.mean(axis=0), atol=1e-12)
 
 
@@ -135,7 +140,7 @@ def test_stacked_layers_relu_between_not_after():
     x = rng.normal(size=(1, 5, 3))
     mask = np.ones((1, 5))
     normalized = normalize_adjacency(a, mask)
-    out = gcn_readout(layers, x, normalized, mask).data
+    out = _readout(layers, x, normalized, mask).data
     # a manual replay: layer, relu, layer, mean — with no trailing relu
     norm = normalized.data[0]
     h = norm @ (x[0] @ layers[0].weight.data) + layers[0].bias.data
@@ -159,9 +164,9 @@ def test_padded_rows_zero_through_layers():
                   normalized, mask).data
     assert np.all(h[0, 3:, :] == 0.0)
     # the padding changes nothing the readout sees
-    tight = gcn_readout(layers, x[:, :3], normalize_adjacency(
+    tight = _readout(layers, x[:, :3], normalize_adjacency(
         a[:, :3, :3], mask[:, :3]), mask[:, :3]).data
-    padded = gcn_readout(layers, x, normalized, mask).data
+    padded = _readout(layers, x, normalized, mask).data
     np.testing.assert_allclose(padded, tight, rtol=0, atol=1e-15)
 
 
@@ -203,7 +208,7 @@ def test_gradients_through_forward_and_adjacency():
     normalized = normalize_adjacency(soft, mask)
     assert (normalized.data[1, 3:] != 0).any()  # padded rows
     assert (normalized.data[1, :, 3:] != 0).any()  # and padded columns
-    got = gcn_readout(layers, features, normalized, mask).data
+    got = _readout(layers, features, normalized, mask).data
     expected = _per_node_readout(layers, features.data, normalized.data, mask)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(got[2], 0.0)
@@ -211,13 +216,99 @@ def test_gradients_through_forward_and_adjacency():
     weights = rng.normal(size=(3, 3))
 
     def loss():
-        out = gcn_readout(layers, features, normalize_adjacency(soft, mask),
+        out = _readout(layers, features, normalize_adjacency(soft, mask),
                           mask)
         return ad.tsum(out * weights)
 
     assert_grads_close(loss, [soft, features, layers[0].weight,
                               layers[0].bias, layers[1].weight,
                               layers[1].bias])
+
+
+def _degree_case(seed, hidden):
+    """A degree-branch stack on four graphs, with kinks placed on nodes.
+
+    Graph 0 is a ring (every ``s`` tied), graph 1 a path padded from 4 to 7
+    nodes whose constant soft adjacency has non-zero padded cells, graph 2
+    is empty and graph 3 random. Units 0–3 put their kink exactly on a real
+    node's ``s`` (``b_j = −fl(s·w_j)``), two rising and two falling; units
+    4–6 are flat with a positive, a negative and a zero bias.
+    """
+    rng = np.random.default_rng(seed)
+    b, n = 4, 7
+    a = np.zeros((b, n, n))
+    mask = np.zeros((b, n))
+    a[0], mask[0] = ring_adjacency(n), 1.0
+    a[1, :4, :4], mask[1, :4] = path_adjacency(4), 1.0
+    a[3], mask[3] = random_adjacency(rng, n, 0.5), 1.0
+    degrees = a.sum(axis=-1, keepdims=True)
+    a[1, 4:, :] = a[1, :, 4:] = 0.3  # padded cells the mask must cancel
+    normalized = normalize_adjacency(a, mask)
+    s = (normalized.data @ degrees)[..., 0]
+
+    layers = [init_gcn_layer(1, hidden, rng), init_gcn_layer(hidden, 3, rng)]
+    w = layers[0].weight.data[0]
+    bias = layers[0].bias.data
+    bias[:] = rng.normal(size=hidden)
+    w[:4] = np.abs(w[:4]) * np.array([1.0, -1.0, 1.0, -1.0])
+    for j, (g, i) in enumerate([(3, int(rng.integers(n))), (3, 2),
+                                (1, 0), (0, int(rng.integers(n)))]):
+        bias[j] = -(s[g, i] * w[j])
+        assert s[g, i] * w[j] + bias[j] == 0.0  # exactly on the kink
+    w[4:7] = 0.0
+    bias[4:7] = [0.7, -0.7, 0.0]
+    layers[1].bias.data[:] = rng.normal(size=3)
+    return layers, degrees, normalized, mask, s
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_degree_readout_closed_form_matches_per_node_path(seed):
+    # One hidden layer on one constant column reads out in closed form; its
+    # values and every gradient must be the per-node path's, ties included.
+    layers, degrees, normalized, mask, s = _degree_case(seed, hidden=12)
+    plan = plan_readout(2, degrees, normalized, mask)
+    assert plan.ramp is not None and plan.inputs is None
+    b, n = mask.shape
+    pool = ad.reshape(masked_mean_pool(normalized, mask), (b, 1, n))
+    assert (pool.data[1, 0, 4:] != 0).any()
+
+    def per_node():
+        first, last = layers
+        h = ad.bias_mask_relu(ad.matmul(Tensor(s[..., None]), first.weight),
+                              first.bias, mask[..., None])
+        pooled = ad.reshape(ad.matmul(pool, h), (b, first.out_dim))
+        return ad.matmul(pooled, last.weight) + pooled_bias(last.bias, mask)
+
+    weights = np.random.default_rng(seed).normal(size=(b, 3))
+    results = []
+    for build in (per_node, lambda: gcn_readout(layers, plan)):
+        for layer in layers:
+            layer.weight.zero_grad()
+            layer.bias.zero_grad()
+        out = build()
+        ad.tsum(out * weights).backward()
+        results.append((out.data, [t.grad for layer in layers
+                                   for t in (layer.weight, layer.bias)]))
+    (want, want_grads), (got, got_grads) = results
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(got[2], 0.0)  # the empty graph
+    for g_got, g_want in zip(got_grads, want_grads):
+        np.testing.assert_allclose(g_got, g_want, rtol=0, atol=1e-12)
+    # the kinked units are partly active, so their gradients are not trivial
+    assert (want_grads[1][:4] != 0).all()
+
+
+def test_closed_form_needs_one_constant_column_and_one_hidden_layer():
+    layers, degrees, normalized, mask, _ = _degree_case(0, hidden=12)
+    assert plan_readout(2, degrees, normalized, mask).ramp is not None
+    two_columns = np.concatenate([degrees, degrees], axis=-1)
+    assert plan_readout(2, two_columns, normalized, mask).ramp is None
+    assert plan_readout(1, degrees, normalized, mask).ramp is None
+    assert plan_readout(3, degrees, normalized, mask).ramp is None
+    soft = Tensor(normalized.data, requires_grad=True)
+    assert plan_readout(2, degrees, soft, mask).ramp is None
+    with pytest.raises(ValueError):
+        gcn_readout(layers, plan_readout(1, degrees, normalized, mask))
 
 
 def test_masked_mean_pool():
