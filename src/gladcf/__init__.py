@@ -20,8 +20,8 @@ from .augment import (AugmentConfig, AugmentationResult, PerturbationPair,
                       select_seeds, train_perturbations)
 from .detector import (DetectorConfig, DetectorParams, TrainConfig,
                        composite_loss, decide, detector_scores, init_detector,
-                       load_checkpoint, predict_scores, save_checkpoint,
-                       train_detector)
+                       load_checkpoint, plan_branches, predict_scores,
+                       save_checkpoint, train_detector)
 from .experiment import (DEFAULT_BETA_SWEEP, VARIANTS, EvalReport,
                          ExperimentConfig, compute_auc, config_hash,
                          export_score_histogram, load_dataset, load_report,
@@ -46,7 +46,8 @@ __all__ = [
     "augment_training_set",
     # detection
     "DetectorConfig", "DetectorParams", "TrainConfig", "composite_loss",
-    "init_detector", "train_detector", "detector_scores", "predict_scores",
+    "init_detector", "train_detector", "plan_branches", "detector_scores",
+    "predict_scores",
     "decide", "save_checkpoint", "load_checkpoint",
     # experiments
     "ExperimentConfig", "EvalReport", "VARIANTS", "DEFAULT_BETA_SWEEP",

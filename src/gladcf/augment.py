@@ -63,13 +63,6 @@ class PerturbationPair:
 
 
 @dataclass
-class ReadoutProbe:
-    """A frozen one-layer convolution + mean pool + 2-way softmax readout."""
-
-    layer: GCNLayerParams
-
-
-@dataclass
 class AugmentConfig:
     epochs: int = 100
     lr: float = 0.01
@@ -86,12 +79,16 @@ class AugmentConfig:
             raise ConfigError("chunk_size must be positive")
 
 
-def make_probe(feature_dim: int, rng: np.random.Generator) -> ReadoutProbe:
-    """Seeded frozen probe; parameters never receive gradients."""
-    layer = init_gcn_layer(feature_dim, 2, rng)
-    layer.weight.requires_grad = False
-    layer.bias.requires_grad = False
-    return ReadoutProbe(layer=layer)
+def make_probe(feature_dim: int, rng: np.random.Generator) -> GCNLayerParams:
+    """Seeded frozen probe layer; its parameters never receive gradients.
+
+    The probe is one convolution layer read out mean-pooled through a 2-way
+    softmax (``probe_distribution``).
+    """
+    probe = init_gcn_layer(feature_dim, 2, rng)
+    probe.weight.requires_grad = False
+    probe.bias.requires_grad = False
+    return probe
 
 
 def init_perturbation_pair(n_max: int, feature_dim: int,
@@ -158,17 +155,17 @@ def mask_features(pair: PerturbationPair, features: Tensor | Array,
 # -- probe readout and the training loss -------------------------------------
 
 
-def probe_distribution(probe: ReadoutProbe, features: Tensor | Array,
+def probe_distribution(probe: GCNLayerParams, features: Tensor | Array,
                        adjacency: Tensor | Array, mask: Array) -> Tensor:
     """Two-way class distribution per graph: conv layer, mean pool, softmax."""
     normalized = normalize_adjacency(adjacency, mask)
     return _readout(probe, features, normalized, mask)
 
 
-def _readout(probe: ReadoutProbe, features: Tensor | Array,
+def _readout(probe: GCNLayerParams, features: Tensor | Array,
              normalized: Tensor, mask: Array) -> Tensor:
     plan = plan_readout(1, features, normalized, mask)
-    return ad.softmax_last(gcn_readout([probe.layer], plan))
+    return ad.softmax_last(gcn_readout([probe], plan))
 
 
 def _kl_rows(p: Array, q: Tensor) -> Tensor:
@@ -180,7 +177,7 @@ def _kl_rows(p: Array, q: Tensor) -> Tensor:
     return plogp - cross
 
 
-def counterfactual_loss(pair: PerturbationPair, probe: ReadoutProbe,
+def counterfactual_loss(pair: PerturbationPair, probe: GCNLayerParams,
                         adjacency_stack: Array, feature_stack: Array,
                         node_mask: Array,
                         original_distribution: Array | None = None,
@@ -285,8 +282,9 @@ def _padded_chunks(graphs, chunk_size: int, n_max: int
 
 def train_perturbations(seed_graphs, n_max: int, config: AugmentConfig,
                         rng: np.random.Generator,
-                        probe: ReadoutProbe | None = None,
-                        ) -> tuple[PerturbationPair, ReadoutProbe, list[float]]:
+                        probe: GCNLayerParams | None = None,
+                        ) -> tuple[PerturbationPair, GCNLayerParams,
+                                   list[float]]:
     """Fit the perturbation pair on seed graphs; returns the loss trace.
 
     One adaptive-moment step per epoch over the full seed set; chunked

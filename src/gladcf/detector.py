@@ -1,16 +1,17 @@
 """Graph-level anomaly scorer: two GCN branches, adaptive node weighting,
 and an imbalance-aware binary objective.
 
-One branch convolves the node features, the other convolves the raw degree
-column. Each branch's last layer is linear, so each branch is mean-pooled
-first and its last weight applied to one row per graph (``gcn.gcn_readout``).
-What the branches read of the graphs alone — ``Â·X``, the pool weights
-``mᵀÂ/n`` and ``s = Â·d`` — is planned once per chunk
-(``gcn.plan_readout``), so no training epoch and no scoring pass touches
-``Â``. The feature branch's hidden layer runs per node from ``Â·X``. The
-degree branch's input is one column, so its pooled hidden layer has a
-closed form in the sorted ``s`` and builds no per-node state at all. The
-two pooled vectors are concatenated, then compressed by a linear reducer,
+Each branch is a two-layer GCN: one convolves the node features, the other
+the raw degree column. Each branch's last layer is linear, so each branch is
+mean-pooled first and its last weight applied to one row per graph
+(``gcn.gcn_readout``). What the branches read of the graphs alone — ``Â·X``,
+the pool weights ``mᵀÂ/n`` and ``s = Â·d`` — is planned once per chunk
+(``plan_branches``), and the forward pass reads only those plans, so no
+training epoch and no scoring pass touches ``Â`` or the padded batch. The
+feature branch's hidden layer runs per node from ``Â·X``. The degree
+branch's input is one column, so its pooled hidden layer has a closed form
+in the sorted ``s`` and builds no per-node state at all. The two pooled
+vectors are concatenated, then compressed by a linear reducer,
 then reweighted by a trainable square matrix: pool, then reduce, then
 reweight, which gives the same embedding as reducing and reweighting every
 node row before the pool. A sigmoid head turns embeddings into anomaly
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -98,17 +99,49 @@ class DetectorParams:
     head_bias: Tensor
     config: DetectorConfig
 
-    def trainables(self) -> list[Tensor]:
-        out: list[Tensor] = []
-        for branch in (self.feature_branch, self.degree_branch):
-            if branch is not None:
-                for layer in branch:
-                    out.extend([layer.weight, layer.bias])
-        out.extend([self.reducer.weight, self.reducer.bias])
-        if self.config.use_adaptive_weighting:
-            out.append(self.adaptive_weight)
-        out.extend([self.head_weight, self.head_bias])
+    def named(self) -> dict[str, Tensor]:
+        """Every parameter under its checkpoint name, in a fixed order."""
+        out: dict[str, Tensor] = {}
+        for name, branch in (("feature", self.feature_branch),
+                             ("degree", self.degree_branch)):
+            for i, layer in enumerate(branch or ()):
+                out[f"{name}{i}_weight"] = layer.weight
+                out[f"{name}{i}_bias"] = layer.bias
+        out["reducer_weight"] = self.reducer.weight
+        out["reducer_bias"] = self.reducer.bias
+        out["adaptive_weight"] = self.adaptive_weight
+        out["head_weight"] = self.head_weight
+        out["head_bias"] = self.head_bias
         return out
+
+    @classmethod
+    def from_arrays(cls, config: DetectorConfig, arrays,
+                    requires_grad: bool) -> DetectorParams:
+        """Parameters wrapping ``arrays``, a mapping keyed as ``named`` is."""
+        def tensor(name: str) -> Tensor:
+            return Tensor(arrays[name], requires_grad=requires_grad)
+
+        def branch(name: str, used: bool) -> list[GCNLayerParams] | None:
+            if not used:
+                return None
+            return [GCNLayerParams(weight=tensor(f"{name}{i}_weight"),
+                                   bias=tensor(f"{name}{i}_bias"))
+                    for i in range(2)]
+
+        return cls(
+            feature_branch=branch("feature", config.use_feature_branch),
+            degree_branch=branch("degree", config.use_degree_branch),
+            reducer=LinearParams(weight=tensor("reducer_weight"),
+                                 bias=tensor("reducer_bias")),
+            adaptive_weight=tensor("adaptive_weight"),
+            head_weight=tensor("head_weight"), head_bias=tensor("head_bias"),
+            config=config)
+
+    def trainables(self) -> list[Tensor]:
+        """The ``named`` parameters the optimizer updates."""
+        return [t for name, t in self.named().items()
+                if name != "adaptive_weight"
+                or self.config.use_adaptive_weighting]
 
     def detached(self) -> DetectorParams:
         """The same parameters as tape-free tensors sharing these arrays.
@@ -116,21 +149,9 @@ class DetectorParams:
         Every field is carried over, ``adaptive_weight`` included when it is
         not trainable, so the view scores exactly as ``self`` does.
         """
-        def layers(branch):
-            if branch is None:
-                return None
-            return [GCNLayerParams(weight=Tensor(layer.weight.data),
-                                   bias=Tensor(layer.bias.data))
-                    for layer in branch]
-
-        return DetectorParams(
-            feature_branch=layers(self.feature_branch),
-            degree_branch=layers(self.degree_branch),
-            reducer=LinearParams(weight=Tensor(self.reducer.weight.data),
-                                 bias=Tensor(self.reducer.bias.data)),
-            adaptive_weight=Tensor(self.adaptive_weight.data),
-            head_weight=Tensor(self.head_weight.data),
-            head_bias=Tensor(self.head_bias.data), config=self.config)
+        return DetectorParams.from_arrays(
+            self.config, {name: t.data for name, t in self.named().items()},
+            requires_grad=False)
 
 
 def init_detector(feature_dim: int, config: DetectorConfig,
@@ -178,14 +199,11 @@ def plan_branches(params: DetectorParams, batch: PaddedBatch) -> Plans:
                                (params.degree_branch, batch.degree_stack)))
 
 
-def fuse_features(params: DetectorParams, batch: PaddedBatch,
-                  plans: Plans | None = None) -> Tensor:
+def fuse_features(params: DetectorParams, plans: Plans) -> Tensor:
     """Concatenated pooled outputs of the active branches: (B, fused).
 
-    ``plans`` are the batch's ``plan_branches``, made here when not given.
+    ``plans`` are the batch's ``plan_branches``.
     """
-    if plans is None:
-        plans = plan_branches(params, batch)
     pooled = [gcn_readout(layers, plan) for layers, plan in
               zip((params.feature_branch, params.degree_branch), plans)
               if layers is not None]
@@ -219,10 +237,10 @@ def score(params: DetectorParams, embedding: Tensor) -> Tensor:
     return ad.sigmoid(ad.reshape(logits, (logits.shape[0],)))
 
 
-def detector_scores(params: DetectorParams, batch: PaddedBatch,
-                    plans: Plans | None = None) -> Tensor:
-    fused = fuse_features(params, batch, plans)
-    embedding = adaptive_weighting(params, fused, batch.node_mask)
+def detector_scores(params: DetectorParams, plans: Plans) -> Tensor:
+    """Scores of the batch that ``plans`` (its ``plan_branches``) describe."""
+    mask = next(plan.mask for plan in plans if plan is not None)
+    embedding = adaptive_weighting(params, fuse_features(params, plans), mask)
     return score(params, embedding)
 
 
@@ -335,7 +353,6 @@ class TrainConfig:
 
 @dataclass
 class _Chunk:
-    batch: PaddedBatch
     plans: Plans  # the batch's plan_branches, made once
     indices: Array
     masks: tuple[Array, Array, Array]  # see partition_masks
@@ -355,8 +372,7 @@ def _plan_chunks(graphs, chunk_size: int,
         members = [graphs[i] for i in idx]
         batch = pad_batch(members, members[-1].num_nodes)
         masks = partition_masks(labels[idx], [provenance[i] for i in idx])
-        chunks.append(_Chunk(batch=batch,
-                             plans=plan_branches(params, batch),
+        chunks.append(_Chunk(plans=plan_branches(params, batch),
                              indices=idx, masks=masks))
     return chunks
 
@@ -391,7 +407,7 @@ def train_detector(graphs, config: DetectorConfig, train_config: TrainConfig,
         optimizer.zero_grad()
         epoch_loss = 0.0
         for chunk in chunks:
-            scores = detector_scores(params, chunk.batch, chunk.plans)
+            scores = detector_scores(params, chunk.plans)
             partial, _ = _objective(
                 scores, chunk.masks, counts, train_config.beta,
                 train_config.include_normal_term,
@@ -425,8 +441,7 @@ def predict_scores(params: DetectorParams, graphs,
     frozen = params.detached()
     out = np.zeros(len(graphs))
     for chunk in _plan_chunks(graphs, chunk_size, frozen):
-        out[chunk.indices] = detector_scores(frozen, chunk.batch,
-                                             chunk.plans).data
+        out[chunk.indices] = detector_scores(frozen, chunk.plans).data
     return out
 
 
@@ -438,31 +453,9 @@ CHECKPOINT_VERSION = 1
 def save_checkpoint(path, params: DetectorParams, extra: dict | None = None
                     ) -> None:
     """Versioned parameter archive (npz of arrays plus a JSON meta blob)."""
-    arrays: dict[str, Array] = {}
-    for name, branch in (("feature", params.feature_branch),
-                         ("degree", params.degree_branch)):
-        if branch is not None:
-            for i, layer in enumerate(branch):
-                arrays[f"{name}{i}_weight"] = layer.weight.data
-                arrays[f"{name}{i}_bias"] = layer.bias.data
-    arrays["reducer_weight"] = params.reducer.weight.data
-    arrays["reducer_bias"] = params.reducer.bias.data
-    arrays["adaptive_weight"] = params.adaptive_weight.data
-    arrays["head_weight"] = params.head_weight.data
-    arrays["head_bias"] = params.head_bias.data
-    meta = {
-        "format_version": CHECKPOINT_VERSION,
-        "config": {
-            "hidden1": params.config.hidden1,
-            "hidden2": params.config.hidden2,
-            "reduce_dim": params.config.reduce_dim,
-            "use_feature_branch": params.config.use_feature_branch,
-            "use_degree_branch": params.config.use_degree_branch,
-            "use_adaptive_weighting": params.config.use_adaptive_weighting,
-            "threshold": params.config.threshold,
-        },
-        "extra": extra or {},
-    }
+    arrays = {name: t.data for name, t in params.named().items()}
+    meta = {"format_version": CHECKPOINT_VERSION,
+            "config": asdict(params.config), "extra": extra or {}}
     arrays["meta_json"] = np.frombuffer(
         json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8)
     with open(path, "wb") as fh:
@@ -475,25 +468,6 @@ def load_checkpoint(path) -> tuple[DetectorParams, dict]:
         if meta.get("format_version") != CHECKPOINT_VERSION:
             raise ConfigError(
                 f"unsupported checkpoint version {meta.get('format_version')}")
-        config = DetectorConfig(**meta["config"])
-
-        def tensor(name: str) -> Tensor:
-            return Tensor(archive[name], requires_grad=True)
-
-        def branch(name: str) -> list[GCNLayerParams] | None:
-            if f"{name}0_weight" not in archive:
-                return None
-            return [GCNLayerParams(weight=tensor(f"{name}{i}_weight"),
-                                   bias=tensor(f"{name}{i}_bias"))
-                    for i in range(2)]
-
-        params = DetectorParams(
-            feature_branch=branch("feature"),
-            degree_branch=branch("degree"),
-            reducer=LinearParams(weight=tensor("reducer_weight"),
-                                 bias=tensor("reducer_bias")),
-            adaptive_weight=tensor("adaptive_weight"),
-            head_weight=tensor("head_weight"),
-            head_bias=tensor("head_bias"),
-            config=config)
+        params = DetectorParams.from_arrays(
+            DetectorConfig(**meta["config"]), archive, requires_grad=True)
     return params, meta["extra"]

@@ -83,6 +83,11 @@ class ExperimentConfig:
             raise ConfigError("folds must be at least 2")
         if self.parallel_folds < 1:
             raise ConfigError("parallel_folds must be positive")
+        # the model configs check their own fields, so a bad value fails
+        # here rather than inside the first fold
+        self.detector_config()
+        self.train_config()
+        self.augment_config()
 
     def resolved_beta(self) -> float:
         if self.beta is not None:
@@ -120,7 +125,7 @@ class ExperimentConfig:
     def augment_config(self) -> AugmentConfig:
         return AugmentConfig(epochs=self.cf_epochs, lr=self.cf_lr,
                              sigma=self.sigma, tau=self.tau,
-                             chunk_size=max(self.chunk_size, 1))
+                             chunk_size=self.chunk_size)
 
 
 def config_hash(config: ExperimentConfig) -> str:

@@ -1,15 +1,17 @@
 """Graph convolution with symmetric degree normalization, batch-padded.
 
 Self-loops are added only on real nodes (via the node mask), zero degrees are
-normalized as degree 1, and padded rows stay exactly zero through every
-hidden layer. A stack is read out pooled: the hidden layers run per node,
-then the mean pool, then the last layer's weight and bias on one row per
-graph (``gcn_readout``). What the readout needs of the graphs alone, ``Â·X``
-and the pool weights, is computed apart from the layers (``plan_readout``),
-so callers with fixed graphs compute it once. One hidden layer on a single
-constant input column is read out in closed form, with no per-node state.
-The adjacency may itself be a differentiable tensor — the counterfactual
-generator backpropagates through the normalization.
+normalized as degree 1, and padded rows stay exactly zero through the hidden
+layer. The package builds two stack shapes, and only those are served: one
+layer (the augmenter's probe) and two layers (each detector branch). A stack
+is read out pooled: the hidden layer runs per node, then the mean pool, then
+the last layer's weight and bias on one row per graph (``gcn_readout``). What
+the readout needs of the graphs alone, ``Â·X`` and the pool weights, is
+computed apart from the layers (``plan_readout``), so callers with fixed
+graphs compute it once. A hidden layer on a single constant input column is
+read out in closed form, with no per-node state. The adjacency may itself be
+a differentiable tensor — the counterfactual generator backpropagates
+through the normalization.
 """
 
 from __future__ import annotations
@@ -31,10 +33,6 @@ class GCNLayerParams:
 
     weight: Tensor
     bias: Tensor
-
-    @property
-    def in_dim(self) -> int:
-        return self.weight.shape[0]
 
     @property
     def out_dim(self) -> int:
@@ -77,22 +75,16 @@ def normalize_adjacency(adjacency: Tensor | Array, mask: Array, *,
     return with_loops * row * col
 
 
-def gcn_layer(params: GCNLayerParams, features: Tensor | Array,
-              normalized: Tensor, mask: Array) -> Tensor:
-    """One hidden propagation step: ``relu((Â · H · W + b) ⊙ m)``.
+def gcn_layer(params: GCNLayerParams, propagated: Tensor,
+              mask: Array) -> Tensor:
+    """The hidden layer from its propagated input: ``relu((Â·H · W + b) ⊙ m)``.
 
-    ``Â`` multiplies the narrower of ``H`` and ``H · W``: a widening layer
-    computes ``(Â · H) · W``, any other ``Â · (H · W)``. Both orders give the
-    same product. The bias, the padding mask and the ReLU are one fused tape
-    node, so padded rows come out exactly zero. ``gcn_readout`` runs its
-    first hidden layer from the plan's ``Â·X`` and this for any later one.
+    ``propagated`` is ``Â·H``, which ``plan_readout`` computes once. The
+    bias, the padding mask and the ReLU are one fused tape node, so padded
+    rows come out exactly zero.
     """
-    if params.in_dim < params.out_dim:
-        propagated = ad.matmul(ad.matmul(normalized, features), params.weight)
-    else:
-        propagated = ad.matmul(normalized, ad.matmul(features, params.weight))
-    return ad.bias_mask_relu(propagated, params.bias,
-                             np.asarray(mask)[..., None])
+    return ad.bias_mask_relu(ad.matmul(propagated, params.weight),
+                             params.bias, np.asarray(mask)[..., None])
 
 
 @dataclass(frozen=True)
@@ -106,56 +98,53 @@ class ReadoutPlan:
 
     depth: int
     mask: Array                # (B, n)
-    inputs: Tensor | None      # X for one layer, Â·X for a hidden first one
+    inputs: Tensor | None      # X for one layer, Â·X for two
     pool: Tensor | None        # the pool weights mᵀÂ/n, (B, 1, n)
-    normalized: Tensor | None  # Â, kept only for hidden layers past the first
-    ramp: ad.RampSums | None   # the closed form of one hidden layer on s = Â·x
+    ramp: ad.RampSums | None   # the closed form of the hidden layer on s = Â·x
 
 
 def plan_readout(depth: int, features: Tensor | Array, normalized: Tensor,
                  mask: Array) -> ReadoutPlan:
     """Compute what ``gcn_readout`` needs of the graphs for ``depth`` layers.
 
-    The pool weights ``p = mᵀÂ / n`` are ``masked_mean_pool`` over the rows
-    of ``Â``, which holds for any ``Â``, soft ones with non-zero padded
-    cells included. A first hidden layer reads ``Â·X``. For one constant
-    input column ``x`` and one hidden layer, the pooled hidden unit ``j`` is
+    ``depth`` is 1 or 2; any other depth raises ``ValueError``. The pool
+    weights ``p = mᵀÂ / n`` are ``masked_mean_pool`` over the rows of
+    ``Â``, which holds for any ``Â``, soft ones with non-zero padded cells
+    included. The hidden layer of a two-layer stack reads ``Â·X``. For one
+    constant input column ``x``, its pooled unit ``j`` is
     ``Σᵢ pᵢ·relu(sᵢ·w_j + b_j)`` with ``s = Â·x`` (padded nodes weigh 0),
     so the plan keeps only each graph's ``s`` sorted, with prefix sums of
     ``p`` and ``p·s`` (``autodiff.ramp_sums``). Pass the output of
     ``normalize_adjacency`` so that several stacks can share one
     normalization.
     """
+    if depth not in (1, 2):
+        raise ValueError(f"a readout serves 1 or 2 layers, not {depth}")
     mask = np.asarray(mask, dtype=np.float64)
     h = features if isinstance(features, Tensor) else Tensor(features)
     b, n = mask.shape
     pool = ad.reshape(masked_mean_pool(normalized, mask), (b, 1, n))
     if depth == 1:
-        return ReadoutPlan(depth, mask, inputs=h, pool=pool, normalized=None,
-                           ramp=None)
+        return ReadoutPlan(depth, mask, inputs=h, pool=pool, ramp=None)
     propagated = ad.matmul(normalized, h)
-    if depth == 2 and h.shape[-1] == 1 and not propagated.requires_grad:
+    if h.shape[-1] == 1 and not propagated.requires_grad:
         ramp = ad.ramp_sums(propagated.data[..., 0], pool.data[:, 0] * mask)
-        return ReadoutPlan(depth, mask, inputs=None, pool=None,
-                           normalized=None, ramp=ramp)
-    return ReadoutPlan(depth, mask, inputs=propagated, pool=pool,
-                       normalized=normalized if depth > 2 else None,
-                       ramp=None)
+        return ReadoutPlan(depth, mask, inputs=None, pool=None, ramp=ramp)
+    return ReadoutPlan(depth, mask, inputs=propagated, pool=pool, ramp=None)
 
 
 def gcn_readout(layers: Sequence[GCNLayerParams],
                 plan: ReadoutPlan) -> Tensor:
-    """Mean-pooled output of a convolution stack, ``(B, out)``.
+    """Mean-pooled output of a one- or two-layer stack, ``(B, out)``.
 
-    Every layer but the last is a hidden layer, run per node with a ReLU
-    after it: the first one as ``(Â·X)·W₀`` from the plan, then the fused
-    bias, mask and ReLU, any later one as a ``gcn_layer``. The last layer
-    and the mean pool are both linear, so the pool goes first:
-    ``mean_i (Â H W + b)_i = (p · H) · W + b``, and the last weight and bias
-    act on ``B`` rows instead of ``B · n``. A plan with a ramp evaluates
-    its one hidden layer pooled, in closed form (``autodiff.ramp_relu_sum``),
-    with the same active nodes and gradients as the per-node path and no
-    ``(B, n, ·)`` state. A graph with no real nodes pools to zero.
+    A two-layer stack runs its hidden layer per node (``gcn_layer`` on the
+    plan's ``Â·X``). The last layer and the mean pool are both linear, so
+    the pool goes first: ``mean_i (Â H W + b)_i = (p · H) · W + b``, and
+    the last weight and bias act on ``B`` rows instead of ``B · n``. A plan
+    with a ramp evaluates the hidden layer pooled, in closed form
+    (``autodiff.ramp_relu_sum``), with the same active nodes and gradients
+    as the per-node path and no ``(B, n, ·)`` state. A graph with no real
+    nodes pools to zero.
     """
     if len(layers) != plan.depth:
         raise ValueError(f"a plan for {plan.depth} layers cannot read out "
@@ -165,11 +154,8 @@ def gcn_readout(layers: Sequence[GCNLayerParams],
         pooled = ad.ramp_relu_sum(first.weight, first.bias, plan.ramp)
     else:
         h = plan.inputs
-        if plan.depth > 1:
-            h = ad.bias_mask_relu(ad.matmul(h, first.weight), first.bias,
-                                  plan.mask[..., None])
-            for layer in layers[1:-1]:
-                h = gcn_layer(layer, h, plan.normalized, plan.mask)
+        if plan.depth == 2:
+            h = gcn_layer(first, h, plan.mask)
         pooled = ad.reshape(ad.matmul(plan.pool, h),
                             (plan.mask.shape[0], h.shape[-1]))
     return ad.matmul(pooled, last.weight) + pooled_bias(last.bias, plan.mask)

@@ -20,7 +20,7 @@ from gladcf.augment import (AugmentConfig, augment_training_set,
 from gladcf.autodiff import Tensor
 from gladcf.cli import main
 from gladcf.detector import (DetectorConfig, composite_loss, detector_scores,
-                             init_detector, predict_scores)
+                             init_detector, plan_branches, predict_scores)
 from gladcf.experiment import (DEFAULT_BETA_SWEEP, ExperimentConfig,
                                compute_auc, load_report, run_cv,
                                validate_report)
@@ -146,9 +146,10 @@ def test_criterion_3_gradients_match_finite_differences():
     provenance = [g.provenance for g in graphs]
     params = init_detector(5, DetectorConfig(hidden1=6, hidden2=5,
                                              reduce_dim=4), rng)
+    plans = plan_branches(params, batch)
 
     def detector_loss():
-        scores = detector_scores(params, batch)
+        scores = detector_scores(params, plans)
         value, _ = composite_loss(scores, labels, provenance, beta=1.2)
         return value
 

@@ -122,7 +122,7 @@ def _numpy_probe(weight, bias, feats, adj, mask):
 def _numpy_counterfactual_loss(pair, probe, adj, feats, mask):
     """Term-by-term recomputation used as the conformance oracle."""
     sig = lambda x: 1.0 / (1.0 + np.exp(-x))
-    w, b = probe.layer.weight.data, probe.layer.bias.data
+    w, b = probe.weight.data, probe.bias.data
     smooth_adj = sig(pair.edge_logits.data @ adj)
     gate = sig(pair.mask_logits.data)
     smooth_feats = gate * feats
@@ -201,9 +201,8 @@ def test_loss_at_own_width_equals_loss_at_n_max():
 def test_probe_is_frozen_and_seeded():
     probe_a = make_probe(3, np.random.default_rng(11))
     probe_b = make_probe(3, np.random.default_rng(11))
-    np.testing.assert_array_equal(probe_a.layer.weight.data,
-                                  probe_b.layer.weight.data)
-    assert not probe_a.layer.weight.requires_grad
+    np.testing.assert_array_equal(probe_a.weight.data, probe_b.weight.data)
+    assert not probe_a.weight.requires_grad
     dist = probe_distribution(probe_a, np.random.random((2, 4, 3)),
                               np.zeros((2, 4, 4)), np.ones((2, 4)))
     np.testing.assert_allclose(dist.data.sum(axis=-1), 1.0)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,11 +14,12 @@ from gladcf.autodiff import Tensor
 from gladcf.detector import (DetectorConfig, TrainConfig, adaptive_weighting,
                              composite_loss, decide, detector_scores,
                              fuse_features, init_detector, load_checkpoint,
-                             partition_masks, predict_scores, save_checkpoint,
-                             score, train_detector)
+                             partition_masks, plan_branches, predict_scores,
+                             save_checkpoint, score, train_detector)
 from gladcf.errors import ConfigError
 from gladcf.gcn import normalize_adjacency
-from gladcf.graphs import GraphDataset, Provenance, make_graph, pad_batch
+from gladcf.graphs import (GraphDataset, PaddedBatch, Provenance, make_graph,
+                           pad_batch)
 from util import (assert_grads_close, connected_random_graph, random_graph,
                   ring_adjacency)
 
@@ -190,7 +193,7 @@ def test_fuse_features_concat_order_and_padding():
     graphs, batch = _toy_batch(rng)
     params = init_detector(5, TOY, rng)
     _random_biases(params, rng)
-    fused = fuse_features(params, batch).data
+    fused = fuse_features(params, plan_branches(params, batch)).data
     assert fused.shape == (3, 12)
     expected = _masked_mean(_per_node_states(params, batch), batch.node_mask)
     np.testing.assert_allclose(fused, expected, rtol=0, atol=1e-12)
@@ -198,8 +201,8 @@ def test_fuse_features_concat_order_and_padding():
     solo = init_detector(5, DetectorConfig(hidden1=8, hidden2=6, reduce_dim=4,
                                            use_degree_branch=False), rng)
     solo.feature_branch = params.feature_branch
-    np.testing.assert_array_equal(fuse_features(solo, batch).data,
-                                  fused[:, :6])
+    np.testing.assert_array_equal(
+        fuse_features(solo, plan_branches(solo, batch)).data, fused[:, :6])
 
 
 def test_adaptive_weighting_matches_numpy_replay():
@@ -207,7 +210,7 @@ def test_adaptive_weighting_matches_numpy_replay():
     params = init_detector(5, TOY, rng)
     _random_biases(params, rng)
     graphs, batch = _toy_batch(rng)
-    fused = fuse_features(params, batch)
+    fused = fuse_features(params, plan_branches(params, batch))
     got = adaptive_weighting(params, fused, batch.node_mask).data
 
     # per node: rows sorted by L1 norm, reduced, reweighted; then pooled
@@ -228,7 +231,7 @@ def test_adaptive_weighting_bypass():
     params = init_detector(5, config, rng)
     _random_biases(params, rng)
     graphs, batch = _toy_batch(rng)
-    fused = fuse_features(params, batch)
+    fused = fuse_features(params, plan_branches(params, batch))
     got = adaptive_weighting(params, fused, batch.node_mask).data
     z = _per_node_states(params, batch)
     reduced = z @ params.reducer.weight.data + params.reducer.bias.data
@@ -242,8 +245,8 @@ def test_scores_do_not_depend_on_padding_width():
     graphs = [random_graph(rng, n, 5) for n in (3, 6, 4, 5)]
     params = init_detector(5, TOY, rng)
     _random_biases(params, rng)
-    tight = detector_scores(params, pad_batch(graphs, 6)).data
-    wide = detector_scores(params, pad_batch(graphs, 6 + 7)).data
+    tight, wide = (detector_scores(params, plan_branches(
+        params, pad_batch(graphs, n))).data for n in (6, 6 + 7))
     np.testing.assert_allclose(wide, tight, rtol=0, atol=1e-12)
 
 
@@ -256,8 +259,9 @@ def test_empty_graph_gets_zero_embedding():
 
     def embed(members):
         batch = pad_batch(members, 4)
-        return adaptive_weighting(params, fuse_features(params, batch),
-                                  batch.node_mask).data
+        return adaptive_weighting(
+            params, fuse_features(params, plan_branches(params, batch)),
+            batch.node_mask).data
 
     embedding = embed(graphs)
     np.testing.assert_array_equal(embedding[1], 0.0)
@@ -278,9 +282,9 @@ def test_tape_holds_no_per_node_last_layer_state():
 
     def tape_shapes(config):
         params = init_detector(5, config, rng)
-        loss, _ = composite_loss(detector_scores(params, batch),
-                                 batch.labels, [g.provenance for g in graphs],
-                                 beta=1.2)
+        loss, _ = composite_loss(
+            detector_scores(params, plan_branches(params, batch)),
+            batch.labels, [g.provenance for g in graphs], beta=1.2)
         loss.backward()
         shapes, seen, stack = set(), set(), [loss]
         while stack:
@@ -339,11 +343,44 @@ def test_training_epochs_reuse_the_planned_graph_terms(monkeypatch):
     assert calls["after"] == 0
 
 
+def test_planned_chunks_hold_no_padded_batch():
+    # Training reads a chunk's plans only, so a chunk must not keep its
+    # padded batch, or any (B, w, w) adjacency, alive through every epoch.
+    rng = np.random.default_rng(21)
+    graphs = [random_graph(rng, n, 3, label=i % 2,
+                           provenance=A if i % 2 else N)
+              for i, n in enumerate((4, 6, 5, 7, 6, 5, 4))]
+    params = init_detector(3, TOY, rng)
+    chunks = detector_module._plan_chunks(graphs, 3, params)
+    mask_shapes = set()
+    seen, stack = set(), list(chunks)
+    while stack:
+        item = stack.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        assert not isinstance(item, PaddedBatch)
+        if isinstance(item, np.ndarray):
+            assert not (item.ndim == 3 and item.shape[1] == item.shape[2]), \
+                item.shape
+        elif isinstance(item, Tensor):
+            stack.extend([item.data, item.grad, *item._parents])
+        elif isinstance(item, (tuple, list)):
+            stack.extend(item)
+        elif dataclasses.is_dataclass(item):
+            stack.extend(getattr(item, f.name)
+                         for f in dataclasses.fields(item))
+            if hasattr(item, "mask"):
+                mask_shapes.add(item.mask.shape)
+    # the walk reached every chunk's plans: one mask shape per chunk width
+    assert mask_shapes == {(3, 5), (3, 6), (1, 7)}
+
+
 def test_scores_are_probabilities():
     rng = np.random.default_rng(7)
     _, batch = _toy_batch(rng, b=5)
     params = init_detector(5, TOY, rng)
-    s = detector_scores(params, batch).data
+    s = detector_scores(params, plan_branches(params, batch)).data
     assert s.shape == (5,)
     assert np.all((s > 0) & (s < 1))
 
@@ -371,9 +408,10 @@ def test_end_to_end_gradients_match_finite_differences():
     prov = [g.provenance for g in graphs]
     params = init_detector(4, DetectorConfig(hidden1=5, hidden2=4,
                                              reduce_dim=3), rng)
+    plans = plan_branches(params, batch)
 
     def loss():
-        scores = detector_scores(params, batch)
+        scores = detector_scores(params, plans)
         value, _ = composite_loss(scores, labels, prov, beta=1.2)
         return value
 
@@ -438,8 +476,8 @@ def test_training_optimizes_composite_loss(include_normal, include_abnormal):
                     include_abnormal_term=include_abnormal),
         np.random.default_rng(3))
     params = init_detector(3, TOY, np.random.default_rng(3))
-    scores = detector_scores(
-        params, pad_batch(graphs, max(g.num_nodes for g in graphs)))
+    scores = detector_scores(params, plan_branches(
+        params, pad_batch(graphs, max(g.num_nodes for g in graphs))))
     loss, _ = composite_loss(scores, [g.label for g in graphs],
                              [g.provenance for g in graphs], beta,
                              include_normal=include_normal,
@@ -453,7 +491,7 @@ def test_predict_scores_restores_input_order():
     params = init_detector(3, TOY, rng)
     chunked = predict_scores(params, graphs, chunk_size=2)
     batch = pad_batch(graphs, 7)
-    direct = detector_scores(params, batch).data
+    direct = detector_scores(params, plan_branches(params, batch)).data
     np.testing.assert_allclose(chunked, direct, atol=1e-12)
     assert predict_scores(params, []).shape == (0,)
 
@@ -492,19 +530,43 @@ def test_predict_scores_leaves_parameter_flags_alone(adaptive):
     assert all(t.requires_grad for t in params.trainables())
 
 
+# the version-1 checkpoint layout: npz keys in order, and the meta config keys
+_V1_TAIL = ["reducer_weight", "reducer_bias", "adaptive_weight", "head_weight",
+            "head_bias", "meta_json"]
+_V1_KEYS = {
+    "full": [f"{branch}{i}_{part}" for branch in ("feature", "degree")
+             for i in range(2) for part in ("weight", "bias")] + _V1_TAIL,
+    "no_gcn_d": [f"feature{i}_{part}" for i in range(2)
+                 for part in ("weight", "bias")] + _V1_TAIL,
+}
+_V1_CONFIG_KEYS = ["hidden1", "hidden2", "reduce_dim", "threshold",
+                   "use_adaptive_weighting", "use_degree_branch",
+                   "use_feature_branch"]
+
+
 def test_checkpoint_roundtrip(tmp_path):
+    import json
+
     rng = np.random.default_rng(13)
-    params = init_detector(5, TOY, rng)
-    path = tmp_path / "detector.npz"
-    save_checkpoint(path, params, extra={"fold": 3, "auc": 0.91})
-    loaded, extra = load_checkpoint(path)
-    assert extra == {"fold": 3, "auc": 0.91}
-    assert loaded.config == params.config
-    for a, b in zip(params.trainables(), loaded.trainables()):
-        np.testing.assert_array_equal(a.data, b.data)
-    graphs = [random_graph(rng, 4, 5)]
-    np.testing.assert_allclose(predict_scores(params, graphs),
-                               predict_scores(loaded, graphs), atol=1e-15)
+    for variant, keys in _V1_KEYS.items():
+        config = dataclasses.replace(
+            TOY, use_degree_branch=variant != "no_gcn_d")
+        params = init_detector(5, config, rng)
+        path = tmp_path / f"{variant}.npz"
+        save_checkpoint(path, params, extra={"fold": 3, "auc": 0.91})
+        with np.load(path) as archive:
+            assert archive.files == keys
+            meta = json.loads(bytes(archive["meta_json"]).decode("utf-8"))
+        assert meta["format_version"] == 1
+        assert sorted(meta["config"]) == _V1_CONFIG_KEYS
+        loaded, extra = load_checkpoint(path)
+        assert extra == {"fold": 3, "auc": 0.91}
+        assert loaded.config == params.config
+        for a, b in zip(params.trainables(), loaded.trainables()):
+            np.testing.assert_array_equal(a.data, b.data)
+        graphs = [random_graph(rng, 4, 5)]
+        np.testing.assert_allclose(predict_scores(params, graphs),
+                                   predict_scores(loaded, graphs), atol=1e-15)
 
 
 def test_checkpoint_version_guard(tmp_path):

@@ -121,6 +121,12 @@ def test_config_validation():
         ExperimentConfig(dataset="X", feature_mode="one_hot")
     with pytest.raises(ConfigError):
         ExperimentConfig(dataset="X", folds=1)
+    # every model field is checked when the config is built, before any fold
+    for field, value in (("threshold", 1.5), ("hidden1", 0), ("epochs", 0),
+                         ("lr", -1.0), ("cf_epochs", 0), ("cf_lr", 0.0),
+                         ("chunk_size", 0)):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(dataset="X", **{field: value})
 
 
 def test_variant_shapes_detector_and_loss():

@@ -67,6 +67,11 @@ def _readout(layers, x, normalized, mask):
     return gcn_readout(layers, plan_readout(len(layers), x, normalized, mask))
 
 
+def _hidden(layer, x, normalized, mask):
+    """The hidden layer on ``x``, propagated as ``plan_readout`` does."""
+    return gcn_layer(layer, ad.matmul(normalized, x), mask)
+
+
 def _per_node_readout(layers, x, normalized, mask):
     """The stack run on every node, then mean-pooled: the NumPy reference.
 
@@ -97,7 +102,7 @@ def test_forward_hand_oracle():
     mask = np.ones((1, 3))
     normalized = normalize_adjacency(a[None], mask)
     # as a hidden layer, ReLU after; as the last one, mean-pooled
-    hidden = gcn_layer(params, x[None], normalized, mask).data[0]
+    hidden = _hidden(params, x[None], normalized, mask).data[0]
     np.testing.assert_allclose(hidden, np.maximum(per_node, 0.0), atol=1e-12)
     got = _readout([params], x[None], normalized, mask).data[0]
     np.testing.assert_allclose(got, per_node.mean(axis=0), atol=1e-12)
@@ -105,7 +110,8 @@ def test_forward_hand_oracle():
 
 @pytest.mark.parametrize("in_dim,out_dim", [(2, 5), (3, 3), (5, 2)])
 def test_layer_matches_dense_math_in_either_order(in_dim, out_dim):
-    # widening layers propagate before the weight, the others after it
+    # the layer weighs the propagated Â·X, which gives the dense product in
+    # either association, for widening, square and narrowing layers alike
     rng = np.random.default_rng(4)
     layer = init_gcn_layer(in_dim, out_dim, rng)
     layer.bias.data[:] = rng.normal(size=out_dim)
@@ -115,10 +121,12 @@ def test_layer_matches_dense_math_in_either_order(in_dim, out_dim):
     mask = np.array([[1.0] * 5, [1.0, 1.0, 1.0, 0.0, 0.0]])
     x = rng.normal(size=(2, 5, in_dim)) * mask[..., None]
     normalized = normalize_adjacency(a, mask)
-    got = gcn_layer(layer, Tensor(x), normalized, mask).data
-    expected = np.maximum(mask[..., None] * (
-        normalized.data @ x @ layer.weight.data + layer.bias.data), 0.0)
-    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+    got = _hidden(layer, Tensor(x), normalized, mask).data
+    norm, w = normalized.data, layer.weight.data
+    for product in ((norm @ x) @ w, norm @ (x @ w)):
+        expected = np.maximum(mask[..., None] * (product + layer.bias.data),
+                              0.0)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     # gradients through a differentiable soft adjacency, as the augmenter's
     # probe takes them
@@ -127,7 +135,7 @@ def test_layer_matches_dense_math_in_either_order(in_dim, out_dim):
     weights = rng.normal(size=(2, 5, out_dim))
 
     def loss():
-        out = gcn_layer(layer, features, normalize_adjacency(soft, mask), mask)
+        out = _hidden(layer, features, normalize_adjacency(soft, mask), mask)
         return ad.tsum(out * weights)
 
     assert_grads_close(loss, [layer.weight, layer.bias, soft, features])
@@ -152,16 +160,14 @@ def test_stacked_layers_relu_between_not_after():
 
 def test_padded_rows_zero_through_layers():
     rng = np.random.default_rng(1)
-    layers = [init_gcn_layer(2, 3, rng), init_gcn_layer(3, 3, rng),
-              init_gcn_layer(3, 2, rng)]
+    layers = [init_gcn_layer(2, 3, rng), init_gcn_layer(3, 2, rng)]
     a = np.zeros((1, 5, 5))
     a[0, :3, :3] = path_adjacency(3)
     x = np.zeros((1, 5, 2))
     x[0, :3] = rng.normal(size=(3, 2))
     mask = np.array([[1.0, 1.0, 1.0, 0.0, 0.0]])
     normalized = normalize_adjacency(a, mask)
-    h = gcn_layer(layers[1], gcn_layer(layers[0], x, normalized, mask),
-                  normalized, mask).data
+    h = _hidden(layers[0], x, normalized, mask).data
     assert np.all(h[0, 3:, :] == 0.0)
     # the padding changes nothing the readout sees
     tight = _readout(layers, x[:, :3], normalize_adjacency(
@@ -177,7 +183,7 @@ def test_equivalent_nodes_get_equal_rows():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])[None]
     x = np.array([[0.3, -0.7], [0.3, -0.7]])[None]
     mask = np.ones((1, 2))
-    out = gcn_layer(layer, x, normalize_adjacency(a, mask), mask).data[0]
+    out = _hidden(layer, x, normalize_adjacency(a, mask), mask).data[0]
     assert (out > 0).any()  # not equal merely because the ReLU zeroed both
     np.testing.assert_allclose(out[0], out[1], atol=1e-12)
 
@@ -304,7 +310,9 @@ def test_closed_form_needs_one_constant_column_and_one_hidden_layer():
     two_columns = np.concatenate([degrees, degrees], axis=-1)
     assert plan_readout(2, two_columns, normalized, mask).ramp is None
     assert plan_readout(1, degrees, normalized, mask).ramp is None
-    assert plan_readout(3, degrees, normalized, mask).ramp is None
+    for depth in (0, 3):  # the package builds one- and two-layer stacks only
+        with pytest.raises(ValueError):
+            plan_readout(depth, degrees, normalized, mask)
     soft = Tensor(normalized.data, requires_grad=True)
     assert plan_readout(2, degrees, soft, mask).ramp is None
     with pytest.raises(ValueError):
