@@ -17,7 +17,7 @@ from .tu import (FeatureConfig, FeatureMode, build_features, dataset_stats,
 from .augment import (AugmentConfig, AugmentationResult, PerturbationPair,
                       augment_training_set, counterfactual_loss,
                       generate_samples, mask_features, perturb_structure,
-                      select_seeds, train_perturbations)
+                      plan_seeds, select_seeds, train_perturbations)
 from .detector import (DetectorConfig, DetectorParams, TrainConfig,
                        composite_loss, decide, detector_scores, init_detector,
                        load_checkpoint, plan_branches, predict_scores,
@@ -41,7 +41,7 @@ __all__ = [
     "write_tu_dataset", "dataset_stats",
     # augmentation
     "AugmentConfig", "AugmentationResult", "PerturbationPair",
-    "perturb_structure", "mask_features", "counterfactual_loss",
+    "perturb_structure", "mask_features", "plan_seeds", "counterfactual_loss",
     "select_seeds", "train_perturbations", "generate_samples",
     "augment_training_set",
     # detection

@@ -9,10 +9,11 @@ class distribution away from the original graph's (negated KL terms). Smooth
 sigmoid surrogates are used during training; hard thresholds apply only when
 samples are generated.
 
-Seed graphs are processed in size-ordered chunks, each padded only to its own
-largest node count ``w``. The objective is still the one defined on the
-dataset-wide ``n_max`` padding: the columns cut off past ``w`` enter it as two
-closed-form constants (see ``counterfactual_loss``).
+Seed graphs are processed in the detector's size-ordered chunks
+(``graphs.padded_chunks``), each padded only to its own largest node count
+``w`` and planned once (``plan_seeds``). The objective is still the one
+defined on the dataset-wide ``n_max`` padding: the columns cut off past
+``w`` enter it as two closed-form constants (see ``counterfactual_loss``).
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, SizeError, TrainingDivergedError
-from .gcn import (GCNLayerParams, gcn_readout, init_gcn_layer,
+from .gcn import (GCNLayerParams, ReadoutPlan, gcn_readout, init_gcn_layer,
                   normalize_adjacency, plan_readout)
-from .graphs import (Graph, PaddedBatch, Provenance, make_graph, pad_batch,
-                     size_chunks)
+from .graphs import Graph, Provenance, make_graph, padded_chunks
 from .optim import Adam
 
 logger = logging.getLogger(__name__)
@@ -36,7 +36,12 @@ logger = logging.getLogger(__name__)
 Array = np.ndarray
 
 PROBABILITY_FLOOR = 1e-12
-GENERATION_CHUNK_SIZE = 128  # seeds per padded stack in generate_samples
+
+
+def _check_thresholds(sigma: float, tau: float) -> None:
+    for name, value in (("sigma", sigma), ("tau", tau)):
+        if not 0.0 < value <= 1.0:
+            raise ConfigError(f"{name} must lie in (0, 1], got {value}")
 
 
 @dataclass
@@ -53,10 +58,7 @@ class PerturbationPair:
     tau: float = 0.5
 
     def __post_init__(self):
-        if not 0.0 < self.sigma <= 1.0:
-            raise ConfigError(f"sigma must lie in (0, 1], got {self.sigma}")
-        if not 0.0 < self.tau <= 1.0:
-            raise ConfigError(f"tau must lie in (0, 1], got {self.tau}")
+        _check_thresholds(self.sigma, self.tau)
 
     def trainables(self) -> list[Tensor]:
         return [self.edge_logits, self.mask_logits]
@@ -77,13 +79,14 @@ class AugmentConfig:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.chunk_size < 1:
             raise ConfigError("chunk_size must be positive")
+        _check_thresholds(self.sigma, self.tau)
 
 
 def make_probe(feature_dim: int, rng: np.random.Generator) -> GCNLayerParams:
     """Seeded frozen probe layer; its parameters never receive gradients.
 
     The probe is one convolution layer read out mean-pooled through a 2-way
-    softmax (``probe_distribution``).
+    softmax (``_distribution``).
     """
     probe = init_gcn_layer(feature_dim, 2, rng)
     probe.weight.requires_grad = False
@@ -155,16 +158,28 @@ def mask_features(pair: PerturbationPair, features: Tensor | Array,
 # -- probe readout and the training loss -------------------------------------
 
 
-def probe_distribution(probe: GCNLayerParams, features: Tensor | Array,
-                       adjacency: Tensor | Array, mask: Array) -> Tensor:
+@dataclass(frozen=True)
+class SeedChunk:
+    """The probe's one-layer ``plan_readout`` of a seed chunk's original
+    graphs and its class distribution on them, ``(B, 2)``, made once.
+    """
+
+    adjacency_stack: Array  # (B, w, w)
+    readout: ReadoutPlan
+    original: Array
+
+
+def plan_seeds(probe: GCNLayerParams, adjacency_stack: Array,
+               feature_stack: Array, node_mask: Array) -> SeedChunk:
+    """Plan one padded chunk of seed graphs for ``counterfactual_loss``."""
+    readout = plan_readout(1, feature_stack, normalize_adjacency(
+        adjacency_stack, node_mask), node_mask)
+    return SeedChunk(adjacency_stack=adjacency_stack, readout=readout,
+                     original=_distribution(probe, readout).data)
+
+
+def _distribution(probe: GCNLayerParams, plan: ReadoutPlan) -> Tensor:
     """Two-way class distribution per graph: conv layer, mean pool, softmax."""
-    normalized = normalize_adjacency(adjacency, mask)
-    return _readout(probe, features, normalized, mask)
-
-
-def _readout(probe: GCNLayerParams, features: Tensor | Array,
-             normalized: Tensor, mask: Array) -> Tensor:
-    plan = plan_readout(1, features, normalized, mask)
     return ad.softmax_last(gcn_readout([probe], plan))
 
 
@@ -178,16 +193,15 @@ def _kl_rows(p: Array, q: Tensor) -> Tensor:
 
 
 def counterfactual_loss(pair: PerturbationPair, probe: GCNLayerParams,
-                        adjacency_stack: Array, feature_stack: Array,
-                        node_mask: Array,
-                        original_distribution: Array | None = None,
-                        ) -> tuple[Tensor, dict]:
-    """Training objective over a stack of seed graphs (mean per graph).
+                        chunk: SeedChunk) -> tuple[Tensor, dict]:
+    """Training objective over a chunk of seed graphs (mean per graph).
 
     Per seed graph: Frobenius distance between original and smooth-rewired
     adjacency, minus the Frobenius norm of the smooth feature mask, minus the
     two KL divergence terms between the probe's distribution on the original
-    graph and on each perturbed view.
+    graph and on each perturbed view. ``chunk`` is the seeds' ``plan_seeds``;
+    the feature view reads its planned pool, so only the smooth-rewired
+    adjacency is normalized here.
 
     The stacks may be padded to any width ``w ≤ n_max``; the value is that of
     the same graphs padded to ``n_max``. Each of the ``n_max − w`` columns
@@ -197,13 +211,14 @@ def counterfactual_loss(pair: PerturbationPair, probe: GCNLayerParams,
     every row's degree in the structure probe. They are the objective's whole
     dependence on ``n_max``, and both are 0 at ``w = n_max``.
     """
+    adjacency_stack, original = chunk.adjacency_stack, chunk.original
     n_max = pair.edge_logits.shape[0]
     width = adjacency_stack.shape[-1]
     cut_distance = 0.25 * n_max * (n_max - width)
     cut_degree = 0.5 * (n_max - width)
 
     smooth_adj = perturb_structure(pair, adjacency_stack, hard=False)
-    smooth_feats = mask_features(pair, Tensor(feature_stack), hard=False)
+    smooth_feats = mask_features(pair, chunk.readout.inputs, hard=False)
     target = np.zeros(smooth_adj.shape)
     target[..., :width, :] = adjacency_stack
     diff = Tensor(target) - smooth_adj
@@ -213,18 +228,16 @@ def counterfactual_loss(pair: PerturbationPair, probe: GCNLayerParams,
     gate_norm = ad.sqrt(ad.tsum(gate * gate))
     closeness = structure_dist - gate_norm
 
-    if original_distribution is None:
-        original_distribution = probe_distribution(
-            probe, feature_stack, adjacency_stack, node_mask).data
-    clamped = bool((original_distribution < PROBABILITY_FLOOR).any())
-    p_structure = _readout(probe, feature_stack, normalize_adjacency(
-        ad.block(smooth_adj, width, width), node_mask,
-        extra_degree=cut_degree), node_mask)
-    p_features = probe_distribution(probe, smooth_feats, adjacency_stack, node_mask)
+    clamped = bool((original < PROBABILITY_FLOOR).any())
+    p_structure = _distribution(probe, plan_readout(
+        1, chunk.readout.inputs, normalize_adjacency(
+            ad.block(smooth_adj, width, width), chunk.readout.mask,
+            extra_degree=cut_degree), chunk.readout.mask))
+    p_features = _distribution(probe, chunk.readout.with_inputs(smooth_feats))
     clamped = clamped or bool((p_structure.data < PROBABILITY_FLOOR).any())
     clamped = clamped or bool((p_features.data < PROBABILITY_FLOOR).any())
-    divergence = _kl_rows(original_distribution, p_structure) + \
-        _kl_rows(original_distribution, p_features)
+    divergence = _kl_rows(original, p_structure) + \
+        _kl_rows(original, p_features)
 
     loss = ad.mean(closeness - divergence)
     components = {
@@ -266,31 +279,23 @@ def select_seeds(graphs, rng: np.random.Generator,
     return np.sort(chosen), minority
 
 
-def _padded_chunks(graphs, chunk_size: int, n_max: int
-                   ) -> list[tuple[Array, PaddedBatch]]:
-    """Size-ordered chunks of ``graphs``, each padded to its own largest n."""
-    chunks = []
-    for idx in size_chunks(graphs, chunk_size):
-        members = [graphs[i] for i in idx]
-        width = members[-1].num_nodes
-        if width > n_max:
-            raise SizeError(
-                f"seed graph has {width} nodes, exceeding n_max={n_max}")
-        chunks.append((idx, pad_batch(members, width)))
-    return chunks
+def _check_width(seeds, n_max: int) -> None:
+    width = max((g.num_nodes for g in seeds), default=0)
+    if width > n_max:
+        raise SizeError(
+            f"seed graph has {width} nodes, exceeding n_max={n_max}")
 
 
 def train_perturbations(seed_graphs, n_max: int, config: AugmentConfig,
                         rng: np.random.Generator,
-                        probe: GCNLayerParams | None = None,
-                        ) -> tuple[PerturbationPair, GCNLayerParams,
-                                   list[float]]:
-    """Fit the perturbation pair on seed graphs; returns the loss trace.
+                        ) -> tuple[PerturbationPair, list[float]]:
+    """Fit the perturbation pair on seed graphs; returns it and the loss trace.
 
     One adaptive-moment step per epoch over the full seed set; chunked
     gradient accumulation keeps memory flat without changing the math
     (chunk losses are reweighted so their sum is the global mean). Chunks
-    are size-ordered and padded to their own width, not to ``n_max``.
+    are size-ordered and padded to their own width, not to ``n_max``, and
+    planned once (``plan_seeds``) against a fresh frozen probe.
     """
     seed_graphs = list(seed_graphs)
     if not seed_graphs:
@@ -298,19 +303,16 @@ def train_perturbations(seed_graphs, n_max: int, config: AugmentConfig,
     feature_dim = seed_graphs[0].feature_dim
     if feature_dim == 0:
         raise ConfigError("build node features before augmentation")
-    if probe is None:
-        probe = make_probe(feature_dim, rng)
+    _check_width(seed_graphs, n_max)
+    probe = make_probe(feature_dim, rng)
     pair = init_perturbation_pair(n_max, feature_dim, rng,
                                   sigma=config.sigma, tau=config.tau)
     optimizer = Adam(pair.trainables(), lr=config.lr)
 
     total = len(seed_graphs)
-    chunks = []
-    for _, batch in _padded_chunks(seed_graphs, config.chunk_size, n_max):
-        original = probe_distribution(
-            probe, batch.feature_stack, batch.adjacency_stack,
-            batch.node_mask).data
-        chunks.append((batch, original))
+    chunks = [plan_seeds(probe, batch.adjacency_stack, batch.feature_stack,
+                         batch.node_mask)
+              for _, batch in padded_chunks(seed_graphs, config.chunk_size)]
 
     trace: list[float] = []
     ever_clamped = False
@@ -318,11 +320,9 @@ def train_perturbations(seed_graphs, n_max: int, config: AugmentConfig,
         optimizer.zero_grad()
         epoch_loss = 0.0
         components = {}
-        for batch, original in chunks:
-            loss, components = counterfactual_loss(
-                pair, probe, batch.adjacency_stack, batch.feature_stack,
-                batch.node_mask, original_distribution=original)
-            scaled = loss * (batch.size / total)
+        for chunk in chunks:
+            loss, components = counterfactual_loss(pair, probe, chunk)
+            scaled = loss * (len(chunk.original) / total)
             scaled.backward()
             epoch_loss += float(scaled.data)
             ever_clamped = ever_clamped or components["clamped"]
@@ -342,21 +342,23 @@ def train_perturbations(seed_graphs, n_max: int, config: AugmentConfig,
     if ever_clamped:
         logger.warning("probe probabilities hit the %g floor during "
                        "augmentation training", PROBABILITY_FLOOR)
-    return pair, probe, trace
+    return pair, trace
 
 
 def generate_samples(pair: PerturbationPair, graphs, indices: Array,
-                     minority_label: int, n_max: int) -> list[Graph]:
+                     minority_label: int, n_max: int,
+                     chunk_size: int) -> list[Graph]:
     """Apply the hard rewrite to each selected seed, in ``indices`` order.
 
-    Seeds go through the thresholded operations in size-ordered chunks, each
-    padded to its own largest n; the top-left n×n block is kept so a
-    generated graph has its seed's node count, and degrees are recomputed
-    from the new structure.
+    Seeds go through the thresholded operations in size-ordered chunks of
+    ``chunk_size``, each padded to its own largest n; the top-left n×n
+    block is kept so a generated graph has its seed's node count, and
+    degrees are recomputed from the new structure.
     """
     seeds = [graphs[i] for i in indices]
+    _check_width(seeds, n_max)
     generated: list[Graph | None] = [None] * len(seeds)
-    for idx, batch in _padded_chunks(seeds, GENERATION_CHUNK_SIZE, n_max):
+    for idx, batch in padded_chunks(seeds, chunk_size):
         hard_adj = perturb_structure(pair, batch.adjacency_stack, hard=True)
         hard_feats = mask_features(pair, batch.feature_stack, hard=True)
         for row, i in enumerate(idx):
@@ -389,7 +391,8 @@ def augment_training_set(train_graphs, n_max: int, config: AugmentConfig,
         return AugmentationResult(generated=[], seed_indices=indices,
                                   minority_label=minority)
     seeds = [train_graphs[i] for i in indices]
-    pair, _, trace = train_perturbations(seeds, n_max, config, rng)
-    generated = generate_samples(pair, train_graphs, indices, minority, n_max)
+    pair, trace = train_perturbations(seeds, n_max, config, rng)
+    generated = generate_samples(pair, train_graphs, indices, minority, n_max,
+                                 config.chunk_size)
     return AugmentationResult(generated=generated, seed_indices=indices,
                               minority_label=minority, loss_trace=trace)

@@ -68,7 +68,7 @@ _CONFIG_FIELDS: dict[str, tuple[type, str]] = {
     "reduce_dim": (int, "embedding width after the linear reducer"),
     "threshold": (float, "decision threshold on scores"),
     "variant": (str, f"ablation variant: one of {', '.join(VARIANTS)}"),
-    "chunk_size": (int, "graphs per padded chunk during training"),
+    "chunk_size": (int, "graphs per padded chunk, in both models"),
     "parallel_folds": (int, "worker processes for folds (1 = serial)"),
 }
 

@@ -38,7 +38,7 @@ from .autodiff import Tensor
 from .errors import ConfigError, TrainingDivergedError
 from .gcn import (GCNLayerParams, ReadoutPlan, gcn_readout, init_gcn_layer,
                   normalize_adjacency, plan_readout, pooled_bias)
-from .graphs import PaddedBatch, Provenance, pad_batch, size_chunks
+from .graphs import PaddedBatch, Provenance, padded_chunks
 from .optim import Adam
 
 logger = logging.getLogger(__name__)
@@ -46,21 +46,6 @@ logger = logging.getLogger(__name__)
 Array = np.ndarray
 
 SCORE_FLOOR = 1e-12  # log arguments are clamped to [floor, 1 - floor]
-
-
-@dataclass
-class LinearParams:
-    weight: Tensor
-    bias: Tensor
-
-
-def _init_linear(in_dim: int, out_dim: int,
-                 rng: np.random.Generator) -> LinearParams:
-    limit = np.sqrt(6.0 / (in_dim + out_dim))
-    return LinearParams(
-        weight=Tensor(rng.uniform(-limit, limit, size=(in_dim, out_dim)),
-                      requires_grad=True),
-        bias=Tensor(np.zeros(out_dim), requires_grad=True))
 
 
 @dataclass(frozen=True)
@@ -93,7 +78,7 @@ class DetectorConfig:
 class DetectorParams:
     feature_branch: list[GCNLayerParams] | None
     degree_branch: list[GCNLayerParams] | None
-    reducer: LinearParams
+    reducer: GCNLayerParams
     adaptive_weight: Tensor
     head_weight: Tensor
     head_bias: Tensor
@@ -131,8 +116,8 @@ class DetectorParams:
         return cls(
             feature_branch=branch("feature", config.use_feature_branch),
             degree_branch=branch("degree", config.use_degree_branch),
-            reducer=LinearParams(weight=tensor("reducer_weight"),
-                                 bias=tensor("reducer_bias")),
+            reducer=GCNLayerParams(weight=tensor("reducer_weight"),
+                                   bias=tensor("reducer_bias")),
             adaptive_weight=tensor("adaptive_weight"),
             head_weight=tensor("head_weight"), head_bias=tensor("head_bias"),
             config=config)
@@ -167,12 +152,10 @@ def init_detector(feature_dim: int, config: DetectorConfig,
     if config.use_degree_branch:
         degree_branch = [init_gcn_layer(1, config.hidden1, rng),
                          init_gcn_layer(config.hidden1, config.hidden2, rng)]
-    reducer = _init_linear(config.fused_dim, config.reduce_dim, rng)
+    reducer = init_gcn_layer(config.fused_dim, config.reduce_dim, rng)
     r = config.reduce_dim
-    limit = np.sqrt(6.0 / (r + r))
-    adaptive = Tensor(rng.uniform(-limit, limit, size=(r, r)),
-                      requires_grad=True)
-    head = _init_linear(r, 1, rng)
+    adaptive = init_gcn_layer(r, r, rng).weight
+    head = init_gcn_layer(r, 1, rng)
     return DetectorParams(feature_branch=feature_branch,
                           degree_branch=degree_branch, reducer=reducer,
                           adaptive_weight=adaptive, head_weight=head.weight,
@@ -349,6 +332,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.lr <= 0 or self.chunk_size < 1:
             raise ConfigError("epochs, lr, and chunk_size must be positive")
+        if self.beta < 0:
+            raise ConfigError(f"beta must be non-negative, got {self.beta}")
 
 
 @dataclass
@@ -368,9 +353,7 @@ def _plan_chunks(graphs, chunk_size: int,
     provenance = [g.provenance for g in graphs]
     labels = np.array([g.label for g in graphs])
     chunks = []
-    for idx in size_chunks(graphs, chunk_size):
-        members = [graphs[i] for i in idx]
-        batch = pad_batch(members, members[-1].num_nodes)
+    for idx, batch in padded_chunks(graphs, chunk_size):
         masks = partition_masks(labels[idx], [provenance[i] for i in idx])
         chunks.append(_Chunk(plans=plan_branches(params, batch),
                              indices=idx, masks=masks))

@@ -16,7 +16,7 @@ through the normalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -101,6 +101,12 @@ class ReadoutPlan:
     inputs: Tensor | None      # X for one layer, Â·X for two
     pool: Tensor | None        # the pool weights mᵀÂ/n, (B, 1, n)
     ramp: ad.RampSums | None   # the closed form of the hidden layer on s = Â·x
+
+    def with_inputs(self, inputs: Tensor) -> ReadoutPlan:
+        """This plan with other node features X; its pool reads ``Â`` only."""
+        if self.depth != 1:
+            raise ValueError("only a one-layer plan reads its inputs as X")
+        return replace(self, inputs=inputs)
 
 
 def plan_readout(depth: int, features: Tensor | Array, normalized: Tensor,

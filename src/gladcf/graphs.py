@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -38,7 +38,8 @@ class Graph:
 
     Invariants (checked): adjacency is square, binary, symmetric, with a zero
     diagonal; ``degrees`` equals the adjacency row sums; ``node_features`` has
-    one row per node (zero columns are allowed before features are built).
+    one finite row per node (zero columns are allowed before features are
+    built).
     """
 
     adjacency: Array
@@ -64,6 +65,8 @@ class Graph:
         if feats.ndim != 2 or feats.shape[0] != n:
             raise SizeError(
                 f"node_features must have {n} rows, got shape {feats.shape}")
+        if not np.isfinite(feats).all():
+            raise ConfigError("node_features must be finite")
         if degs.shape[0] != n or not np.array_equal(degs, adj.sum(axis=1)):
             raise ConfigError("degrees must equal adjacency row sums")
         if self.label not in (0, 1):
@@ -196,16 +199,19 @@ def pad_batch(graphs: Sequence[Graph], n_max: int) -> PaddedBatch:
                        degree_stack=degrees, node_mask=mask, labels=labels)
 
 
-def size_chunks(graphs: Sequence[Graph], chunk_size: int) -> list[Array]:
-    """Split graph indices into chunks of similar size.
+def padded_chunks(graphs: Sequence[Graph], chunk_size: int
+                  ) -> Iterator[tuple[Array, PaddedBatch]]:
+    """Split graphs into chunks of similar size, each padded to its own width.
 
     Indices are ordered by ``(num_nodes, index)`` and cut into runs of
-    ``chunk_size``, so each chunk's last index names its largest graph: the
-    width the chunk needs to be padded to.
+    ``chunk_size``. Yields ``(indices, batch)`` per run, where ``batch``
+    pads the run's graphs to its largest node count, the last index's.
     """
     order = sorted(range(len(graphs)), key=lambda i: (graphs[i].num_nodes, i))
-    return [np.array(order[start:start + chunk_size], dtype=np.int64)
-            for start in range(0, len(order), chunk_size)]
+    for start in range(0, len(order), chunk_size):
+        idx = np.array(order[start:start + chunk_size], dtype=np.int64)
+        members = [graphs[i] for i in idx]
+        yield idx, pad_batch(members, members[-1].num_nodes)
 
 
 def stratified_kfold(dataset: GraphDataset, k: int,

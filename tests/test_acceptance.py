@@ -16,7 +16,7 @@ import pytest
 
 from gladcf.augment import (AugmentConfig, augment_training_set,
                             counterfactual_loss, make_probe, mask_features,
-                            perturb_structure)
+                            perturb_structure, plan_seeds)
 from gladcf.autodiff import Tensor
 from gladcf.cli import main
 from gladcf.detector import (DetectorConfig, composite_loss, detector_scores,
@@ -160,10 +160,10 @@ def test_criterion_3_gradients_match_finite_differences():
     probe = make_probe(3, np.random.default_rng(32))
     adjacency = np.stack([random_adjacency(rng, 5) for _ in range(3)])
     features = rng.random((3, 5, 3))
-    mask = np.ones((3, 5))
+    chunk = plan_seeds(probe, adjacency, features, np.ones((3, 5)))
 
     def generator_loss():
-        value, _ = counterfactual_loss(pair, probe, adjacency, features, mask)
+        value, _ = counterfactual_loss(pair, probe, chunk)
         return value
 
     assert_grads_close(generator_loss, pair.trainables())
@@ -230,7 +230,8 @@ def test_criterion_5_counterfactual_ops_match_recomputation():
         features = rng.random((b, n, h))
         mask = np.ones((b, n))
 
-        loss, _ = counterfactual_loss(pair, probe, adjacency, features, mask)
+        loss, _ = counterfactual_loss(
+            pair, probe, plan_seeds(probe, adjacency, features, mask))
         expected = _numpy_counterfactual_loss(pair, probe, adjacency,
                                               features, mask)
         worst = max(worst, abs(float(loss.data) - expected))

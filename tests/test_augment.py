@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 import gladcf.autodiff as ad
+import gladcf.gcn as gcn_module
 from gladcf import augment
 from gladcf.autodiff import Tensor
 from gladcf.augment import (AugmentConfig, PerturbationPair, augment_training_set,
                             counterfactual_loss, generate_samples,
                             init_perturbation_pair, make_probe, mask_features,
-                            perturb_structure, probe_distribution, select_seeds,
+                            perturb_structure, plan_seeds, select_seeds,
                             train_perturbations)
-from gladcf.errors import ConfigError
+from gladcf.errors import ConfigError, SizeError, TrainingDivergedError
 from gladcf.graphs import GraphDataset, Provenance, pad_batch
 
 from util import assert_grads_close, random_adjacency, random_graph
@@ -155,7 +156,8 @@ def test_loss_matches_independent_recomputation():
         adj = np.stack([random_adjacency(rng, n) for _ in range(batch)])
         feats = rng.random((batch, n, h))
         mask = np.ones((batch, n))
-        loss, _ = counterfactual_loss(pair, probe, adj, feats, mask)
+        loss, _ = counterfactual_loss(pair, probe,
+                                      plan_seeds(probe, adj, feats, mask))
         expected = _numpy_counterfactual_loss(pair, probe, adj, feats, mask)
         assert abs(float(loss.data) - expected) < 1e-9
 
@@ -167,10 +169,10 @@ def test_loss_gradients_match_finite_differences():
     probe = make_probe(h, np.random.default_rng(10))
     adj = np.stack([random_adjacency(rng, n) for _ in range(batch)])
     feats = rng.random((batch, n, h))
-    mask = np.ones((batch, n))
+    chunk = plan_seeds(probe, adj, feats, np.ones((batch, n)))
 
     def loss():
-        value, _ = counterfactual_loss(pair, probe, adj, feats, mask)
+        value, _ = counterfactual_loss(pair, probe, chunk)
         return value
 
     assert_grads_close(loss, pair.trainables())
@@ -187,8 +189,9 @@ def test_loss_at_own_width_equals_loss_at_n_max():
         batch = pad_batch(graphs, width)
         pair.edge_logits.zero_grad()
         pair.mask_logits.zero_grad()
-        loss, _ = counterfactual_loss(pair, probe, batch.adjacency_stack,
-                                      batch.feature_stack, batch.node_mask)
+        loss, _ = counterfactual_loss(pair, probe, plan_seeds(
+            probe, batch.adjacency_stack, batch.feature_stack,
+            batch.node_mask))
         loss.backward()
         results.append((float(loss.data), pair.edge_logits.grad.copy(),
                         pair.mask_logits.grad.copy()))
@@ -203,9 +206,10 @@ def test_probe_is_frozen_and_seeded():
     probe_b = make_probe(3, np.random.default_rng(11))
     np.testing.assert_array_equal(probe_a.weight.data, probe_b.weight.data)
     assert not probe_a.weight.requires_grad
-    dist = probe_distribution(probe_a, np.random.random((2, 4, 3)),
-                              np.zeros((2, 4, 4)), np.ones((2, 4)))
-    np.testing.assert_allclose(dist.data.sum(axis=-1), 1.0)
+    chunk = plan_seeds(probe_a, np.zeros((2, 4, 4)),
+                       np.random.random((2, 4, 3)), np.ones((2, 4)))
+    np.testing.assert_allclose(chunk.original.sum(axis=-1), 1.0)
+    dist = augment._distribution(probe_a, chunk.readout)
     assert dist._backward is None  # nothing trainable in the tape
 
 
@@ -239,9 +243,9 @@ def test_train_perturbations_runs_and_is_deterministic():
     rng = np.random.default_rng(14)
     seeds = [random_graph(rng, int(rng.integers(3, 6)), 3) for _ in range(6)]
     config = AugmentConfig(epochs=12, lr=0.05, chunk_size=4)
-    pair_a, _, trace_a = train_perturbations(
+    pair_a, trace_a = train_perturbations(
         seeds, 6, config, np.random.default_rng(42))
-    pair_b, _, trace_b = train_perturbations(
+    pair_b, trace_b = train_perturbations(
         seeds, 6, config, np.random.default_rng(42))
     assert len(trace_a) == 12 and np.isfinite(trace_a).all()
     np.testing.assert_array_equal(pair_a.edge_logits.data,
@@ -267,7 +271,59 @@ def test_train_perturbations_chunking_matches_single_batch():
             np.random.default_rng(7))
         for a, b in zip(chunked[0].trainables(), whole[0].trainables()):
             np.testing.assert_allclose(a.data, b.data, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(chunked[2], whole[2], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(chunked[1], whole[1], rtol=0, atol=1e-12)
+
+
+def test_augmenter_epochs_reuse_the_planned_seed_terms(monkeypatch):
+    # The original adjacency's normalization and pool weights are planned
+    # once per chunk; after that, each epoch normalizes and pools only the
+    # smooth-rewired adjacency, once per chunk.
+    rng = np.random.default_rng(28)
+    seeds = [random_graph(rng, n, 3) for n in (3, 5, 4, 6, 5, 3)]
+    calls = {"normalize_adjacency": 0, "masked_mean_pool": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((augment, "normalize_adjacency"),
+                         (gcn_module, "masked_mean_pool")):
+        monkeypatch.setattr(module, name,
+                            counted(name, getattr(module, name)))
+    epochs, chunks = 3, 2
+    train_perturbations(seeds, 7, AugmentConfig(epochs=epochs, chunk_size=4),
+                        np.random.default_rng(0))
+    per_chunk = 1 + epochs  # the plan, then one per epoch
+    assert calls == {"normalize_adjacency": chunks * per_chunk,
+                     "masked_mean_pool": chunks * per_chunk}
+
+
+def test_seed_wider_than_n_max_is_rejected():
+    rng = np.random.default_rng(29)
+    graphs = [random_graph(rng, n, 2) for n in (3, 6, 4)]
+    with pytest.raises(SizeError, match="6 nodes"):
+        train_perturbations(graphs, 5, AugmentConfig(epochs=1),
+                            np.random.default_rng(0))
+    with pytest.raises(SizeError, match="6 nodes"):
+        generate_samples(_pair(5, 2), graphs, np.array([0, 1, 2]), 1,
+                         n_max=5, chunk_size=2)
+
+
+def test_non_finite_chunk_loss_stops_training(monkeypatch):
+    rng = np.random.default_rng(30)
+    seeds = [random_graph(rng, n, 2) for n in (3, 4, 5)]
+    loss_fn = augment.counterfactual_loss
+
+    def diverging(*args):
+        loss, components = loss_fn(*args)
+        return loss * np.nan, components
+
+    monkeypatch.setattr(augment, "counterfactual_loss", diverging)
+    with pytest.raises(TrainingDivergedError, match="epoch 0"):
+        train_perturbations(seeds, 5, AugmentConfig(epochs=2),
+                            np.random.default_rng(0))
 
 
 def test_train_requires_features_and_seeds():
@@ -291,7 +347,8 @@ def test_generate_samples_integrity():
                for _ in range(2)]
     pair = _pair(6, 3, seed=18, scale=1.5)
     idx, minority = select_seeds(graphs, np.random.default_rng(3))
-    generated = generate_samples(pair, graphs, idx, minority, n_max=6)
+    generated = generate_samples(pair, graphs, idx, minority, n_max=6,
+                                 chunk_size=4)
     assert len(generated) == len(idx)
     for sample, seed_index in zip(generated, idx):
         seed = graphs[seed_index]
@@ -307,14 +364,14 @@ def test_generate_samples_integrity():
                                       seed.node_features[kept])
 
 
-def test_generated_sample_matches_manual_rewrite(monkeypatch):
+def test_generated_sample_matches_manual_rewrite():
     # several size chunks; indices out of order and repeated
-    monkeypatch.setattr(augment, "GENERATION_CHUNK_SIZE", 2)
     rng = np.random.default_rng(26)
     graphs = [random_graph(rng, n, 3) for n in (5, 2, 7, 3, 7, 4)]
     pair = _pair(9, 3, seed=27, scale=2.0)
     indices = np.array([4, 1, 0, 5, 1, 2, 3])
-    generated = generate_samples(pair, graphs, indices, 1, n_max=9)
+    generated = generate_samples(pair, graphs, indices, 1, n_max=9,
+                                 chunk_size=2)
     sig = lambda x: 1.0 / (1.0 + np.exp(-x))
     keep = (sig(pair.mask_logits.data) >= 0.5).astype(float)
     assert len(generated) == len(indices)

@@ -16,7 +16,7 @@ from gladcf.detector import (DetectorConfig, TrainConfig, adaptive_weighting,
                              fuse_features, init_detector, load_checkpoint,
                              partition_masks, plan_branches, predict_scores,
                              save_checkpoint, score, train_detector)
-from gladcf.errors import ConfigError
+from gladcf.errors import ConfigError, TrainingDivergedError
 from gladcf.gcn import normalize_adjacency
 from gladcf.graphs import (GraphDataset, PaddedBatch, Provenance, make_graph,
                            pad_batch)
@@ -341,6 +341,23 @@ def test_training_epochs_reuse_the_planned_graph_terms(monkeypatch):
     assert calls["planned"] and len(trace) == 3
     assert calls["during"] > 0  # the counters see the planning
     assert calls["after"] == 0
+
+
+def test_non_finite_chunk_loss_stops_training(monkeypatch):
+    rng = np.random.default_rng(22)
+    graphs = [random_graph(rng, n, 3, label=i % 2,
+                           provenance=A if i % 2 else N)
+              for i, n in enumerate((3, 5, 4, 6))]
+    objective = detector_module._objective
+
+    def diverging(*args):
+        loss, components = objective(*args)
+        return loss * np.nan, components
+
+    monkeypatch.setattr(detector_module, "_objective", diverging)
+    with pytest.raises(TrainingDivergedError, match="epoch 0"):
+        train_detector(graphs, TOY, TrainConfig(epochs=2, chunk_size=2),
+                       np.random.default_rng(0))
 
 
 def test_planned_chunks_hold_no_padded_batch():

@@ -7,7 +7,7 @@ import pytest
 
 from gladcf.errors import ConfigError, SizeError
 from gladcf.graphs import (Graph, GraphDataset, Provenance, make_graph,
-                           pad_batch, size_chunks, stratified_kfold)
+                           padded_chunks, pad_batch, stratified_kfold)
 
 from util import path_adjacency, random_graph
 
@@ -39,6 +39,12 @@ def test_graph_validation():
         Graph(adjacency=path_adjacency(3), node_features=np.zeros((3, 1)),
               degrees=np.zeros(3), label=0,
               provenance=Provenance.ORIGINAL_NORMAL)
+    for bad in (np.nan, np.inf, -np.inf):
+        features = np.zeros((3, 2))
+        features[1, 0] = bad
+        with pytest.raises(ConfigError, match="finite"):
+            make_graph(path_adjacency(3), features, 0,
+                       Provenance.ORIGINAL_NORMAL)
 
 
 def test_graph_arrays_are_immutable():
@@ -163,8 +169,13 @@ def test_size_chunks_order_by_size_then_index():
     rng = np.random.default_rng(6)
     sizes = [5, 3, 5, 2, 3, 7, 2]
     graphs = [random_graph(rng, n, 1) for n in sizes]
-    chunks = size_chunks(graphs, 3)
-    assert [c.tolist() for c in chunks] == [[3, 6, 1], [4, 0, 2], [5]]
-    for chunk in chunks:
-        assert sizes[chunk[-1]] == max(sizes[i] for i in chunk)
-    assert size_chunks([], 3) == []
+    chunks = list(padded_chunks(graphs, 3))
+    assert [idx.tolist() for idx, _ in chunks] == [[3, 6, 1], [4, 0, 2], [5]]
+    for idx, batch in chunks:
+        assert batch.size == len(idx)
+        assert batch.n_max == sizes[idx[-1]] == max(sizes[i] for i in idx)
+        for row, i in enumerate(idx):
+            n = sizes[i]
+            np.testing.assert_array_equal(batch.adjacency_stack[row, :n, :n],
+                                          graphs[i].adjacency)
+    assert list(padded_chunks([], 3)) == []
