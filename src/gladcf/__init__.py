@@ -25,7 +25,7 @@ from .detector import (DetectorConfig, DetectorParams, TrainConfig,
 from .experiment import (DEFAULT_BETA_SWEEP, VARIANTS, EvalReport,
                          ExperimentConfig, compute_auc, config_hash,
                          export_score_histogram, load_dataset, load_report,
-                         run_cv, sweep_beta, validate_report, write_report,
+                         run_cv, validate_report, write_report,
                          write_scores_csv)
 
 __all__ = [
@@ -51,7 +51,7 @@ __all__ = [
     "decide", "save_checkpoint", "load_checkpoint",
     # experiments
     "ExperimentConfig", "EvalReport", "VARIANTS", "DEFAULT_BETA_SWEEP",
-    "compute_auc", "config_hash", "run_cv", "sweep_beta", "load_dataset",
+    "compute_auc", "config_hash", "run_cv", "load_dataset",
     "export_score_histogram", "validate_report", "write_report",
     "write_scores_csv", "load_report",
 ]

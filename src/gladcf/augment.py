@@ -19,6 +19,7 @@ defined on the dataset-wide ``n_max`` padding: the columns cut off past
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,8 +76,8 @@ class AugmentConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError(f"epochs must be positive, got {self.epochs}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if self.chunk_size < 1:
             raise ConfigError("chunk_size must be positive")
         _check_thresholds(self.sigma, self.tau)

@@ -33,11 +33,11 @@ from .augment import augment_training_set
 from .detector import load_checkpoint, predict_scores
 from .errors import ConfigError, GladcfError
 from .experiment import (DEFAULT_BETA_SWEEP, ROLE_AUGMENT, VARIANTS,
-                         ExperimentConfig, compute_auc, config_hash,
-                         export_score_histogram, fold_rng, load_dataset,
-                         load_report, run_cv, sweep_beta, write_histogram_csv,
-                         write_report, write_scores_csv, write_sweep_csv)
-from .graphs import stratified_kfold
+                         EvalReport, ExperimentConfig, compute_auc,
+                         config_hash, export_score_histogram, fold_rng,
+                         load_dataset, load_report, run_cv, write_csv,
+                         write_report, write_scores_csv)
+from .graphs import GraphDataset, stratified_kfold
 from .tu import dataset_stats, write_tu_dataset
 
 logger = logging.getLogger(__name__)
@@ -116,15 +116,48 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
             merged[name] = value
     if "dataset" not in merged:
         raise ConfigError("a dataset is required (--dataset or config file)")
-    valid = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    return ExperimentConfig(**{k: v for k, v in merged.items() if k in valid})
+    return ExperimentConfig(**merged)
 
 
-def _run_dir(args: argparse.Namespace, config: ExperimentConfig) -> Path:
-    explicit = getattr(args, "run_dir", None)
-    if explicit:
-        return Path(explicit)
+def _run_dir(args: argparse.Namespace,
+             config: ExperimentConfig | None = None) -> Path:
+    """``--run-dir`` when given, else ``OUT/DATASET/CONFIG_HASH``; the config
+    is built from the arguments only when the hash is needed."""
+    if getattr(args, "run_dir", None):
+        return Path(args.run_dir)
+    if config is None:
+        config = build_config(args)
     return Path(args.out_dir) / config.dataset / config_hash(config)
+
+
+def _save_run(config: ExperimentConfig, dataset: GraphDataset,
+              run_dir: Path) -> EvalReport:
+    """Cross-validate with fold checkpoints, then write the run directory:
+    ``foldN/detector.npz``, ``report.json`` and ``scores.csv``."""
+    report = run_cv(config, dataset, checkpoint_dir=run_dir)
+    write_report(report, run_dir / "report.json")
+    write_scores_csv(report, run_dir / "scores.csv")
+    return report
+
+
+def _run_grid(args: argparse.Namespace, field: str, values,
+              summary_name: str) -> int:
+    """Save one run per value of a config field, then a
+    ``FIELD,mean_auc,std_auc`` summary; a ``None`` value is the full model."""
+    base = build_config(args)
+    # every grid config is built, and so checked, before any training
+    configs = [dataclasses.replace(base, **{field: value}) for value in values]
+    dataset = load_dataset(base)
+    rows = []
+    for value, config in zip(values, configs):
+        report = _save_run(config, dataset, _run_dir(args, config))
+        rows.append({field: "full" if value is None else value,
+                     "mean_auc": report.mean_auc, "std_auc": report.std_auc})
+    summary_path = Path(args.out_dir) / base.dataset / summary_name
+    write_csv(summary_path, [field, "mean_auc", "std_auc"], rows)
+    print(json.dumps({"summary": str(summary_path), "results": rows},
+                     sort_keys=True, indent=2))
+    return 0
 
 
 # -- subcommand implementations -------------------------------------------------
@@ -178,11 +211,8 @@ def _cmd_augment(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     config = build_config(args)
-    dataset = load_dataset(config)
     run_dir = _run_dir(args, config)
-    report = run_cv(config, dataset, checkpoint_dir=run_dir)
-    write_report(report, run_dir / "report.json")
-    write_scores_csv(report, run_dir / "scores.csv")
+    report = _save_run(config, load_dataset(config), run_dir)
     print(json.dumps({
         "dataset": report.dataset,
         "config_hash": report.config_hash,
@@ -195,10 +225,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    if getattr(args, "run_dir", None):
-        run_dir = Path(args.run_dir)
-    else:
-        run_dir = _run_dir(args, build_config(args))
+    run_dir = _run_dir(args)
     report = load_report(run_dir / "report.json")
     # rebuild the exact configuration the run used; only the data location
     # may be overridden, since the data may have moved between machines
@@ -243,70 +270,30 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
-    config = build_config(args)
-    dataset = load_dataset(config)
-    variants: list[str | None] = [None]
-    variants += [args.variant] if args.variant else list(VARIANTS)
-    rows = []
-    for variant in variants:
-        run_config = dataclasses.replace(config, variant=variant)
-        run_dir = Path(args.out_dir) / config.dataset / config_hash(run_config)
-        report = run_cv(run_config, dataset, checkpoint_dir=run_dir)
-        write_report(report, run_dir / "report.json")
-        write_scores_csv(report, run_dir / "scores.csv")
-        rows.append((variant or "full", report.mean_auc, report.std_auc))
-    summary_path = Path(args.out_dir) / config.dataset / "ablation_summary.csv"
-    lines = ["variant,mean_auc,std_auc"]
-    lines += [f"{name},{mean!r},{std!r}" for name, mean, std in rows]
-    summary_path.parent.mkdir(parents=True, exist_ok=True)
-    summary_path.write_text("\n".join(lines) + "\n", "utf-8")
-    print(json.dumps({"summary": str(summary_path),
-                      "results": [{"variant": n, "mean_auc": m, "std_auc": s}
-                                  for n, m, s in rows]},
-                     sort_keys=True, indent=2))
-    return 0
+    variants = [None] + ([args.variant] if args.variant else list(VARIANTS))
+    return _run_grid(args, "variant", variants, "ablation_summary.csv")
 
 
 def _cmd_sweep_beta(args: argparse.Namespace) -> int:
-    config = build_config(args)
-    dataset = load_dataset(config)
+    values = DEFAULT_BETA_SWEEP
     if args.beta_values:
         try:
-            values = tuple(float(v) for v in args.beta_values.split(","))
+            values = [float(v) for v in args.beta_values.split(",")]
         except ValueError as exc:
             raise ConfigError(f"bad --beta-values: {exc}")
-    else:
-        values = DEFAULT_BETA_SWEEP
-    results = sweep_beta(config, dataset, values=values)
-    for beta, report in results:
-        run_dir = (Path(args.out_dir) / config.dataset /
-                   report.config_hash)
-        write_report(report, run_dir / "report.json")
-    summary_path = Path(args.out_dir) / config.dataset / "sweep_summary.csv"
-    write_sweep_csv(results, summary_path)
-    print(json.dumps({
-        "summary": str(summary_path),
-        "results": [{"beta": beta, "mean_auc": report.mean_auc,
-                     "std_auc": report.std_auc} for beta, report in results],
-    }, sort_keys=True, indent=2))
-    return 0
+    return _run_grid(args, "beta", values, "sweep_summary.csv")
 
 
 def _cmd_plot_scores(args: argparse.Namespace) -> int:
-    if getattr(args, "report", None):
+    if args.report:
         report_path = Path(args.report)
-        out_base = report_path.parent
     else:
-        if getattr(args, "run_dir", None):
-            run_dir = Path(args.run_dir)
-        else:
-            run_dir = _run_dir(args, build_config(args))
-        report_path = run_dir / "report.json"
-        out_base = run_dir
+        report_path = _run_dir(args) / "report.json"
+    out_base = report_path.parent
     report = load_report(report_path)
     histogram = export_score_histogram(report, bins=args.bins)
     csv_path = out_base / "score_histogram.csv"
-    write_histogram_csv(histogram, csv_path)
+    write_csv(csv_path, list(histogram[0]), histogram)
     rendered = None
     if args.render:
         rendered = str(out_base / "score_histogram.png")

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -330,6 +331,9 @@ class TrainConfig:
     include_abnormal_term: bool = True
 
     def __post_init__(self):
+        if not (math.isfinite(self.lr) and math.isfinite(self.beta)):
+            raise ConfigError(f"lr and beta must be finite, got {self.lr} "
+                              f"and {self.beta}")
         if self.epochs < 1 or self.lr <= 0 or self.chunk_size < 1:
             raise ConfigError("epochs, lr, and chunk_size must be positive")
         if self.beta < 0:

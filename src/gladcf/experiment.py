@@ -1,6 +1,5 @@
 """Evaluation protocol: stratified cross-validation with per-fold
-augmentation, rank-based AUC, ablation variants, beta sweeps, and JSON/CSV
-artifacts.
+augmentation, rank-based AUC, ablation variants, and JSON/CSV artifacts.
 
 Randomness is derived from one master seed through numpy seed-sequence spawn
 keys ``[master, fold, role]``, so every fold is independently reproducible
@@ -15,7 +14,7 @@ import logging
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -172,15 +171,10 @@ def compute_auc(scores: Array, labels: Array) -> float:
     if n_abnormal == 0 or n_normal == 0:
         raise MetricError(
             f"AUC undefined: {n_normal} normal / {n_abnormal} abnormal scores")
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores))
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0  # midrank, 1-based
-        i = j + 1
+    _, group, counts = np.unique(scores, return_inverse=True,
+                                 return_counts=True)
+    # a tie group ending at 1-based rank `end` holds ranks end-count+1..end
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
     rank_sum = ranks[labels == 1].sum()
     u_statistic = rank_sum - n_abnormal * (n_abnormal + 1) / 2.0
     return float(u_statistic / (n_abnormal * n_normal))
@@ -190,13 +184,35 @@ def compute_auc(scores: Array, labels: Array) -> float:
 
 REPORT_VERSION = 1
 
+
+@dataclass
+class EvalReport:
+    dataset: str
+    config: dict
+    config_hash: str
+    fold_aucs: list[float]
+    mean_auc: float
+    std_auc: float
+    scores: list[dict]
+    fold_seconds: list[float]
+    total_seconds: float
+    generated_per_fold: list[int]
+    created_at: str
+    format_version: int = REPORT_VERSION
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "EvalReport":
+        validate_report(payload)
+        return cls(**payload)
+
+
 # JSON-schema rendering of the report contract, for external validators.
 REPORT_SCHEMA = {
     "type": "object",
-    "required": ["format_version", "dataset", "config", "config_hash",
-                 "fold_aucs", "mean_auc", "std_auc", "scores",
-                 "fold_seconds", "total_seconds", "generated_per_fold",
-                 "created_at"],
+    "required": [f.name for f in fields(EvalReport)],
     "properties": {
         "format_version": {"const": REPORT_VERSION},
         "dataset": {"type": "string"},
@@ -228,30 +244,6 @@ REPORT_SCHEMA = {
         "created_at": {"type": "string"},
     },
 }
-
-
-@dataclass
-class EvalReport:
-    dataset: str
-    config: dict
-    config_hash: str
-    fold_aucs: list[float]
-    mean_auc: float
-    std_auc: float
-    scores: list[dict]
-    fold_seconds: list[float]
-    total_seconds: float
-    generated_per_fold: list[int]
-    created_at: str
-    format_version: int = REPORT_VERSION
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "EvalReport":
-        validate_report(payload)
-        return cls(**payload)
 
 
 def validate_report(payload: dict) -> None:
@@ -391,19 +383,7 @@ def _run_fold_star(job) -> dict:
     return _run_fold(*job)
 
 
-# -- sweeps and histograms ------------------------------------------------------
-
-
-def sweep_beta(config: ExperimentConfig, dataset: GraphDataset | None = None,
-               values=DEFAULT_BETA_SWEEP) -> list[tuple[float, EvalReport]]:
-    """Re-run the full CV for each beta; the same master seed fixes splits."""
-    if dataset is None:
-        dataset = load_dataset(config)
-    out = []
-    for beta in values:
-        report = run_cv(replace(config, beta=float(beta)), dataset)
-        out.append((float(beta), report))
-    return out
+# -- histograms -----------------------------------------------------------------
 
 
 def export_score_histogram(report: EvalReport, bins: int = 20) -> list[dict]:
@@ -439,31 +419,18 @@ def load_report(path: str | Path) -> EvalReport:
     return EvalReport.from_dict(json.loads(Path(path).read_text("utf-8")))
 
 
+def write_csv(path: str | Path, columns: list[str], rows: list[dict]) -> None:
+    """A header, then one line per dict; floats by ``repr`` so they
+    round-trip."""
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(repr(v) if isinstance(v, float) else str(v)
+                              for v in (row[c] for c in columns)))
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def write_scores_csv(report: EvalReport, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["graph_id,fold,label,provenance,score,decision"]
-    for row in report.scores:
-        lines.append(f"{row['graph_id']},{row['fold']},{row['label']},"
-                     f"{row['provenance']},{row['score']!r},{row['decision']}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def write_histogram_csv(histogram: list[dict], path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["bin_index,bin_lo,bin_hi,normal_count,abnormal_count"]
-    for row in histogram:
-        lines.append(f"{row['bin_index']},{row['bin_lo']!r},{row['bin_hi']!r},"
-                     f"{row['normal_count']},{row['abnormal_count']}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def write_sweep_csv(results: list[tuple[float, EvalReport]],
-                    path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["beta,mean_auc,std_auc"]
-    for beta, report in results:
-        lines.append(f"{beta!r},{report.mean_auc!r},{report.std_auc!r}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(path, REPORT_SCHEMA["properties"]["scores"]["items"]["required"],
+              report.scores)

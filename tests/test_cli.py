@@ -2,14 +2,16 @@
 on-disk TU dataset; exit codes, artifacts, and option precedence are all
 checked through the public entry point."""
 
+import dataclasses
 import json
+import logging
 
 import numpy as np
 import pytest
 
-from gladcf.cli import build_config, build_parser, main
+from gladcf.cli import _CONFIG_FIELDS, build_config, build_parser, main
 from gladcf.errors import ConfigError
-from gladcf.experiment import load_report
+from gladcf.experiment import ExperimentConfig, load_report
 from gladcf.graphs import Provenance, make_graph
 from gladcf.tu import load_tu_dataset, write_tu_dataset
 from util import ring_adjacency
@@ -44,6 +46,13 @@ def base_args(data_dir):
             "--cf-lr", "0.05", "--cf-epochs", "4",
             "--hidden1", "8", "--hidden2", "6", "--reduce-dim", "8",
             "--chunk-size", "16"]
+
+
+def assert_eval_verifies(run_dir, data_dir, capsys):
+    capsys.readouterr()
+    rc = main(["eval", "--run-dir", str(run_dir), "--data-dir", str(data_dir)])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["verified"] is True
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +109,12 @@ def test_config_file_merges_under_flags(tmp_path, data_dir):
     args = parser.parse_args(["ingest", "--config", str(config_path),
                               "--beta", "0.9"])
     assert build_config(args).beta == 0.9
+
+
+def test_config_flags_are_exactly_the_config_fields():
+    # build_config passes every merged option straight to ExperimentConfig
+    assert set(_CONFIG_FIELDS) == {
+        f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
 def test_config_file_rejects_garbage(tmp_path):
@@ -208,6 +223,12 @@ def test_ablate_single_variant(data_dir, tmp_path, capsys):
     assert [line.split(",")[0] for line in summary[1:]] == ["full", "no_awlm"]
     result = json.loads(capsys.readouterr().out)
     assert {r["variant"] for r in result["results"]} == {"full", "no_awlm"}
+    # every variant left a full run directory that eval can verify
+    run_dirs = [p for p in (tmp_path / "TOY").iterdir() if p.is_dir()]
+    assert len(run_dirs) == 2
+    for run_dir in run_dirs:
+        assert (run_dir / "scores.csv").is_file()
+        assert_eval_verifies(run_dir, data_dir, capsys)
 
 
 def test_sweep_beta_subcommand(data_dir, tmp_path, capsys):
@@ -220,9 +241,32 @@ def test_sweep_beta_subcommand(data_dir, tmp_path, capsys):
     assert len(summary) == 3
     result = json.loads(capsys.readouterr().out)
     assert [r["beta"] for r in result["results"]] == [0.5, 1.0]
-    # each beta left a full report behind
-    report_dirs = [p for p in (tmp_path / "TOY").iterdir() if p.is_dir()]
-    assert len(report_dirs) == 2
+    # each beta left a full run directory behind, under its own hash
+    run_dirs = [p for p in (tmp_path / "TOY").iterdir() if p.is_dir()]
+    assert len(run_dirs) == 2
+    reports = {}
+    for run_dir in run_dirs:
+        report = load_report(run_dir / "report.json")
+        assert report.config_hash == run_dir.name
+        reports[report.config["beta"]] = report
+        assert (run_dir / "scores.csv").is_file()
+        assert_eval_verifies(run_dir, data_dir, capsys)
+    assert sorted(reports) == [0.5, 1.0]
+    for line in summary[1:]:
+        beta, mean_auc, std_auc = line.split(",")
+        assert float(mean_auc) == reports[float(beta)].mean_auc
+        assert float(std_auc) == reports[float(beta)].std_auc
+
+
+def test_sweep_beta_rejects_bad_value_before_training(data_dir, tmp_path,
+                                                      capsys, caplog):
+    caplog.set_level(logging.INFO, logger="gladcf")
+    rc = main(["sweep-beta"] + base_args(data_dir) +
+              ["--out-dir", str(tmp_path), "--beta-values", "0.6,-1"])
+    capsys.readouterr()
+    assert rc == 2
+    assert not any("fold CV" in r.getMessage() for r in caplog.records)
+    assert not (tmp_path / "TOY").exists()
 
 
 def test_plot_scores_writes_histogram(trained_run, capsys):

@@ -1,6 +1,6 @@
 """Protocol tests: the rank metric against exhaustive pair counting,
 cross-validation integrity, determinism (serial and parallel), report and
-CSV artifacts, sweeps, and histograms."""
+CSV artifacts, the beta grid, and histograms."""
 
 import json
 import logging
@@ -13,9 +13,9 @@ from gladcf.errors import ConfigError, MetricError
 from gladcf.experiment import (DEFAULT_BETA_SWEEP, REPORT_SCHEMA,
                                EvalReport, ExperimentConfig, compute_auc,
                                config_hash, export_score_histogram, fold_rng,
-                               load_dataset, load_report, run_cv, sweep_beta,
-                               validate_report, write_histogram_csv,
-                               write_report, write_scores_csv, write_sweep_csv)
+                               load_dataset, load_report, run_cv,
+                               validate_report, write_csv, write_report,
+                               write_scores_csv)
 from gladcf.graphs import Provenance, make_graph
 from gladcf.tu import (FeatureConfig, FeatureMode, build_features,
                        write_tu_dataset)
@@ -125,7 +125,10 @@ def test_config_validation():
     for field, value in (("threshold", 1.5), ("hidden1", 0), ("epochs", 0),
                          ("lr", -1.0), ("cf_epochs", 0), ("cf_lr", 0.0),
                          ("chunk_size", 0), ("beta", -1.0), ("sigma", 1.5),
-                         ("tau", 0.0)):
+                         ("tau", 0.0), ("lr", float("nan")),
+                         ("lr", float("inf")), ("beta", float("nan")),
+                         ("beta", float("inf")), ("cf_lr", float("nan")),
+                         ("cf_lr", float("inf"))):
         with pytest.raises(ConfigError):
             ExperimentConfig(dataset="X", **{field: value})
 
@@ -339,10 +342,22 @@ def test_histogram_counts_and_edges(tmp_path):
     total = sum(h["normal_count"] + h["abnormal_count"] for h in histogram)
     assert total == len(rows)
     path = tmp_path / "hist.csv"
-    write_histogram_csv(histogram, path)
+    write_csv(path, list(histogram[0]), histogram)
     lines = path.read_text().splitlines()
     assert lines[0] == "bin_index,bin_lo,bin_hi,normal_count,abnormal_count"
     assert len(lines) == 21
+
+
+def test_csv_writer_format(tmp_path):
+    path = tmp_path / "rows.csv"
+    rows = [{"name": "full", "count": 3, "value": 1 / 3},
+            {"name": "x", "count": 0, "value": 0.1}]
+    write_csv(path, ["name", "count", "value"], rows)
+    assert path.read_text() == ("name,count,value\n"
+                                "full,3,0.3333333333333333\n"
+                                "x,0,0.1\n")
+    write_csv(path, ["value", "name"], rows)
+    assert path.read_text() == "value,name\n0.3333333333333333,full\n0.1,x\n"
 
 
 def test_histogram_conserves_real_scores():
@@ -353,7 +368,7 @@ def test_histogram_conserves_real_scores():
     assert total == len(report.scores)
 
 
-# -- sweeps ---------------------------------------------------------------------
+# -- beta grid ------------------------------------------------------------------
 
 
 def test_default_beta_grid():
@@ -362,25 +377,6 @@ def test_default_beta_grid():
     assert len(DEFAULT_BETA_SWEEP) == 11
     steps = np.diff(DEFAULT_BETA_SWEEP)
     assert np.allclose(steps, 0.2)
-
-
-def test_sweep_beta_runs_each_value(tmp_path):
-    dataset = separable_dataset()
-    results = sweep_beta(fast_config(epochs=5), dataset, values=(0.5, 1.0))
-    assert [beta for beta, _ in results] == [0.5, 1.0]
-    for beta, report in results:
-        assert report.config["beta"] == beta
-    # distinct betas hash to distinct run directories
-    hashes = {report.config_hash for _, report in results}
-    assert len(hashes) == 2
-    path = tmp_path / "sweep.csv"
-    write_sweep_csv(results, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "beta,mean_auc,std_auc"
-    assert len(lines) == 3
-    beta, mean_auc, std_auc = lines[1].split(",")
-    assert float(beta) == 0.5
-    assert float(mean_auc) == results[0][1].mean_auc
 
 
 # -- dataset loading ------------------------------------------------------------
