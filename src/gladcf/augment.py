@@ -220,11 +220,13 @@ def counterfactual_loss(pair: PerturbationPair, probe: GCNLayerParams,
 
     smooth_adj = perturb_structure(pair, adjacency_stack, hard=False)
     smooth_feats = mask_features(pair, chunk.readout.inputs, hard=False)
-    target = np.zeros(smooth_adj.shape)
-    target[..., :width, :] = adjacency_stack
-    diff = Tensor(target) - smooth_adj
+    # ‖A − S[:w]‖² + ‖S[w:]‖²: past row w the padded adjacency is all zero
+    top = ad.block(smooth_adj, width, width)
+    below = ad.block(smooth_adj, n_max - width, width, first_row=width)
+    diff = Tensor(adjacency_stack) - top
     structure_dist = ad.sqrt(
-        ad.tsum(diff * diff, axis=(-2, -1)) + cut_distance)
+        ad.tsum(diff * diff, axis=(-2, -1))
+        + ad.tsum(below * below, axis=(-2, -1)) + cut_distance)
     gate = ad.sigmoid(pair.mask_logits)
     gate_norm = ad.sqrt(ad.tsum(gate * gate))
     closeness = structure_dist - gate_norm
@@ -232,7 +234,7 @@ def counterfactual_loss(pair: PerturbationPair, probe: GCNLayerParams,
     clamped = bool((original < PROBABILITY_FLOOR).any())
     p_structure = _distribution(probe, plan_readout(
         1, chunk.readout.inputs, normalize_adjacency(
-            ad.block(smooth_adj, width, width), chunk.readout.mask,
+            top, chunk.readout.mask,
             extra_degree=cut_degree), chunk.readout.mask))
     p_features = _distribution(probe, chunk.readout.with_inputs(smooth_feats))
     clamped = clamped or bool((p_structure.data < PROBABILITY_FLOOR).any())

@@ -457,17 +457,19 @@ def reshape(t: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _node(data, (t,), backward)
 
 
-def block(t: Tensor, rows: int, cols: int) -> Tensor:
-    """The leading ``rows × cols`` block of the last two axes (a view).
+def block(t: Tensor, rows: int, cols: int, first_row: int = 0) -> Tensor:
+    """A ``rows × cols`` block of the last two axes (a view): the rows from
+    ``first_row`` on and the leading columns.
 
     The backward pass zero-fills the cropped-off rows and columns.
     """
     t = _as_tensor(t)
-    data = t.data[..., :rows, :cols]
+    kept = slice(first_row, first_row + rows)
+    data = t.data[..., kept, :cols]
 
     def backward(g: Array) -> None:
         full = np.zeros(t.shape)
-        full[..., :rows, :cols] = g
+        full[..., kept, :cols] = g
         t._accumulate(full)
 
     return _node(data, (t,), backward)

@@ -56,7 +56,7 @@ class Graph:
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise SizeError(f"adjacency must be square, got {adj.shape}")
         n = adj.shape[0]
-        if not np.isin(adj, (0.0, 1.0)).all():
+        if not ((adj == 0.0) | (adj == 1.0)).all():
             raise ConfigError("adjacency entries must be 0 or 1")
         if not np.array_equal(adj, adj.T):
             raise ConfigError("adjacency must be symmetric")

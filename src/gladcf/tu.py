@@ -7,12 +7,27 @@ The on-disk layout is the usual benchmark-collection triple::
     <DS>_graph_labels.txt     integer label per graph line
 
 plus an optional ``<DS>_node_labels.txt`` that is ignored unless asked for.
-Edges are symmetrized; self-loops and duplicate edges are dropped.
+Edges are symmetrized; self-loops and duplicate edges are dropped. A graph's
+nodes need not be contiguous in the indicator file: they are numbered within
+their graph in order of appearance.
+
+Every file is ASCII text of comma-separated decimal integers that fit in
+int64, one record per line, with optional spaces or tabs around each value.
+Lines may end in LF, CRLF or CR; blank and whitespace-only lines are skipped.
+Each file is parsed in one ``np.loadtxt`` pass, so Python-only integer
+spellings such as ``1_000`` are rejected. Bad input raises
+:class:`~gladcf.errors.TuFormatError` naming the file and, for a fault on
+one line, the first such line by its number in the file: a non-ASCII byte,
+a line that does not parse, a graph id outside the declared graphs, an
+edge endpoint outside ``1..num_nodes``, an edge whose endpoints lie in
+different graphs. A file is parsed whole before its values are checked, so
+a parse fault is reported before a range fault on an earlier line.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -44,23 +59,101 @@ class FeatureConfig:
 # -- loading -------------------------------------------------------------------
 
 
-def _read_lines(path: Path) -> list[tuple[int, str]]:
+def _split_lines(text: str) -> list[str]:
+    """Split as a text-mode file read does: LF, CRLF and CR each end a line."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def _parse(lines: list[str], columns: int) -> Array | None:
+    """The ``(len(lines), columns)`` int64 table, or None if a line is bad."""
+    try:
+        table = np.loadtxt(lines, delimiter=",", dtype=np.int64, ndmin=2,
+                           comments=None)
+    except ValueError:
+        return None
+    return table if table.shape[1] == columns else None
+
+
+def _bad_line(path: Path, lineno: int, text: str,
+              columns: int) -> TuFormatError:
+    """The error for a line ``_parse`` rejects, naming what it expected."""
+    parts = text.split(",")
+    if len(parts) != columns:
+        expected = "'u, v'" if columns == 2 else "an integer"
+        return TuFormatError(
+            f"{path}:{lineno}: expected {expected}, got {text!r}")
+    token = next((p.strip() for p in parts
+                  if not p.strip() or _parse([p], 1) is None), text)
+    return TuFormatError(
+        f"{path}:{lineno}: expected an integer, got {token!r}")
+
+
+def _read_table(path: Path, columns: int) -> tuple[Array, Array]:
+    """Parse a file of comma-separated integers into an ``(m, columns)`` table.
+
+    Blank and whitespace-only lines are skipped; the second value holds the
+    file line number (1-based) of each table row. The first bad line raises
+    :class:`TuFormatError`.
+    """
     if not path.is_file():
         raise FileNotFoundError(f"missing dataset file: {path}")
-    out = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if text:
-                out.append((lineno, text))
-    return out
-
-
-def _parse_int(path: Path, lineno: int, text: str) -> int:
+    data = path.read_bytes()
     try:
-        return int(text)
-    except ValueError:
-        raise TuFormatError(f"{path}:{lineno}: expected an integer, got {text!r}")
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        lineno = len(_split_lines(data[:exc.start].decode("ascii")))
+        raise TuFormatError(
+            f"{path}:{lineno}: expected ASCII text, got byte "
+            f"0x{data[exc.start]:02x}") from None
+    lines = _split_lines(text)
+    kept = [bool(line.strip()) for line in lines]
+    rows = list(itertools.compress(lines, kept))
+    linenos = np.flatnonzero(kept) + 1
+    if not rows:
+        return np.empty((0, columns), dtype=np.int64), linenos
+    table = _parse(rows, columns)
+    if table is None:
+        # the first bad row ends the shortest prefix that fails to parse
+        good, bad = 0, len(rows)
+        while bad - good > 1:
+            middle = (good + bad) // 2
+            if _parse(rows[:middle], columns) is None:
+                bad = middle
+            else:
+                good = middle
+        raise _bad_line(path, linenos[good], rows[good].strip(), columns)
+    return table, linenos
+
+
+def _edge_cells(path: Path, graph_of: Array, local_index: Array,
+                sizes: Array) -> list[Array]:
+    """Read and check the edge file; per graph, the flat indices of its
+    adjacency cells, both orientations of every edge but no self-loops."""
+    edges, linenos = _read_table(path, 2)
+    num_nodes = len(graph_of)
+    outside = (edges < 1) | (edges > num_nodes)
+    nodes = np.where(outside, 1, edges) - 1
+    ends = graph_of[nodes]
+    faulty = outside.any(axis=1) | (ends[:, 0] != ends[:, 1])
+    if faulty.any():
+        row = int(faulty.argmax())
+        u, v = edges[row]
+        if outside[row].any():
+            endpoint = u if outside[row, 0] else v
+            raise TuFormatError(
+                f"{path}:{linenos[row]}: node id {endpoint} out of range "
+                f"1..{num_nodes}")
+        raise TuFormatError(
+            f"{path}:{linenos[row]}: edge ({u}, {v}) crosses graphs "
+            f"{ends[row, 0] + 1} and {ends[row, 1] + 1}")
+    nodes = nodes[nodes[:, 0] != nodes[:, 1]]
+    pairs = np.concatenate([nodes, nodes[:, ::-1]])
+    owner = graph_of[pairs[:, 0]]
+    order = np.argsort(owner, kind="stable")
+    pairs, owner = pairs[order], owner[order]
+    cells = local_index[pairs[:, 0]] * sizes[owner] + local_index[pairs[:, 1]]
+    bounds = np.cumsum(np.bincount(owner, minlength=len(sizes)))[:-1]
+    return np.split(cells, bounds)
 
 
 def load_tu_dataset(directory: str | Path, anomaly_label_value: int = 1,
@@ -79,88 +172,57 @@ def load_tu_dataset(directory: str | Path, anomaly_label_value: int = 1,
     indicator_path = directory / f"{name}_graph_indicator.txt"
     labels_path = directory / f"{name}_graph_labels.txt"
 
-    raw_labels = [
-        _parse_int(labels_path, lineno, text)
-        for lineno, text in _read_lines(labels_path)
-    ]
+    raw_labels = _read_table(labels_path, 1)[0][:, 0]
     num_graphs = len(raw_labels)
     if num_graphs == 0:
         raise TuFormatError(f"{labels_path}: no graph labels found")
 
-    indicator: list[int] = []
-    for lineno, text in _read_lines(indicator_path):
-        gid = _parse_int(indicator_path, lineno, text)
-        if not 1 <= gid <= num_graphs:
-            raise TuFormatError(
-                f"{indicator_path}:{lineno}: node assigned to graph {gid}, "
-                f"but only {num_graphs} graphs are declared")
-        indicator.append(gid)
-    num_nodes = len(indicator)
+    table, linenos = _read_table(indicator_path, 1)
+    outside = (table[:, 0] < 1) | (table[:, 0] > num_graphs)
+    if outside.any():
+        row = int(outside.argmax())
+        raise TuFormatError(
+            f"{indicator_path}:{linenos[row]}: node assigned to graph "
+            f"{table[row, 0]}, but only {num_graphs} graphs are declared")
+    graph_of = table[:, 0] - 1  # 0-based graph of each node
+    num_nodes = len(graph_of)
     if num_nodes == 0:
         raise TuFormatError(f"{indicator_path}: no nodes found")
+    sizes = np.bincount(graph_of, minlength=num_graphs)
+    if not sizes.all():
+        raise TuFormatError(f"{indicator_path}: graph "
+                            f"{int(np.argmin(sizes)) + 1} has no nodes")
+    # Each node's local index is its rank within its graph, by order of
+    # appearance: a stable sort groups the nodes graph by graph.
+    by_graph = np.argsort(graph_of, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    local_index = np.empty(num_nodes, dtype=np.int64)
+    local_index[by_graph] = np.arange(num_nodes) - starts[graph_of[by_graph]]
 
-    # Map each global node id to (graph, local index), by order of appearance.
-    local_index = np.zeros(num_nodes, dtype=np.int64)
-    sizes = np.zeros(num_graphs, dtype=np.int64)
-    for node, gid in enumerate(indicator):
-        local_index[node] = sizes[gid - 1]
-        sizes[gid - 1] += 1
-    for gid, n in enumerate(sizes, start=1):
-        if n == 0:
-            raise TuFormatError(
-                f"{indicator_path}: graph {gid} has no nodes")
+    cells_per_graph = _edge_cells(edges_path, graph_of, local_index, sizes)
+    adjacencies = []
+    for n, cells in zip(sizes, cells_per_graph):
+        adjacency = np.zeros((n, n))
+        adjacency.reshape(-1)[cells] = 1.0
+        adjacencies.append(adjacency)
 
-    adjacencies = [np.zeros((n, n)) for n in sizes]
-    for lineno, text in _read_lines(edges_path):
-        parts = [p.strip() for p in text.split(",")]
-        if len(parts) != 2:
-            raise TuFormatError(
-                f"{edges_path}:{lineno}: expected 'u, v', got {text!r}")
-        u = _parse_int(edges_path, lineno, parts[0])
-        v = _parse_int(edges_path, lineno, parts[1])
-        for endpoint in (u, v):
-            if not 1 <= endpoint <= num_nodes:
-                raise TuFormatError(
-                    f"{edges_path}:{lineno}: node id {endpoint} out of range "
-                    f"1..{num_nodes}")
-        gu, gv = indicator[u - 1], indicator[v - 1]
-        if gu != gv:
-            raise TuFormatError(
-                f"{edges_path}:{lineno}: edge ({u}, {v}) crosses graphs "
-                f"{gu} and {gv}")
-        if u == v:
-            continue  # self-loops dropped
-        a = adjacencies[gu - 1]
-        lu, lv = local_index[u - 1], local_index[v - 1]
-        a[lu, lv] = 1.0
-        a[lv, lu] = 1.0
-
-    node_labels_per_graph: list[list[int]] | None = None
+    node_labels_per_graph = [None] * num_graphs
     if include_node_labels:
         nl_path = directory / f"{name}_node_labels.txt"
-        values = [
-            _parse_int(nl_path, lineno, text)
-            for lineno, text in _read_lines(nl_path)
-        ]
+        values = _read_table(nl_path, 1)[0][:, 0]
         if len(values) != num_nodes:
             raise TuFormatError(
                 f"{nl_path}: {len(values)} node labels for {num_nodes} nodes")
-        node_labels_per_graph = [[] for _ in range(num_graphs)]
-        for node, value in enumerate(values):
-            node_labels_per_graph[indicator[node] - 1].append(value)
+        node_labels_per_graph = np.split(values[by_graph], starts[1:])
 
     graphs = []
-    for gid in range(num_graphs):
-        label = 1 if raw_labels[gid] == anomaly_label_value else 0
+    for raw_label, n, adjacency, node_labels in zip(
+            raw_labels, sizes, adjacencies, node_labels_per_graph):
+        label = 1 if raw_label == anomaly_label_value else 0
         provenance = (Provenance.ORIGINAL_ABNORMAL if label == 1
                       else Provenance.ORIGINAL_NORMAL)
-        n = sizes[gid]
-        node_labels = None
-        if node_labels_per_graph is not None:
-            node_labels = np.array(node_labels_per_graph[gid], dtype=np.int64)
-        graphs.append(make_graph(
-            adjacencies[gid], np.zeros((n, 0)), label, provenance,
-            node_labels=node_labels))
+        graphs.append(make_graph(adjacency, np.zeros((n, 0)), label,
+                                 provenance, node_labels=node_labels))
     return graphs
 
 
@@ -183,16 +245,25 @@ def _degree_bin_index(degrees: Array, max_degree: float, num_bins: int) -> Array
 
 
 def _ldp_features(graph: Graph) -> Array:
-    """Per node: own degree plus min/max/mean/std of neighbor degrees."""
-    n = graph.num_nodes
-    feats = np.zeros((n, 5))
-    degs = graph.degrees
-    for i in range(n):
-        neighbors = np.flatnonzero(graph.adjacency[i])
-        if len(neighbors) == 0:
-            continue  # isolated node: all-zero row
-        nd = degs[neighbors]
-        feats[i] = (degs[i], nd.min(), nd.max(), nd.mean(), nd.std())
+    """Per node: own degree plus min/max/mean/std of neighbor degrees.
+
+    The std is the population one, taken about the mean in a second pass;
+    isolated nodes keep an all-zero row.
+    """
+    feats = np.zeros((graph.num_nodes, 5))
+    linked = graph.degrees > 0
+    adjacency = graph.adjacency[linked]
+    degs, counts = graph.degrees, graph.degrees[linked]
+    neighbor = adjacency > 0
+    mean = adjacency @ degs / counts
+    deviation = np.where(neighbor, degs - mean[:, None], 0.0)
+    feats[linked] = np.stack([
+        counts,
+        np.where(neighbor, degs, np.inf).min(axis=1, initial=np.inf),
+        np.where(neighbor, degs, 0.0).max(axis=1, initial=0.0),
+        mean,
+        np.sqrt((deviation * deviation).sum(axis=1) / counts),
+    ], axis=1)
     return feats
 
 

@@ -190,14 +190,18 @@ def test_take_nodes_reorders_and_scatters():
 
 def test_block_crops_and_zero_fills_gradient():
     rng = np.random.default_rng(11)
-    for shape, rows, cols in (((5, 4), 3, 2), ((2, 4, 5), 4, 3)):
+    for shape, rows, cols, first in (((5, 4), 3, 2, 0), ((2, 4, 5), 4, 3, 0),
+                                     ((2, 6, 4), 3, 2, 2)):
         t = leaf(rng, shape)
-        out = ad.block(t, rows, cols)
-        np.testing.assert_array_equal(out.data, t.data[..., :rows, :cols])
+        out = ad.block(t, rows, cols, first_row=first)
+        np.testing.assert_array_equal(
+            out.data, t.data[..., first:first + rows, :cols])
         scale = rng.normal(size=out.shape)
         assert_grads_close(
-            lambda: ad.tsum(ad.sigmoid(ad.block(t, rows, cols)) * scale), [t])
-        assert not t.grad[..., rows:, :].any()
+            lambda: ad.tsum(ad.sigmoid(
+                ad.block(t, rows, cols, first_row=first)) * scale), [t])
+        assert not t.grad[..., :first, :].any()
+        assert not t.grad[..., first + rows:, :].any()
         assert not t.grad[..., :, cols:].any()
 
 

@@ -5,11 +5,13 @@ checked through the public entry point."""
 import dataclasses
 import json
 import logging
+import shutil
 
 import numpy as np
 import pytest
 
-from gladcf.cli import _CONFIG_FIELDS, build_config, build_parser, main
+from gladcf.cli import (_CONFIG_FIELDS, RUNTIME_ERROR, build_config,
+                        build_parser, main)
 from gladcf.errors import ConfigError
 from gladcf.experiment import ExperimentConfig, load_report
 from gladcf.graphs import Provenance, make_graph
@@ -83,6 +85,21 @@ def test_missing_dataset_is_usage_like_runtime_error():
 def test_runtime_errors_exit_2(tmp_path):
     assert main(["ingest", "--dataset", "NOPE",
                  "--data-dir", str(tmp_path)]) == 2
+
+
+def test_non_ascii_byte_is_a_named_runtime_error(data_dir, tmp_path, capsys,
+                                                 caplog):
+    shutil.copytree(data_dir / "TOY", tmp_path / "TOY")
+    edges = tmp_path / "TOY" / "TOY_A.txt"
+    edges.write_bytes(edges.read_bytes().replace(b"\n", b"\xe9\n", 1))
+    caplog.set_level(logging.INFO, logger="gladcf")
+    rc = main(["ingest", "--dataset", "TOY", "--data-dir", str(tmp_path)])
+    assert rc == RUNTIME_ERROR
+    errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+    assert [r.getMessage() for r in errors] == [
+        f"{edges}:1: expected ASCII text, got byte 0xe9"]
+    assert all(r.exc_info is None for r in errors)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_version_and_help_exit_0(capsys):

@@ -21,9 +21,13 @@ def test_graph_validation():
     with pytest.raises(SizeError):
         make_graph(np.zeros((2, 3)), np.zeros((2, 2)), 0,
                    Provenance.ORIGINAL_NORMAL)
-    with pytest.raises(ConfigError):
-        make_graph(np.full((2, 2), 0.5), np.zeros((2, 1)), 0,
-                   Provenance.ORIGINAL_NORMAL)
+    for bad in (0.5, np.nan):
+        with pytest.raises(ConfigError, match="0 or 1"):
+            make_graph(np.full((2, 2), bad), np.zeros((2, 1)), 0,
+                       Provenance.ORIGINAL_NORMAL)
+    # -0.0 equals 0.0, so it passes the binary check
+    assert not make_graph(np.full((2, 2), -0.0), np.zeros((2, 1)), 0,
+                          Provenance.ORIGINAL_NORMAL).adjacency.any()
     asym = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ConfigError):
         make_graph(asym, np.zeros((2, 1)), 0, Provenance.ORIGINAL_NORMAL)

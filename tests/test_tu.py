@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from gladcf.graphs import Provenance, make_graph
 from gladcf.tu import (FeatureConfig, FeatureMode, build_features,
                        dataset_stats, load_tu_dataset, write_tu_dataset)
 
-from util import path_adjacency, write_tu
+from util import path_adjacency, random_adjacency, write_tu
 
 
 def _triangle_plus_edge(tmp_path, labels=(1, 2)):
@@ -73,6 +75,117 @@ def test_load_errors(tmp_path):
     indicator.write_text("1\n1\n7\n1\n1\n")
     with pytest.raises(TuFormatError, match="graph 7"):
         load_tu_dataset(tmp_path, name="TOY")
+
+
+# (file, content, expected message) on the TOY set: graph 1 holds nodes 1..3,
+# graph 2 holds nodes 4..5
+MALFORMED = [
+    ("A", "1, 2\nponies\n", "A.txt:2: expected 'u, v', got 'ponies'"),
+    ("A", "1, 2\n1, pony\n", "A.txt:2: expected an integer, got 'pony'"),
+    ("A", "1 2\n", "A.txt:1: expected 'u, v', got '1 2'"),
+    ("A", "1, 2\n2, 3,\n", "A.txt:2: expected 'u, v', got '2, 3,'"),
+    ("A", "1, 2.0\n", "A.txt:1: expected an integer, got '2.0'"),
+    ("A", "1_000, 2\n", "A.txt:1: expected an integer, got '1_000'"),
+    ("A", "1, 9223372036854775808\n",
+     "A.txt:1: expected an integer, got '9223372036854775808'"),
+    ("A", "1, 2\n1, 99\n", "A.txt:2: node id 99 out of range 1..5"),
+    ("A", "0, 1\n", "A.txt:1: node id 0 out of range 1..5"),
+    ("A", "1, 2\n3, 4\n", "A.txt:2: edge (3, 4) crosses graphs 1 and 2"),
+    ("A", "1, 2\n1, 2\xe9\n", "A.txt:2: expected ASCII text, got byte 0xe9"),
+    ("graph_indicator", "1\n1\n1\n1\n1\n",
+     "graph_indicator.txt: graph 2 has no nodes"),
+    ("graph_indicator", "1\n1\n7\n1\n1\n",
+     "graph_indicator.txt:3: node assigned to graph 7, but only 2 graphs "
+     "are declared"),
+    ("graph_indicator", "1\n1\n0\n2\n2\n",
+     "graph_indicator.txt:3: node assigned to graph 0"),
+    ("graph_indicator", "1\n1\n-9223372036854775808\n2\n2\n",
+     "graph_indicator.txt:3: node assigned to graph -9223372036854775808"),
+    ("graph_indicator", "1\n1\n1\n2\n2.5\n",
+     "graph_indicator.txt:5: expected an integer, got '2.5'"),
+    ("graph_labels", "1\n1_000\n",
+     "graph_labels.txt:2: expected an integer, got '1_000'"),
+    ("graph_labels", "1\n1, 2\n",
+     "graph_labels.txt:2: expected an integer, got '1, 2'"),
+]
+
+
+@pytest.mark.parametrize("suffix,content,message", MALFORMED)
+def test_malformed_file_names_its_line(tmp_path, suffix, content, message):
+    _triangle_plus_edge(tmp_path)
+    (tmp_path / f"TOY_{suffix}.txt").write_bytes(content.encode("latin-1"))
+    with pytest.raises(TuFormatError, match=re.escape(f"TOY_{message}")):
+        load_tu_dataset(tmp_path, name="TOY")
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_line_numbers_count_blank_lines(tmp_path, newline):
+    _triangle_plus_edge(tmp_path)
+    edges = tmp_path / "TOY_A.txt"
+    for lines, message in (
+            (["1, 2", "", "   ", "\t", "2, 3", "bad"],
+             "TOY_A.txt:6: expected 'u, v', got 'bad'"),
+            (["", " ", "1, 2", "", "1, 99"],
+             "TOY_A.txt:5: node id 99 out of range"),
+            (["", "", "", "3, 4"], "TOY_A.txt:4: edge (3, 4) crosses"),
+            (["1, 2", "", "2, 3\xe9"], "TOY_A.txt:3: expected ASCII")):
+        edges.write_bytes(newline.join(lines).encode("latin-1"))
+        with pytest.raises(TuFormatError, match=re.escape(message)):
+            load_tu_dataset(tmp_path, name="TOY")
+
+
+def test_crlf_and_blank_lines_load(tmp_path):
+    plain = load_tu_dataset(_triangle_plus_edge(tmp_path / "lf"), name="TOY")
+    for path in (tmp_path / "lf").iterdir():
+        text = path.read_text().replace("\n", "\r\n")
+        (tmp_path / "crlf").mkdir(exist_ok=True)
+        (tmp_path / "crlf" / path.name).write_text(
+            " \t\r\n\r\n" + text + "\r\n  \r\n", newline="")
+    crlf = load_tu_dataset(tmp_path / "crlf", name="TOY")
+    assert len(crlf) == len(plain)
+    for a, b in zip(plain, crlf):
+        np.testing.assert_array_equal(a.adjacency, b.adjacency)
+        assert a.label == b.label
+
+
+def test_interleaved_indicator_keeps_order_of_appearance(tmp_path):
+    # graph 1 holds nodes 1, 3, 5 and graph 2 nodes 2, 4, in that order
+    (tmp_path / "TOY_graph_indicator.txt").write_text("1\n2\n1\n2\n1\n")
+    (tmp_path / "TOY_graph_labels.txt").write_text("1\n0\n")
+    (tmp_path / "TOY_A.txt").write_text("1, 3\n4, 2\n5, 3\n")
+    (tmp_path / "TOY_node_labels.txt").write_text("10\n20\n11\n21\n12\n")
+    first, second = load_tu_dataset(tmp_path, name="TOY",
+                                    include_node_labels=True)
+    np.testing.assert_array_equal(first.adjacency, path_adjacency(3))
+    np.testing.assert_array_equal(second.adjacency, path_adjacency(2))
+    np.testing.assert_array_equal(first.node_labels, [10, 11, 12])
+    np.testing.assert_array_equal(second.node_labels, [20, 21])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_load_inverts_write(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    sizes = np.concatenate([[1, 60], rng.integers(1, 61, size=20)])
+    graphs = []
+    for n in sizes:
+        adjacency = random_adjacency(rng, int(n), p=rng.uniform(0.0, 0.3))
+        isolated = rng.random(n) < 0.2
+        adjacency[isolated] = 0.0
+        adjacency[:, isolated] = 0.0
+        label = int(rng.integers(2))
+        graphs.append(make_graph(
+            adjacency, np.zeros((n, 0)), label,
+            Provenance.ORIGINAL_ABNORMAL if label
+            else Provenance.ORIGINAL_NORMAL))
+    write_tu_dataset(graphs, tmp_path, "RAND")
+    back = load_tu_dataset(tmp_path, name="RAND")
+    assert len(back) == len(graphs)
+    for orig, loaded in zip(graphs, back):
+        np.testing.assert_array_equal(loaded.adjacency, orig.adjacency)
+        np.testing.assert_array_equal(loaded.degrees, orig.degrees)
+        assert loaded.label == orig.label
+        assert loaded.provenance is orig.provenance
+        assert loaded.node_features.shape == (orig.num_nodes, 0)
 
 
 def test_node_labels_optional(tmp_path):
@@ -170,6 +283,26 @@ def test_ldp_population_std():
     nd = np.array([2.0, 2.0, 3.0])
     np.testing.assert_allclose(
         hub, [3.0, nd.min(), nd.max(), nd.mean(), nd.std()])
+
+
+def test_ldp_matches_per_node_loop():
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 7, 30):
+        adjacency = random_adjacency(rng, n, p=0.3)
+        isolated = rng.random(n) < 0.3
+        adjacency[isolated] = 0.0
+        adjacency[:, isolated] = 0.0
+        g = make_graph(adjacency, np.zeros((n, 0)), 0,
+                       Provenance.ORIGINAL_NORMAL)
+        expected = np.zeros((n, 5))
+        for i in range(n):
+            nd = g.degrees[np.flatnonzero(adjacency[i])]
+            if len(nd):
+                expected[i] = (g.degrees[i], nd.min(), nd.max(), nd.mean(),
+                               nd.std())
+        ds = build_features([g], FeatureConfig(mode=FeatureMode.LDP))
+        np.testing.assert_allclose(ds[0].node_features, expected,
+                                   rtol=0, atol=1e-12)
 
 
 def test_feature_config_validation():
