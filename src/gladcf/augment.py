@@ -5,9 +5,9 @@ the adjacency before a sigmoid+threshold step (structure rewiring), the other
 gates node features through a sigmoid+threshold mask. Training minimizes a
 two-part objective: stay close to the original structure (Frobenius distance,
 minus the feature-mask norm) while pushing a small frozen readout probe's
-class distribution away from the original graph's (negated KL terms). Smooth
-sigmoid surrogates are used during training; hard thresholds apply only when
-samples are generated.
+class distribution away from the original graph's (negated KL terms),
+through ``optim.fit``. Smooth sigmoid surrogates are used during training;
+hard thresholds apply only when samples are generated.
 
 Seed graphs are processed in the detector's size-ordered chunks
 (``graphs.padded_chunks``), each padded only to its own largest node count
@@ -26,11 +26,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, SizeError, TrainingDivergedError
+from .errors import ConfigError, SizeError
 from .gcn import (GCNLayerParams, ReadoutPlan, gcn_readout, init_gcn_layer,
                   normalize_adjacency, plan_readout)
 from .graphs import Graph, Provenance, make_graph, padded_chunks
-from .optim import Adam
+from .optim import fit
 
 logger = logging.getLogger(__name__)
 
@@ -261,7 +261,7 @@ def select_seeds(graphs, rng: np.random.Generator,
     Returns (indices into ``graphs``, minority label). The default count is
     the class-count gap; selection is uniform without replacement, switching
     to with-replacement (with a warning) only if more samples are requested
-    than the majority class holds.
+    than the majority class holds. A negative count is a ``ConfigError``.
     """
     labels = np.array([g.label for g in graphs])
     n_zero = int((labels == 0).sum())
@@ -271,6 +271,8 @@ def select_seeds(graphs, rng: np.random.Generator,
     gap = abs(n_zero - n_one)
     if count is None:
         count = gap
+    elif count < 0:
+        raise ConfigError(f"count must be non-negative, got {count}")
     pool = np.flatnonzero(labels == majority)
     if count > len(pool):
         logger.warning(
@@ -294,11 +296,10 @@ def train_perturbations(seed_graphs, n_max: int, config: AugmentConfig,
                         ) -> tuple[PerturbationPair, list[float]]:
     """Fit the perturbation pair on seed graphs; returns it and the loss trace.
 
-    One adaptive-moment step per epoch over the full seed set; chunked
-    gradient accumulation keeps memory flat without changing the math
-    (chunk losses are reweighted so their sum is the global mean). Chunks
-    are size-ordered and padded to their own width, not to ``n_max``, and
-    planned once (``plan_seeds``) against a fresh frozen probe.
+    Trains through ``optim.fit``; each chunk's loss is reweighted so the
+    chunk losses sum to the mean over all seeds. Chunks are size-ordered and
+    padded to their own width, not to ``n_max``, and planned once
+    (``plan_seeds``) against a fresh frozen probe.
     """
     seed_graphs = list(seed_graphs)
     if not seed_graphs:
@@ -310,39 +311,22 @@ def train_perturbations(seed_graphs, n_max: int, config: AugmentConfig,
     probe = make_probe(feature_dim, rng)
     pair = init_perturbation_pair(n_max, feature_dim, rng,
                                   sigma=config.sigma, tau=config.tau)
-    optimizer = Adam(pair.trainables(), lr=config.lr)
 
     total = len(seed_graphs)
     chunks = [plan_seeds(probe, batch.adjacency_stack, batch.feature_stack,
                          batch.node_mask)
               for _, batch in padded_chunks(seed_graphs, config.chunk_size)]
+    clamped = False
 
-    trace: list[float] = []
-    ever_clamped = False
-    for epoch in range(config.epochs):
-        optimizer.zero_grad()
-        epoch_loss = 0.0
-        components = {}
-        for chunk in chunks:
-            loss, components = counterfactual_loss(pair, probe, chunk)
-            scaled = loss * (len(chunk.original) / total)
-            scaled.backward()
-            epoch_loss += float(scaled.data)
-            ever_clamped = ever_clamped or components["clamped"]
-            # free this chunk's tape before the next chunk's forward
-            del loss, scaled
-        if not np.isfinite(epoch_loss):
-            raise TrainingDivergedError(
-                f"counterfactual loss diverged at epoch {epoch}: "
-                f"{epoch_loss} (components: {components})")
-        optimizer.step()
-        if not (np.isfinite(pair.edge_logits.data).all()
-                and np.isfinite(pair.mask_logits.data).all()):
-            raise TrainingDivergedError(
-                f"perturbation logits became non-finite at epoch {epoch}")
-        logger.debug("augmenter epoch %d: loss %.6g", epoch, epoch_loss)
-        trace.append(epoch_loss)
-    if ever_clamped:
+    def chunk_loss(chunk: SeedChunk) -> Tensor:
+        nonlocal clamped
+        loss, components = counterfactual_loss(pair, probe, chunk)
+        clamped = clamped or components["clamped"]
+        return loss * (len(chunk.original) / total)
+
+    trace = fit(pair.trainables(), config.lr, config.epochs, chunks,
+                chunk_loss, "augmenter")
+    if clamped:
         logger.warning("probe probabilities hit the %g floor during "
                        "augmentation training", PROBABILITY_FLOOR)
     return pair, trace

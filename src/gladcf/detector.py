@@ -20,9 +20,7 @@ scores in (0, 1).
 The loss splits the batch three ways — normal, original-abnormal, generated —
 normalizes each term by its own count, and mixes the abnormal terms by the
 generated fraction alpha with an extra influence knob beta on the generated
-term. Training always takes exactly one optimizer step per epoch over the
-whole training set; size-bucketed gradient accumulation keeps memory flat
-without changing the computed loss.
+term. Training runs through ``optim.fit`` over size-bucketed chunks.
 """
 
 from __future__ import annotations
@@ -36,11 +34,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, TrainingDivergedError
+from .errors import ConfigError
 from .gcn import (GCNLayerParams, ReadoutPlan, gcn_readout, init_gcn_layer,
                   normalize_adjacency, plan_readout, pooled_bias)
 from .graphs import PaddedBatch, Provenance, padded_chunks
-from .optim import Adam
+from .optim import fit
 
 logger = logging.getLogger(__name__)
 
@@ -366,21 +364,17 @@ def _plan_chunks(graphs, chunk_size: int,
 
 def train_detector(graphs, config: DetectorConfig, train_config: TrainConfig,
                    rng: np.random.Generator,
-                   params: DetectorParams | None = None,
                    ) -> tuple[DetectorParams, list[float]]:
-    """Full-batch training with one optimizer step per epoch.
+    """Train a fresh detector through ``optim.fit``.
 
-    Returns the trained parameters and the per-epoch loss trace. Chunked
-    accumulation uses the global partition counts, so the summed chunk losses
-    equal the single-batch objective regardless of chunk size.
+    Returns the trained parameters and the per-epoch loss trace. Each
+    chunk's loss uses the global partition counts, so the chunk losses sum
+    to the single-batch objective regardless of chunk size.
     """
     graphs = list(graphs)
     if not graphs:
         raise ConfigError("cannot train a detector on an empty graph list")
-    feature_dim = graphs[0].feature_dim
-    if params is None:
-        params = init_detector(feature_dim, config, rng)
-    optimizer = Adam(params.trainables(), lr=train_config.lr)
+    params = init_detector(graphs[0].feature_dim, config, rng)
     chunks = _plan_chunks(graphs, train_config.chunk_size, params)
 
     counts = tuple(int(m.sum()) for m in partition_masks(
@@ -389,29 +383,14 @@ def train_detector(graphs, config: DetectorConfig, train_config: TrainConfig,
         logger.warning("training set has no abnormal graphs; the loss "
                        "reduces to its normal term")
 
-    trace: list[float] = []
-    for epoch in range(train_config.epochs):
-        optimizer.zero_grad()
-        epoch_loss = 0.0
-        for chunk in chunks:
-            scores = detector_scores(params, chunk.plans)
-            partial, _ = _objective(
-                scores, chunk.masks, counts, train_config.beta,
-                train_config.include_normal_term,
-                train_config.include_abnormal_term)
-            if partial.requires_grad:
-                partial.backward()
-            epoch_loss += float(partial.data)
-        if not np.isfinite(epoch_loss):
-            raise TrainingDivergedError(
-                f"detector loss diverged at epoch {epoch}: {epoch_loss}")
-        optimizer.step()
-        for t in params.trainables():
-            if not np.isfinite(t.data).all():
-                raise TrainingDivergedError(
-                    f"detector parameters became non-finite at epoch {epoch}")
-        logger.debug("detector epoch %d: loss %.6g", epoch, epoch_loss)
-        trace.append(epoch_loss)
+    def chunk_loss(chunk: _Chunk) -> Tensor:
+        return _objective(detector_scores(params, chunk.plans), chunk.masks,
+                          counts, train_config.beta,
+                          train_config.include_normal_term,
+                          train_config.include_abnormal_term)[0]
+
+    trace = fit(params.trainables(), train_config.lr, train_config.epochs,
+                chunks, chunk_loss, "detector")
     return params, trace
 
 

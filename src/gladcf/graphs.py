@@ -7,6 +7,7 @@ worker processes.
 
 from __future__ import annotations
 
+import copy
 import enum
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -32,6 +33,17 @@ def _freeze(a: Array) -> Array:
     return a
 
 
+def _checked_features(node_features: Array, n: int) -> Array:
+    """``node_features`` as a frozen float matrix with ``n`` finite rows."""
+    feats = np.asarray(node_features, dtype=np.float64)
+    if feats.ndim != 2 or feats.shape[0] != n:
+        raise SizeError(
+            f"node_features must have {n} rows, got shape {feats.shape}")
+    if not np.isfinite(feats).all():
+        raise ConfigError("node_features must be finite")
+    return _freeze(feats)
+
+
 @dataclass(frozen=True)
 class Graph:
     """One undirected graph with binary adjacency and dense node features.
@@ -51,7 +63,6 @@ class Graph:
 
     def __post_init__(self):
         adj = np.asarray(self.adjacency, dtype=np.float64)
-        feats = np.asarray(self.node_features, dtype=np.float64)
         degs = np.asarray(self.degrees, dtype=np.float64).reshape(-1)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise SizeError(f"adjacency must be square, got {adj.shape}")
@@ -62,22 +73,26 @@ class Graph:
             raise ConfigError("adjacency must be symmetric")
         if n and np.trace(adj) != 0:
             raise ConfigError("adjacency diagonal must be zero")
-        if feats.ndim != 2 or feats.shape[0] != n:
-            raise SizeError(
-                f"node_features must have {n} rows, got shape {feats.shape}")
-        if not np.isfinite(feats).all():
-            raise ConfigError("node_features must be finite")
+        feats = _checked_features(self.node_features, n)
         if degs.shape[0] != n or not np.array_equal(degs, adj.sum(axis=1)):
             raise ConfigError("degrees must equal adjacency row sums")
         if self.label not in (0, 1):
             raise ConfigError(f"label must be 0 or 1, got {self.label!r}")
         object.__setattr__(self, "adjacency", _freeze(adj))
-        object.__setattr__(self, "node_features", _freeze(feats))
+        object.__setattr__(self, "node_features", feats)
         object.__setattr__(self, "degrees", _freeze(degs))
         if self.node_labels is not None:
             object.__setattr__(
                 self, "node_labels",
                 _freeze(np.asarray(self.node_labels, dtype=np.int64)))
+
+    def with_features(self, node_features: Array) -> Graph:
+        """This graph with new node features; only they are checked, and
+        the frozen adjacency, degrees and node labels are shared."""
+        out = copy.copy(self)
+        object.__setattr__(out, "node_features",
+                           _checked_features(node_features, self.num_nodes))
+        return out
 
     @property
     def num_nodes(self) -> int:
@@ -131,22 +146,6 @@ class GraphDataset:
     @property
     def feature_dim(self) -> int:
         return self.graphs[0].feature_dim if self.graphs else 0
-
-    def label_counts(self) -> dict[int, int]:
-        counts = {0: 0, 1: 0}
-        for g in self.graphs:
-            counts[g.label] += 1
-        return counts
-
-    def provenance_counts(self) -> dict[Provenance, int]:
-        counts = {p: 0 for p in Provenance}
-        for g in self.graphs:
-            counts[g.provenance] += 1
-        return counts
-
-    def majority_label(self) -> int:
-        counts = self.label_counts()
-        return 0 if counts[0] >= counts[1] else 1
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,17 @@
-"""Adaptive-moment gradient descent (Adam) over autodiff tensors."""
+"""Adaptive-moment gradient descent (Adam) over autodiff tensors, and the
+one training loop both models share (``fit``)."""
 
 from __future__ import annotations
 
-from typing import Sequence
+import logging
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .autodiff import Tensor
+from .errors import TrainingDivergedError
+
+logger = logging.getLogger(__name__)
 
 
 class Adam:
@@ -47,3 +52,38 @@ class Adam:
             m_hat = m / correction1
             v_hat = v / correction2
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def fit(trainables: Sequence[Tensor], lr: float, epochs: int,
+        chunks: Sequence, chunk_loss: Callable[..., Tensor],
+        what: str) -> list[float]:
+    """Train ``trainables`` full-batch with Adam; returns the loss per epoch.
+
+    Each epoch takes one optimizer step over the whole training set, cut
+    into ``chunks`` only to bound memory: ``chunk_loss(chunk)`` returns the
+    chunk's share of the objective, so the chunk losses and their gradients
+    sum to the full ones. Each chunk's tape is freed before the next chunk's
+    forward. ``what`` names the model in the debug log and in the
+    ``TrainingDivergedError`` raised on a non-finite loss or parameter.
+    """
+    optimizer = Adam(trainables, lr=lr)
+    trace: list[float] = []
+    for epoch in range(epochs):
+        optimizer.zero_grad()
+        epoch_loss = 0.0
+        for chunk in chunks:
+            loss = chunk_loss(chunk)
+            if loss.requires_grad:
+                loss.backward()
+            epoch_loss += float(loss.data)
+            del loss
+        if not np.isfinite(epoch_loss):
+            raise TrainingDivergedError(
+                f"{what} loss diverged at epoch {epoch}: {epoch_loss}")
+        optimizer.step()
+        if not all(np.isfinite(t.data).all() for t in optimizer.params):
+            raise TrainingDivergedError(
+                f"{what} parameters became non-finite at epoch {epoch}")
+        logger.debug("%s epoch %d: loss %.6g", what, epoch, epoch_loss)
+        trace.append(epoch_loss)
+    return trace

@@ -303,10 +303,7 @@ def build_features(graphs: Sequence[Graph], config: FeatureConfig,
     else:  # pragma: no cover - enum is closed
         raise ConfigError(f"unknown feature mode {config.mode!r}")
 
-    rebuilt = tuple(
-        Graph(adjacency=g.adjacency, node_features=feats, degrees=g.degrees,
-              label=g.label, provenance=g.provenance, node_labels=g.node_labels)
-        for g, feats in zip(graphs, built))
+    rebuilt = tuple(g.with_features(feats) for g, feats in zip(graphs, built))
     return GraphDataset(name=name, graphs=rebuilt,
                         feature_mode=config.mode.value, n_max=n_max)
 

@@ -227,6 +227,8 @@ def test_select_seeds():
     np.testing.assert_array_equal(idx, again)
     oversample, _ = select_seeds(graphs, np.random.default_rng(1), count=12)
     assert len(oversample) == 12  # with replacement beyond the pool size
+    with pytest.raises(ConfigError, match="count must be non-negative, got -1"):
+        select_seeds(graphs, np.random.default_rng(0), count=-1)
 
 
 def test_select_seeds_balanced_gives_nothing():

@@ -102,6 +102,19 @@ def test_non_ascii_byte_is_a_named_runtime_error(data_dir, tmp_path, capsys,
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_negative_augment_count_is_a_named_runtime_error(data_dir, tmp_path,
+                                                        capsys, caplog):
+    caplog.set_level(logging.INFO, logger="gladcf")
+    rc = main(["augment"] + base_args(data_dir) +
+              ["--out-dir", str(tmp_path), "--count", "-1"])
+    assert rc == RUNTIME_ERROR
+    errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+    assert [r.getMessage() for r in errors] == [
+        "count must be non-negative, got -1"]
+    assert all(r.exc_info is None for r in errors)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_version_and_help_exit_0(capsys):
     assert main(["--version"]) == 0
     assert main(["--help"]) == 0

@@ -60,6 +60,30 @@ def test_graph_arrays_are_immutable():
         g.node_features[0, 0] = 1.0
 
 
+def test_with_features_matches_a_fully_checked_graph():
+    rng = np.random.default_rng(3)
+    g = make_graph(path_adjacency(4), np.zeros((4, 0)), 1,
+                   Provenance.ORIGINAL_ABNORMAL, node_labels=[3, 1, 4, 1])
+    feats = rng.normal(size=(4, 2))
+    rebuilt = g.with_features(feats)
+    full = Graph(adjacency=g.adjacency, node_features=feats,
+                 degrees=g.degrees, label=g.label, provenance=g.provenance,
+                 node_labels=g.node_labels)
+    for name in ("adjacency", "node_features", "degrees", "node_labels"):
+        np.testing.assert_array_equal(getattr(rebuilt, name),
+                                      getattr(full, name))
+    assert (rebuilt.label, rebuilt.provenance) == (full.label, full.provenance)
+    assert rebuilt.adjacency is g.adjacency  # shared, not re-checked
+    assert g.feature_dim == 0  # the original is untouched
+    with pytest.raises(ValueError):
+        rebuilt.node_features[0, 0] = 1.0
+    with pytest.raises(ConfigError, match="finite"):
+        g.with_features(np.full((4, 2), np.nan))
+    for bad in (np.zeros((3, 2)), np.zeros(4)):
+        with pytest.raises(SizeError, match="4 rows"):
+            g.with_features(bad)
+
+
 def test_dataset_consistency_checks():
     rng = np.random.default_rng(0)
     graphs = [random_graph(rng, 4, 3), random_graph(rng, 6, 3)]
@@ -81,9 +105,8 @@ def test_dataset_counts():
                      provenance=Provenance.ORIGINAL_ABNORMAL),
     )
     ds = GraphDataset(name="toy", graphs=graphs)
-    assert ds.label_counts() == {0: 1, 1: 2}
-    assert ds.majority_label() == 1
-    assert ds.provenance_counts()[Provenance.ORIGINAL_ABNORMAL] == 2
+    assert [g.label for g in ds.graphs] == [0, 1, 1]
+    assert ds[2].provenance is Provenance.ORIGINAL_ABNORMAL
 
 
 def test_pad_batch_shapes_and_zero_padding():
