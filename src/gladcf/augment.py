@@ -7,7 +7,8 @@ two-part objective: stay close to the original structure (Frobenius distance,
 minus the feature-mask norm) while pushing a small frozen readout probe's
 class distribution away from the original graph's (negated KL terms),
 through ``optim.fit``. Smooth sigmoid surrogates are used during training;
-hard thresholds apply only when samples are generated.
+the hard thresholds ``sigma`` and ``tau`` live in ``AugmentConfig`` and
+apply only when samples are generated.
 
 Seed graphs are processed in the detector's size-ordered chunks
 (``graphs.padded_chunks``), each padded only to its own largest node count
@@ -39,27 +40,17 @@ Array = np.ndarray
 PROBABILITY_FLOOR = 1e-12
 
 
-def _check_thresholds(sigma: float, tau: float) -> None:
-    for name, value in (("sigma", sigma), ("tau", tau)):
-        if not 0.0 < value <= 1.0:
-            raise ConfigError(f"{name} must lie in (0, 1], got {value}")
-
-
 @dataclass
 class PerturbationPair:
     """Trainable rewiring logits (n_max, n_max) and feature-mask logits (n_max, h).
 
     The rewrite ops take graphs padded to any width ``w ≤ n_max`` and use the
     logits' leading rows and columns; ``n_max`` is ``edge_logits.shape[0]``.
+    Generation hardens the rewrite at ``AugmentConfig``'s thresholds.
     """
 
     edge_logits: Tensor
     mask_logits: Tensor
-    sigma: float = 0.5
-    tau: float = 0.5
-
-    def __post_init__(self):
-        _check_thresholds(self.sigma, self.tau)
 
     def trainables(self) -> list[Tensor]:
         return [self.edge_logits, self.mask_logits]
@@ -71,7 +62,7 @@ class AugmentConfig:
     lr: float = 0.01
     sigma: float = 0.5
     tau: float = 0.5
-    chunk_size: int = 256
+    chunk_size: int = 128
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -80,7 +71,9 @@ class AugmentConfig:
             raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if self.chunk_size < 1:
             raise ConfigError("chunk_size must be positive")
-        _check_thresholds(self.sigma, self.tau)
+        for name, value in (("sigma", self.sigma), ("tau", self.tau)):
+            if not 0.0 < value <= 1.0:
+                raise ConfigError(f"{name} must lie in (0, 1], got {value}")
 
 
 def make_probe(feature_dim: int, rng: np.random.Generator) -> GCNLayerParams:
@@ -96,52 +89,52 @@ def make_probe(feature_dim: int, rng: np.random.Generator) -> GCNLayerParams:
 
 
 def init_perturbation_pair(n_max: int, feature_dim: int,
-                           rng: np.random.Generator,
-                           sigma: float = 0.5,
-                           tau: float = 0.5) -> PerturbationPair:
+                           rng: np.random.Generator) -> PerturbationPair:
     edge = rng.uniform(-0.1, 0.1, size=(n_max, n_max))
     mask = rng.uniform(-0.1, 0.1, size=(n_max, feature_dim))
     return PerturbationPair(edge_logits=Tensor(edge, requires_grad=True),
-                            mask_logits=Tensor(mask, requires_grad=True),
-                            sigma=sigma, tau=tau)
+                            mask_logits=Tensor(mask, requires_grad=True))
 
 
 # -- the two rewrite operations ---------------------------------------------
 
 
 def perturb_structure(pair: PerturbationPair, adjacency: Tensor | Array,
-                      hard: bool):
-    """Rewire adjacency: sigmoid of (edge_logits @ A), thresholded if hard.
+                      sigma: float | None = None):
+    """Rewire adjacency: sigmoid of (edge_logits @ A), thresholded at
+    ``sigma`` when one is given.
 
     ``adjacency`` is a zero-padded ``(w, w)`` matrix or ``(B, w, w)`` stack
     with ``w ≤ n_max``. It stands for the same graphs padded to ``n_max``,
     whose columns past ``w`` would all hold ``sigmoid(0) = 0.5``.
 
-    Smooth mode returns the differentiable ``sigmoid(E[:, :w] @ A)`` of shape
-    ``(..., n_max, w)``: all ``n_max`` rows of the ``n_max``-wide rewrite
-    (rows past a graph's ``n`` are not zero), but none of its constant
-    columns past ``w``.
-    Hard mode returns a binary numpy ``(..., w, w)``: ``sigmoid(E[:w, :w] @
-    A)`` thresholded at sigma (inclusive), symmetrized by elementwise max
-    with the transpose, diagonal zeroed. A graph's ``[:n, :n]`` block equals
-    that of the ``n_max``-wide rewrite, because A's padded rows are zero.
+    Without ``sigma``, returns the differentiable ``sigmoid(E[:, :w] @ A)``
+    of shape ``(..., n_max, w)``: all ``n_max`` rows of the ``n_max``-wide
+    rewrite (rows past a graph's ``n`` are not zero), but none of its
+    constant columns past ``w``.
+    With ``sigma``, returns a binary numpy ``(..., w, w)``: ``sigmoid(E[:w,
+    :w] @ A)`` thresholded at sigma (inclusive), symmetrized by elementwise
+    max with the transpose, diagonal zeroed. A graph's ``[:n, :n]`` block
+    equals that of the ``n_max``-wide rewrite, because A's padded rows are
+    zero.
     """
     adjacency_t = adjacency if isinstance(adjacency, Tensor) else Tensor(adjacency)
     width = adjacency_t.shape[-1]
-    rows = width if hard else pair.edge_logits.shape[0]
+    rows = pair.edge_logits.shape[0] if sigma is None else width
     logits = ad.block(pair.edge_logits, rows, width)
     smooth = ad.sigmoid(ad.matmul(logits, adjacency_t))
-    if not hard:
+    if sigma is None:
         return smooth
-    binary = (smooth.data >= pair.sigma).astype(np.float64)
+    binary = (smooth.data >= sigma).astype(np.float64)
     binary = np.maximum(binary, np.swapaxes(binary, -1, -2))
     binary[..., np.arange(width), np.arange(width)] = 0.0
     return binary
 
 
 def mask_features(pair: PerturbationPair, features: Tensor | Array,
-                  hard: bool):
-    """Gate node features through the sigmoid mask, thresholded at tau if hard.
+                  tau: float | None = None):
+    """Gate node features through the sigmoid mask: the differentiable
+    product without ``tau``, the numpy mask thresholded at ``tau`` with it.
 
     Every surviving entry of a hard-masked matrix equals the original entry;
     the rest are zero. Accepts ``(w, h)`` or ``(B, w, h)`` with ``w ≤ n_max``
@@ -150,9 +143,9 @@ def mask_features(pair: PerturbationPair, features: Tensor | Array,
     """
     features_t = features if isinstance(features, Tensor) else Tensor(features)
     gate = ad.sigmoid(ad.block(pair.mask_logits, *features_t.shape[-2:]))
-    if not hard:
+    if tau is None:
         return features_t * gate
-    keep = (gate.data >= pair.tau).astype(np.float64)
+    keep = (gate.data >= tau).astype(np.float64)
     return keep * features_t.data
 
 
@@ -194,8 +187,9 @@ def _kl_rows(p: Array, q: Tensor) -> Tensor:
 
 
 def counterfactual_loss(pair: PerturbationPair, probe: GCNLayerParams,
-                        chunk: SeedChunk) -> tuple[Tensor, dict]:
-    """Training objective over a chunk of seed graphs (mean per graph).
+                        chunk: SeedChunk) -> tuple[Tensor, bool]:
+    """Training objective over a chunk of seed graphs (mean per graph), and
+    whether a probe probability hit ``PROBABILITY_FLOOR``.
 
     Per seed graph: Frobenius distance between original and smooth-rewired
     adjacency, minus the Frobenius norm of the smooth feature mask, minus the
@@ -218,8 +212,8 @@ def counterfactual_loss(pair: PerturbationPair, probe: GCNLayerParams,
     cut_distance = 0.25 * n_max * (n_max - width)
     cut_degree = 0.5 * (n_max - width)
 
-    smooth_adj = perturb_structure(pair, adjacency_stack, hard=False)
-    smooth_feats = mask_features(pair, chunk.readout.inputs, hard=False)
+    smooth_adj = perturb_structure(pair, adjacency_stack)
+    smooth_feats = mask_features(pair, chunk.readout.inputs)
     # ‖A − S[:w]‖² + ‖S[w:]‖²: past row w the padded adjacency is all zero
     top = ad.block(smooth_adj, width, width)
     below = ad.block(smooth_adj, n_max - width, width, first_row=width)
@@ -242,13 +236,7 @@ def counterfactual_loss(pair: PerturbationPair, probe: GCNLayerParams,
     divergence = _kl_rows(original, p_structure) + \
         _kl_rows(original, p_features)
 
-    loss = ad.mean(closeness - divergence)
-    components = {
-        "closeness": float(ad.mean(closeness).data),
-        "divergence": float(ad.mean(divergence).data),
-        "clamped": clamped,
-    }
-    return loss, components
+    return ad.mean(closeness - divergence), clamped
 
 
 # -- seed selection, training, generation ------------------------------------
@@ -309,8 +297,7 @@ def train_perturbations(seed_graphs, n_max: int, config: AugmentConfig,
         raise ConfigError("build node features before augmentation")
     _check_width(seed_graphs, n_max)
     probe = make_probe(feature_dim, rng)
-    pair = init_perturbation_pair(n_max, feature_dim, rng,
-                                  sigma=config.sigma, tau=config.tau)
+    pair = init_perturbation_pair(n_max, feature_dim, rng)
 
     total = len(seed_graphs)
     chunks = [plan_seeds(probe, batch.adjacency_stack, batch.feature_stack,
@@ -320,8 +307,8 @@ def train_perturbations(seed_graphs, n_max: int, config: AugmentConfig,
 
     def chunk_loss(chunk: SeedChunk) -> Tensor:
         nonlocal clamped
-        loss, components = counterfactual_loss(pair, probe, chunk)
-        clamped = clamped or components["clamped"]
+        loss, hit_floor = counterfactual_loss(pair, probe, chunk)
+        clamped = clamped or hit_floor
         return loss * (len(chunk.original) / total)
 
     trace = fit(pair.trainables(), config.lr, config.epochs, chunks,
@@ -333,21 +320,22 @@ def train_perturbations(seed_graphs, n_max: int, config: AugmentConfig,
 
 
 def generate_samples(pair: PerturbationPair, graphs, indices: Array,
-                     minority_label: int, n_max: int,
-                     chunk_size: int) -> list[Graph]:
+                     minority_label: int, config: AugmentConfig) -> list[Graph]:
     """Apply the hard rewrite to each selected seed, in ``indices`` order.
 
-    Seeds go through the thresholded operations in size-ordered chunks of
-    ``chunk_size``, each padded to its own largest n; the top-left n×n
-    block is kept so a generated graph has its seed's node count, and
-    degrees are recomputed from the new structure.
+    Seeds go through the operations thresholded at ``config.sigma`` and
+    ``config.tau`` in size-ordered chunks of ``config.chunk_size``, each
+    padded to its own largest n, and no seed may be wider than the pair's
+    ``n_max``. The top-left n×n block is kept so a generated graph has its
+    seed's node count, and its degrees come from the new structure.
     """
     seeds = [graphs[i] for i in indices]
-    _check_width(seeds, n_max)
+    _check_width(seeds, pair.edge_logits.shape[0])
     generated: list[Graph | None] = [None] * len(seeds)
-    for idx, batch in padded_chunks(seeds, chunk_size):
-        hard_adj = perturb_structure(pair, batch.adjacency_stack, hard=True)
-        hard_feats = mask_features(pair, batch.feature_stack, hard=True)
+    for idx, batch in padded_chunks(seeds, config.chunk_size):
+        hard_adj = perturb_structure(pair, batch.adjacency_stack,
+                                     sigma=config.sigma)
+        hard_feats = mask_features(pair, batch.feature_stack, tau=config.tau)
         for row, i in enumerate(idx):
             n = seeds[i].num_nodes
             generated[i] = make_graph(hard_adj[row, :n, :n].copy(),
@@ -379,7 +367,6 @@ def augment_training_set(train_graphs, n_max: int, config: AugmentConfig,
                                   minority_label=minority)
     seeds = [train_graphs[i] for i in indices]
     pair, trace = train_perturbations(seeds, n_max, config, rng)
-    generated = generate_samples(pair, train_graphs, indices, minority, n_max,
-                                 config.chunk_size)
+    generated = generate_samples(pair, train_graphs, indices, minority, config)
     return AugmentationResult(generated=generated, seed_indices=indices,
                               minority_label=minority, loss_trace=trace)

@@ -236,11 +236,19 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     config = ExperimentConfig(**stored)
     dataset = load_dataset(config)
     splits = stratified_kfold(dataset, config.folds, config.seed)
+    if len(report.fold_aucs) < len(splits):
+        raise ConfigError(
+            f"report has {len(report.fold_aucs)} fold AUCs for "
+            f"{len(splits)} folds")
     stored_scores = {(row["fold"], row["graph_id"]): row["score"]
                      for row in report.scores}
     worst_auc_gap = 0.0
     worst_score_gap = 0.0
     for fold, (_, test_idx) in enumerate(splits):
+        for graph_id in test_idx:
+            if (fold, int(graph_id)) not in stored_scores:
+                raise ConfigError(f"report has no score for fold {fold}, "
+                                  f"graph {graph_id}")
         params, extra = load_checkpoint(run_dir / f"fold{fold}" / "detector.npz")
         scores = predict_scores(params, [dataset[i] for i in test_idx],
                                 chunk_size=config.chunk_size)

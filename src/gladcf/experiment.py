@@ -80,6 +80,8 @@ class ExperimentConfig:
                 f"unknown feature mode {self.feature_mode!r}")
         if self.folds < 2:
             raise ConfigError("folds must be at least 2")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.parallel_folds < 1:
             raise ConfigError("parallel_folds must be positive")
         # the model configs check their own fields, so a bad value fails
@@ -352,7 +354,9 @@ def run_cv(config: ExperimentConfig, dataset: GraphDataset | None = None,
     jobs = [(config, dataset, i, train_idx, test_idx, checkpoint_dir)
             for i, (train_idx, test_idx) in enumerate(splits)]
     if config.parallel_folds > 1:
-        with ProcessPoolExecutor(max_workers=config.parallel_folds) as pool:
+        # a forked pool starts all its workers at the first submit
+        with ProcessPoolExecutor(
+                max_workers=min(config.parallel_folds, len(jobs))) as pool:
             results = list(pool.map(_run_fold_star, jobs))
     else:
         results = [_run_fold(*job) for job in jobs]

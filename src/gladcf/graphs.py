@@ -49,21 +49,20 @@ class Graph:
     """One undirected graph with binary adjacency and dense node features.
 
     Invariants (checked): adjacency is square, binary, symmetric, with a zero
-    diagonal; ``degrees`` equals the adjacency row sums; ``node_features`` has
-    one finite row per node (zero columns are allowed before features are
-    built).
+    diagonal; ``node_features`` has one finite row per node (zero columns are
+    allowed before features are built). ``degrees`` is not an argument: it is
+    derived from the adjacency row sums.
     """
 
     adjacency: Array
     node_features: Array
-    degrees: Array
     label: int
     provenance: Provenance
     node_labels: Array | None = None
+    degrees: Array = field(init=False)
 
     def __post_init__(self):
         adj = np.asarray(self.adjacency, dtype=np.float64)
-        degs = np.asarray(self.degrees, dtype=np.float64).reshape(-1)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise SizeError(f"adjacency must be square, got {adj.shape}")
         n = adj.shape[0]
@@ -74,13 +73,11 @@ class Graph:
         if n and np.trace(adj) != 0:
             raise ConfigError("adjacency diagonal must be zero")
         feats = _checked_features(self.node_features, n)
-        if degs.shape[0] != n or not np.array_equal(degs, adj.sum(axis=1)):
-            raise ConfigError("degrees must equal adjacency row sums")
         if self.label not in (0, 1):
             raise ConfigError(f"label must be 0 or 1, got {self.label!r}")
         object.__setattr__(self, "adjacency", _freeze(adj))
         object.__setattr__(self, "node_features", feats)
-        object.__setattr__(self, "degrees", _freeze(degs))
+        object.__setattr__(self, "degrees", _freeze(adj.sum(axis=1)))
         if self.node_labels is not None:
             object.__setattr__(
                 self, "node_labels",
@@ -106,11 +103,8 @@ class Graph:
 def make_graph(adjacency: Array, node_features: Array, label: int,
                provenance: Provenance,
                node_labels: Array | None = None) -> Graph:
-    """Build a Graph, deriving degrees from the adjacency row sums."""
-    adjacency = np.asarray(adjacency, dtype=np.float64)
-    return Graph(adjacency=adjacency, node_features=node_features,
-                 degrees=adjacency.sum(axis=1), label=label,
-                 provenance=provenance, node_labels=node_labels)
+    """Build a Graph; the same as calling ``Graph`` with these arguments."""
+    return Graph(adjacency, node_features, label, provenance, node_labels)
 
 
 @dataclass(frozen=True)
@@ -153,7 +147,7 @@ class PaddedBatch:
     """Dense zero-padded stacks for a list of graphs.
 
     Shapes: adjacency ``(B, n, n)``, features ``(B, n, h)``, degrees
-    ``(B, n, 1)``, node_mask ``(B, n)``, labels ``(B,)``. Padded rows are
+    ``(B, n, 1)``, node_mask ``(B, n)``. Padded rows are
     exactly zero everywhere and the mask marks real nodes with 1.
     """
 
@@ -161,7 +155,6 @@ class PaddedBatch:
     feature_stack: Array
     degree_stack: Array
     node_mask: Array
-    labels: Array
 
     @property
     def size(self) -> int:
@@ -180,7 +173,6 @@ def pad_batch(graphs: Sequence[Graph], n_max: int) -> PaddedBatch:
     features = np.zeros((batch, n_max, h))
     degrees = np.zeros((batch, n_max, 1))
     mask = np.zeros((batch, n_max))
-    labels = np.zeros(batch, dtype=np.int64)
     for i, g in enumerate(graphs):
         n = g.num_nodes
         if n > n_max:
@@ -193,9 +185,8 @@ def pad_batch(graphs: Sequence[Graph], n_max: int) -> PaddedBatch:
         features[i, :n, :] = g.node_features
         degrees[i, :n, 0] = g.degrees
         mask[i, :n] = 1.0
-        labels[i] = g.label
     return PaddedBatch(adjacency_stack=adjacency, feature_stack=features,
-                       degree_stack=degrees, node_mask=mask, labels=labels)
+                       degree_stack=degrees, node_mask=mask)
 
 
 def padded_chunks(graphs: Sequence[Graph], chunk_size: int

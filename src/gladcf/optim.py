@@ -13,21 +13,20 @@ from .errors import TrainingDivergedError
 
 logger = logging.getLogger(__name__)
 
+# the usual exponential-decay rates of the two moments, and the denominator's
+# guard; only the learning rate varies between models
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class Adam:
-    """Standard Adam with bias correction.
+    """Standard Adam with bias correction, at the fixed ``BETA1``, ``BETA2``
+    and ``EPS``."""
 
-    Defaults match the usual exponential-decay rates (0.9 for the first
-    moment, 0.999 for the second).
-    """
-
-    def __init__(self, params: Sequence[Tensor], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: Sequence[Tensor], lr: float):
         self.params = list(params)
         self.lr = float(lr)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
@@ -38,7 +37,7 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         correction1 = 1.0 - b1 ** self.t
         correction2 = 1.0 - b2 ** self.t
         for p, m, v in zip(self.params, self._m, self._v):
@@ -51,7 +50,7 @@ class Adam:
             v += (1.0 - b2) * g * g
             m_hat = m / correction1
             v_hat = v / correction2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 def fit(trainables: Sequence[Tensor], lr: float, epochs: int,

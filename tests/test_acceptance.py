@@ -238,15 +238,15 @@ def test_criterion_5_counterfactual_ops_match_recomputation():
 
         # hard rewrite ops against their closed-form definitions
         sig = lambda x: 1.0 / (1.0 + np.exp(-x))
-        hard = perturb_structure(pair, adjacency[0], hard=True)
+        hard = perturb_structure(pair, adjacency[0], sigma=0.5)
         indicator = (sig(pair.edge_logits.data @ adjacency[0])
-                     >= pair.sigma).astype(float)
+                     >= 0.5).astype(float)
         expected_hard = np.maximum(indicator, indicator.T)
         np.fill_diagonal(expected_hard, 0.0)
         np.testing.assert_array_equal(hard, expected_hard)
 
-        hard_feats = mask_features(pair, features[0], hard=True)
-        gate = (sig(pair.mask_logits.data) >= pair.tau).astype(float)
+        hard_feats = mask_features(pair, features[0], tau=0.5)
+        gate = (sig(pair.mask_logits.data) >= 0.5).astype(float)
         np.testing.assert_array_equal(hard_feats, gate * features[0])
     assert worst < 1e-9, f"loss recomputation differs by {worst:.3e}"
     _passed("criterion-5 counterfactual-conformance",

@@ -20,31 +20,29 @@ from gladcf.graphs import GraphDataset, Provenance, pad_batch
 from util import assert_grads_close, random_adjacency, random_graph
 
 
-def _pair(n, h, sigma=0.5, tau=0.5, seed=0, scale=1.0):
+def _pair(n, h, seed=0, scale=1.0):
     rng = np.random.default_rng(seed)
     return PerturbationPair(
         edge_logits=Tensor(rng.normal(scale=scale, size=(n, n)),
                            requires_grad=True),
         mask_logits=Tensor(rng.normal(scale=scale, size=(n, h)),
-                           requires_grad=True),
-        sigma=sigma, tau=tau)
+                           requires_grad=True))
 
 
 def test_zero_logits_give_fully_connected_hard_output():
     # sigmoid(0 @ A) = 0.5 everywhere and the threshold is inclusive, so the
     # hard rewrite of any graph under zero logits is the complete graph.
     pair = PerturbationPair(edge_logits=Tensor(np.zeros((4, 4))),
-                            mask_logits=Tensor(np.zeros((4, 2))),
-                            sigma=0.5, tau=0.5)
+                            mask_logits=Tensor(np.zeros((4, 2))))
     adj = random_adjacency(np.random.default_rng(0), 4)
-    hard = perturb_structure(pair, adj, hard=True)
+    hard = perturb_structure(pair, adj, sigma=0.5)
     np.testing.assert_array_equal(hard, np.ones((4, 4)) - np.eye(4))
 
 
 def test_high_threshold_gives_empty_graph():
-    pair = _pair(4, 2, sigma=1.0 - 1e-9)
+    pair = _pair(4, 2)
     adj = random_adjacency(np.random.default_rng(1), 4)
-    assert np.all(perturb_structure(pair, adj, hard=True) == 0.0)
+    assert np.all(perturb_structure(pair, adj, sigma=1.0 - 1e-9) == 0.0)
 
 
 def test_hard_output_is_binary_symmetric_hollow():
@@ -52,7 +50,7 @@ def test_hard_output_is_binary_symmetric_hollow():
     for seed in range(5):
         pair = _pair(5, 3, seed=seed, scale=2.0)
         adj = random_adjacency(rng, 5)
-        hard = perturb_structure(pair, adj, hard=True)
+        hard = perturb_structure(pair, adj, sigma=0.5)
         assert np.isin(hard, (0.0, 1.0)).all()
         np.testing.assert_array_equal(hard, hard.T)
         np.testing.assert_array_equal(np.diag(hard), np.zeros(5))
@@ -67,16 +65,15 @@ def test_smooth_matches_indicator_in_saturation_limit():
     adj = random_adjacency(rng, 5)
     saturated = PerturbationPair(
         edge_logits=Tensor(pair.edge_logits.data * 1e4),
-        mask_logits=Tensor(pair.mask_logits.data * 1e4),
-        sigma=0.5, tau=0.5)
-    smooth = perturb_structure(saturated, adj, hard=False).data
+        mask_logits=Tensor(pair.mask_logits.data * 1e4))
+    smooth = perturb_structure(saturated, adj).data
     indicator = (ad.sigmoid(Tensor(pair.edge_logits.data @ adj)).data
                  >= 0.5).astype(float)
     assert np.max(np.abs(smooth - indicator)) < 1e-6
     # feature masking has no post-step, so there the limit matches end-to-end
     feats = rng.random((5, 3))
-    smooth_feats = mask_features(saturated, feats, hard=False).data
-    hard_feats = mask_features(pair, feats, hard=True)
+    smooth_feats = mask_features(saturated, feats).data
+    hard_feats = mask_features(pair, feats, tau=0.5)
     assert np.max(np.abs(smooth_feats - hard_feats)) < 1e-6
 
 
@@ -84,7 +81,7 @@ def test_masked_features_keep_original_values():
     rng = np.random.default_rng(5)
     pair = _pair(6, 4, seed=6, scale=2.0)
     feats = rng.random((6, 4))
-    hard = mask_features(pair, feats, hard=True)
+    hard = mask_features(pair, feats, tau=0.5)
     kept = hard != 0.0
     np.testing.assert_array_equal(hard[kept], feats[kept])
     gate = 1.0 / (1.0 + np.exp(-pair.mask_logits.data))
@@ -93,9 +90,9 @@ def test_masked_features_keep_original_values():
 
 def test_threshold_validation():
     with pytest.raises(ConfigError):
-        _pair(3, 2, sigma=0.0)
+        AugmentConfig(sigma=0.0)
     with pytest.raises(ConfigError):
-        _pair(3, 2, tau=1.5)
+        AugmentConfig(tau=1.5)
 
 
 # -- independent recomputation of the training loss -------------------------
@@ -310,7 +307,7 @@ def test_seed_wider_than_n_max_is_rejected():
                             np.random.default_rng(0))
     with pytest.raises(SizeError, match="6 nodes"):
         generate_samples(_pair(5, 2), graphs, np.array([0, 1, 2]), 1,
-                         n_max=5, chunk_size=2)
+                         AugmentConfig(chunk_size=2))
 
 
 def test_non_finite_chunk_loss_stops_training(monkeypatch):
@@ -319,8 +316,8 @@ def test_non_finite_chunk_loss_stops_training(monkeypatch):
     loss_fn = augment.counterfactual_loss
 
     def diverging(*args):
-        loss, components = loss_fn(*args)
-        return loss * np.nan, components
+        loss, clamped = loss_fn(*args)
+        return loss * np.nan, clamped
 
     monkeypatch.setattr(augment, "counterfactual_loss", diverging)
     with pytest.raises(TrainingDivergedError, match="epoch 0"):
@@ -335,7 +332,7 @@ def test_train_requires_features_and_seeds():
     bare = random_graph(rng, 3, 2)
     featureless = bare.__class__(
         adjacency=bare.adjacency, node_features=np.zeros((3, 0)),
-        degrees=bare.degrees, label=0, provenance=bare.provenance)
+        label=0, provenance=bare.provenance)
     with pytest.raises(ConfigError, match="features"):
         train_perturbations([featureless], 4, AugmentConfig(), rng)
 
@@ -349,8 +346,8 @@ def test_generate_samples_integrity():
                for _ in range(2)]
     pair = _pair(6, 3, seed=18, scale=1.5)
     idx, minority = select_seeds(graphs, np.random.default_rng(3))
-    generated = generate_samples(pair, graphs, idx, minority, n_max=6,
-                                 chunk_size=4)
+    generated = generate_samples(pair, graphs, idx, minority,
+                                 AugmentConfig(chunk_size=4))
     assert len(generated) == len(idx)
     for sample, seed_index in zip(generated, idx):
         seed = graphs[seed_index]
@@ -372,8 +369,8 @@ def test_generated_sample_matches_manual_rewrite():
     graphs = [random_graph(rng, n, 3) for n in (5, 2, 7, 3, 7, 4)]
     pair = _pair(9, 3, seed=27, scale=2.0)
     indices = np.array([4, 1, 0, 5, 1, 2, 3])
-    generated = generate_samples(pair, graphs, indices, 1, n_max=9,
-                                 chunk_size=2)
+    generated = generate_samples(pair, graphs, indices, 1,
+                                 AugmentConfig(chunk_size=2))
     sig = lambda x: 1.0 / (1.0 + np.exp(-x))
     keep = (sig(pair.mask_logits.data) >= 0.5).astype(float)
     assert len(generated) == len(indices)
@@ -390,6 +387,29 @@ def test_generated_sample_matches_manual_rewrite():
         padded_feats[:n] = seed.node_features
         np.testing.assert_array_equal(sample.node_features,
                                       (keep * padded_feats)[:n])
+
+
+def test_generate_samples_applies_config_thresholds():
+    # sigma = tau = 1 keeps no edge and no feature entry, since every
+    # sigmoid is below 1; a threshold just above 0 keeps them all
+    rng = np.random.default_rng(31)
+    graphs = [random_graph(rng, n, 3) for n in (4, 6, 3, 5)]
+    indices = np.array([0, 1, 2, 3])
+    pair = _pair(6, 3, seed=32, scale=2.0)
+    empty = generate_samples(pair, graphs, indices, 1,
+                             AugmentConfig(sigma=1.0, tau=1.0, chunk_size=2))
+    for sample in empty:
+        assert not sample.adjacency.any()
+        assert not sample.node_features.any()
+    full = generate_samples(pair, graphs, indices, 1,
+                            AugmentConfig(sigma=1e-12, tau=1e-12,
+                                          chunk_size=2))
+    for sample, seed in zip(full, graphs):
+        n = seed.num_nodes
+        np.testing.assert_array_equal(sample.adjacency,
+                                      np.ones((n, n)) - np.eye(n))
+        np.testing.assert_array_equal(sample.node_features,
+                                      seed.node_features)
 
 
 def test_augment_training_set_balances():

@@ -115,6 +115,20 @@ def test_negative_augment_count_is_a_named_runtime_error(data_dir, tmp_path,
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_negative_seed_is_a_named_runtime_error(data_dir, tmp_path, capsys,
+                                               caplog):
+    caplog.set_level(logging.INFO, logger="gladcf")
+    args = base_args(data_dir)
+    args[args.index("--seed") + 1] = "-1"
+    rc = main(["train"] + args + ["--out-dir", str(tmp_path)])
+    assert rc == RUNTIME_ERROR
+    errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+    assert [r.getMessage() for r in errors] == [
+        "seed must be non-negative, got -1"]
+    assert all(r.exc_info is None for r in errors)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_version_and_help_exit_0(capsys):
     assert main(["--version"]) == 0
     assert main(["--help"]) == 0
@@ -225,6 +239,32 @@ def test_eval_detects_tampered_checkpoint(trained_run, data_dir, tmp_path,
     rc = main(["eval", "--run-dir", str(copy), "--data-dir", str(data_dir)])
     capsys.readouterr()
     assert rc == 2
+
+
+def test_eval_names_what_a_tampered_report_lacks(trained_run, data_dir,
+                                                tmp_path, capsys, caplog):
+    caplog.set_level(logging.INFO, logger="gladcf")
+    payload = json.loads((trained_run / "report.json").read_text("utf-8"))
+    dropped = payload["scores"][-1]
+    cases = [
+        (dict(payload, scores=payload["scores"][:-1]),
+         f"report has no score for fold {dropped['fold']}, "
+         f"graph {dropped['graph_id']}"),
+        (dict(payload, fold_aucs=payload["fold_aucs"][:-1]),
+         "report has 2 fold AUCs for 3 folds"),
+    ]
+    for case, (tampered, message) in enumerate(cases):
+        copy = tmp_path / f"run{case}"
+        shutil.copytree(trained_run, copy)
+        (copy / "report.json").write_text(json.dumps(tampered), "utf-8")
+        caplog.clear()
+        rc = main(["eval", "--run-dir", str(copy),
+                   "--data-dir", str(data_dir)])
+        assert rc == RUNTIME_ERROR
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert [r.getMessage() for r in errors] == [message]
+        assert all(r.exc_info is None for r in errors)
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_augment_exports_generated_dataset(data_dir, tmp_path, capsys):

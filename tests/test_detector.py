@@ -284,7 +284,8 @@ def test_tape_holds_no_per_node_last_layer_state():
         params = init_detector(5, config, rng)
         loss, _ = composite_loss(
             detector_scores(params, plan_branches(params, batch)),
-            batch.labels, [g.provenance for g in graphs], beta=1.2)
+            [g.label for g in graphs], [g.provenance for g in graphs],
+            beta=1.2)
         loss.backward()
         shapes, seen, stack = set(), set(), [loss]
         while stack:

@@ -9,6 +9,7 @@ import re
 import numpy as np
 import pytest
 
+from gladcf import experiment
 from gladcf.errors import ConfigError, MetricError
 from gladcf.experiment import (DEFAULT_BETA_SWEEP, REPORT_SCHEMA,
                                EvalReport, ExperimentConfig, compute_auc,
@@ -128,7 +129,7 @@ def test_config_validation():
                          ("tau", 0.0), ("lr", float("nan")),
                          ("lr", float("inf")), ("beta", float("nan")),
                          ("beta", float("inf")), ("cf_lr", float("nan")),
-                         ("cf_lr", float("inf"))):
+                         ("cf_lr", float("inf")), ("seed", -1)):
         with pytest.raises(ConfigError):
             ExperimentConfig(dataset="X", **{field: value})
 
@@ -204,6 +205,33 @@ def test_parallel_folds_match_serial():
     parallel = run_cv(fast_config(parallel_folds=2), dataset)
     assert parallel.fold_aucs == serial.fold_aucs
     assert parallel.scores == serial.scores
+
+
+def test_parallel_folds_start_no_more_workers_than_folds(monkeypatch):
+    # a stand-in pool records its size and maps serially, so no process
+    # starts however many workers are asked for
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
+    dataset = separable_dataset()
+    serial = run_cv(fast_config(), dataset)
+    wide = run_cv(fast_config(parallel_folds=64), dataset)
+    assert sizes == [3]
+    assert wide.fold_aucs == serial.fold_aucs
+    assert wide.scores == serial.scores
 
 
 def test_run_cv_logs_each_fold_phase(caplog):

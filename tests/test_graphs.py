@@ -39,16 +39,29 @@ def test_graph_validation():
     with pytest.raises(ConfigError):
         make_graph(path_adjacency(3), np.zeros((3, 1)), 7,
                    Provenance.ORIGINAL_NORMAL)
-    with pytest.raises(ConfigError):
-        Graph(adjacency=path_adjacency(3), node_features=np.zeros((3, 1)),
-              degrees=np.zeros(3), label=0,
-              provenance=Provenance.ORIGINAL_NORMAL)
     for bad in (np.nan, np.inf, -np.inf):
         features = np.zeros((3, 2))
         features[1, 0] = bad
         with pytest.raises(ConfigError, match="finite"):
             make_graph(path_adjacency(3), features, 0,
                        Provenance.ORIGINAL_NORMAL)
+
+
+def test_graph_derives_its_degrees_from_the_adjacency():
+    adjacency = path_adjacency(4)
+    features = np.arange(8.0).reshape(4, 2)
+    g = Graph(adjacency, features, 1, Provenance.ORIGINAL_ABNORMAL)
+    made = make_graph(adjacency, features, 1, Provenance.ORIGINAL_ABNORMAL)
+    for name in ("adjacency", "node_features", "degrees"):
+        np.testing.assert_array_equal(getattr(g, name), getattr(made, name))
+    assert (g.label, g.provenance, g.node_labels) == (
+        made.label, made.provenance, made.node_labels)
+    np.testing.assert_array_equal(g.degrees, adjacency.sum(axis=1))
+    with pytest.raises(ValueError):
+        g.degrees[0] = 0.0
+    with pytest.raises(TypeError):
+        Graph(adjacency, features, 1, Provenance.ORIGINAL_ABNORMAL,
+              degrees=np.zeros(4))
 
 
 def test_graph_arrays_are_immutable():
@@ -67,7 +80,7 @@ def test_with_features_matches_a_fully_checked_graph():
     feats = rng.normal(size=(4, 2))
     rebuilt = g.with_features(feats)
     full = Graph(adjacency=g.adjacency, node_features=feats,
-                 degrees=g.degrees, label=g.label, provenance=g.provenance,
+                 label=g.label, provenance=g.provenance,
                  node_labels=g.node_labels)
     for name in ("adjacency", "node_features", "degrees", "node_labels"):
         np.testing.assert_array_equal(getattr(rebuilt, name),
@@ -117,7 +130,6 @@ def test_pad_batch_shapes_and_zero_padding():
     assert batch.feature_stack.shape == (2, 6, 2)
     assert batch.degree_stack.shape == (2, 6, 1)
     assert batch.node_mask.shape == (2, 6)
-    np.testing.assert_array_equal(batch.labels, [0, 1])
     np.testing.assert_array_equal(batch.node_mask[0], [1, 1, 1, 0, 0, 0])
     assert np.all(batch.adjacency_stack[0, 3:, :] == 0)
     assert np.all(batch.adjacency_stack[0, :, 3:] == 0)
