@@ -324,10 +324,11 @@ def generate_samples(pair: PerturbationPair, graphs, indices: Array,
     """Apply the hard rewrite to each selected seed, in ``indices`` order.
 
     Seeds go through the operations thresholded at ``config.sigma`` and
-    ``config.tau`` in size-ordered chunks of ``config.chunk_size``, each
-    padded to its own largest n, and no seed may be wider than the pair's
-    ``n_max``. The top-left n×n block is kept so a generated graph has its
-    seed's node count, and its degrees come from the new structure.
+    ``config.tau`` in ``graphs.padded_chunks`` of at most
+    ``config.chunk_size``, each padded to its own largest n, and no seed may
+    be wider than the pair's ``n_max``. The top-left n×n block is kept so a
+    generated graph has its seed's node count, and its degrees come from the
+    new structure.
     """
     seeds = [graphs[i] for i in indices]
     _check_width(seeds, pair.edge_logits.shape[0])

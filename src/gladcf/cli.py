@@ -44,6 +44,7 @@ logger = logging.getLogger(__name__)
 
 USAGE_ERROR = 1
 RUNTIME_ERROR = 2
+VERIFY_TOLERANCE = 1e-9  # largest stored-vs-recomputed gap `eval` accepts
 
 # flag name -> (python type, help text); this one table drives both the
 # argparse options and the config-file parser so they cannot drift apart
@@ -68,7 +69,9 @@ _CONFIG_FIELDS: dict[str, tuple[type, str]] = {
     "reduce_dim": (int, "embedding width after the linear reducer"),
     "threshold": (float, "decision threshold on scores"),
     "variant": (str, f"ablation variant: one of {', '.join(VARIANTS)}"),
-    "chunk_size": (int, "graphs per padded chunk, in both models"),
+    "chunk_size": (int, "at most N graphs per padded chunk, in both models; "
+                        "a chunk also ends where a graph is wider than 5/4 "
+                        "of its narrowest"),
     "parallel_folds": (int, "worker processes for folds (1 = serial)"),
 }
 
@@ -236,19 +239,35 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     config = ExperimentConfig(**stored)
     dataset = load_dataset(config)
     splits = stratified_kfold(dataset, config.folds, config.seed)
-    if len(report.fold_aucs) < len(splits):
+    if len(report.fold_aucs) != len(splits):
         raise ConfigError(
             f"report has {len(report.fold_aucs)} fold AUCs for "
             f"{len(splits)} folds")
+    for name, value, recomputed in (
+            ("mean_auc", report.mean_auc, float(np.mean(report.fold_aucs))),
+            ("std_auc", report.std_auc, float(np.std(report.fold_aucs)))):
+        if abs(value - recomputed) > VERIFY_TOLERANCE:
+            raise ConfigError(f"report {name} {value!r} does not match its "
+                              f"fold AUCs ({recomputed!r})")
     stored_scores = {(row["fold"], row["graph_id"]): row["score"]
                      for row in report.scores}
+    expected = {(fold, int(graph_id))
+                for fold, (_, test_idx) in enumerate(splits)
+                for graph_id in test_idx}
+    missing = sorted(expected - stored_scores.keys())
+    if missing:
+        raise ConfigError("report has no score for fold {}, graph {}".format(
+            *missing[0]))
+    unknown = [key for key in stored_scores if key not in expected]
+    if unknown:
+        raise ConfigError("report has a score for fold {}, graph {}, which "
+                          "no test split holds".format(*unknown[0]))
+    if len(report.scores) != len(expected):
+        raise ConfigError(f"report has {len(report.scores)} score rows for "
+                          f"{len(expected)} test graphs")
     worst_auc_gap = 0.0
     worst_score_gap = 0.0
     for fold, (_, test_idx) in enumerate(splits):
-        for graph_id in test_idx:
-            if (fold, int(graph_id)) not in stored_scores:
-                raise ConfigError(f"report has no score for fold {fold}, "
-                                  f"graph {graph_id}")
         params, extra = load_checkpoint(run_dir / f"fold{fold}" / "detector.npz")
         scores = predict_scores(params, [dataset[i] for i in test_idx],
                                 chunk_size=config.chunk_size)
@@ -262,7 +281,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
                 abs(float(score) - stored_scores[(fold, int(graph_id))]))
         logger.info("fold %d: stored AUC %.6f, recomputed %.6f (extra: %s)",
                     fold, report.fold_aucs[fold], auc, extra)
-    verified = worst_auc_gap <= 1e-9 and worst_score_gap <= 1e-9
+    verified = (worst_auc_gap <= VERIFY_TOLERANCE
+                and worst_score_gap <= VERIFY_TOLERANCE)
     print(json.dumps({
         "run_dir": str(run_dir),
         "folds": len(splits),

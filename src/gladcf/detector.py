@@ -250,57 +250,56 @@ def partition_masks(labels: Array, provenance) -> tuple[Array, Array, Array]:
     return is_normal, is_original_abnormal, is_generated_abnormal
 
 
-def _objective(scores: Tensor, masks: tuple[Array, Array, Array],
-               counts: tuple[int, int, int], beta: float,
-               include_normal: bool, include_abnormal: bool,
-               ) -> tuple[Tensor, dict]:
-    """The loss contributed by the graphs that ``masks`` select.
+def _alpha(counts: tuple[int, int, int]) -> float:
+    """The generated share of the abnormal graphs; 0 when there are none."""
+    n_abn = counts[1] + counts[2]
+    return counts[2] / n_abn if n_abn else 0.0
 
-    ``counts`` are the partition sizes (normal, original-abnormal, generated)
-    of the whole objective: they fix alpha and each term's 1/n, so the
-    contributions of disjoint chunks sum to the loss of their union.
+
+def _partition_terms(scores: Tensor, masks: tuple[Array, Array, Array],
+                     counts: tuple[int, int, int]) -> list[Tensor | None]:
+    """Per partition (normal, original-abnormal, generated), the negated
+    log-likelihood of the graphs ``masks`` select over the partition's
+    count, or ``None`` where the mask selects none.
+
+    ``counts`` are the partition sizes of the whole objective, so the terms
+    of disjoint chunks sum to the terms of their union.
     """
-    n_nor, n_ori, n_gen = counts
-    n_abn = n_ori + n_gen
-    alpha = n_gen / n_abn if n_abn else 0.0
     clamped = ad.clamp(scores, SCORE_FLOOR, 1.0 - SCORE_FLOOR)
     log_normal = ad.log(1.0 - clamped)
     log_abnormal = ad.log(clamped)
+    return [ad.tsum(log_values * mask.astype(np.float64)) * (-1.0 / n)
+            if mask.any() else None
+            for log_values, mask, n in ((log_normal, masks[0], counts[0]),
+                                        (log_abnormal, masks[1], counts[1]),
+                                        (log_abnormal, masks[2], counts[2]))]
 
-    raw: list[Tensor | None] = []
-    for log_values, mask, n in ((log_normal, masks[0], n_nor),
-                                (log_abnormal, masks[1], n_ori),
-                                (log_abnormal, masks[2], n_gen)):
-        raw.append(ad.tsum(log_values * mask.astype(np.float64)) * (-1.0 / n)
-                   if mask.any() else None)
-    raw_nor, raw_ori, raw_gen = raw
 
-    terms: list[Tensor] = []
+def _objective(terms: list[Tensor | None], counts: tuple[int, int, int],
+               beta: float, include_normal: bool, include_abnormal: bool,
+               ) -> Tensor:
+    """The loss from ``_partition_terms``: the normal term plus the abnormal
+    terms mixed by alpha, each included only if its switch is on."""
+    alpha = _alpha(counts)
+    raw_nor, raw_ori, raw_gen = terms
+    mixed: list[Tensor] = []
     if include_normal and raw_nor is not None:
-        terms.append(raw_nor)
+        mixed.append(raw_nor)
     if include_abnormal and raw_ori is not None:
-        terms.append(raw_ori * (1.0 - alpha))
+        mixed.append(raw_ori * (1.0 - alpha))
     if include_abnormal and raw_gen is not None:
-        terms.append(raw_gen * (beta * alpha))
+        mixed.append(raw_gen * (beta * alpha))
 
-    loss = terms[0] if terms else Tensor(0.0)
-    for t in terms[1:]:
+    loss = mixed[0] if mixed else Tensor(0.0)
+    for t in mixed[1:]:
         loss = loss + t
-    components = {
-        "l_normal": float(raw_nor.data) if raw_nor is not None else 0.0,
-        "l_original": float(raw_ori.data) if raw_ori is not None else 0.0,
-        "l_generated": float(raw_gen.data) if raw_gen is not None else 0.0,
-        "alpha": alpha, "beta": beta,
-        "n_normal": n_nor, "n_original": n_ori, "n_generated": n_gen,
-        "loss": float(loss.data),
-    }
-    return loss, components
+    return loss
 
 
 def composite_loss(scores: Tensor, labels: Array, provenance,
                    beta: float, include_normal: bool = True,
                    include_abnormal: bool = True) -> tuple[Tensor, dict]:
-    """Imbalance-aware objective over one batch of scores.
+    """Imbalance-aware objective over one batch of scores, and its parts.
 
     L = L_nor + (1 − alpha)·L_ori + beta·alpha·L_gen, where each term is the
     negated mean log-likelihood over its partition, alpha is the generated
@@ -312,8 +311,16 @@ def composite_loss(scores: Tensor, labels: Array, provenance,
     if counts[1] + counts[2] == 0:
         logger.debug("no abnormal samples in batch; loss reduces to the "
                      "normal term")
-    return _objective(scores, masks, counts, beta, include_normal,
-                      include_abnormal)
+    terms = _partition_terms(scores, masks, counts)
+    loss = _objective(terms, counts, beta, include_normal, include_abnormal)
+    raw = [float(t.data) if t is not None else 0.0 for t in terms]
+    components = {
+        "l_normal": raw[0], "l_original": raw[1], "l_generated": raw[2],
+        "alpha": _alpha(counts), "beta": beta,
+        "n_normal": counts[0], "n_original": counts[1],
+        "n_generated": counts[2], "loss": float(loss.data),
+    }
+    return loss, components
 
 
 # -- training ----------------------------------------------------------------
@@ -384,10 +391,11 @@ def train_detector(graphs, config: DetectorConfig, train_config: TrainConfig,
                        "reduces to its normal term")
 
     def chunk_loss(chunk: _Chunk) -> Tensor:
-        return _objective(detector_scores(params, chunk.plans), chunk.masks,
-                          counts, train_config.beta,
+        terms = _partition_terms(detector_scores(params, chunk.plans),
+                                 chunk.masks, counts)
+        return _objective(terms, counts, train_config.beta,
                           train_config.include_normal_term,
-                          train_config.include_abnormal_term)[0]
+                          train_config.include_abnormal_term)
 
     trace = fit(params.trainables(), train_config.lr, train_config.epochs,
                 chunks, chunk_loss, "detector")

@@ -18,6 +18,9 @@ from .errors import ConfigError, SizeError
 
 Array = np.ndarray
 
+# Widest over narrowest graph in a chunk: each graph keeps ≥ 64 % real cells.
+WIDTH_RATIO = 1.25
+
 
 class Provenance(enum.Enum):
     """Where a graph came from: loaded from disk, or synthesized."""
@@ -193,15 +196,24 @@ def padded_chunks(graphs: Sequence[Graph], chunk_size: int
                   ) -> Iterator[tuple[Array, PaddedBatch]]:
     """Split graphs into chunks of similar size, each padded to its own width.
 
-    Indices are ordered by ``(num_nodes, index)`` and cut into runs of
-    ``chunk_size``. Yields ``(indices, batch)`` per run, where ``batch``
-    pads the run's graphs to its largest node count, the last index's.
+    Indices are ordered by ``(num_nodes, index)`` and cut into runs of at
+    most ``chunk_size`` graphs; a run also ends before a graph wider than
+    ``WIDTH_RATIO`` times the run's first, narrowest, graph. Yields
+    ``(indices, batch)`` per run, where ``batch`` pads the run's graphs to
+    its largest node count, the last index's.
     """
     order = sorted(range(len(graphs)), key=lambda i: (graphs[i].num_nodes, i))
-    for start in range(0, len(order), chunk_size):
-        idx = np.array(order[start:start + chunk_size], dtype=np.int64)
+    start = 0
+    while start < len(order):
+        limit = WIDTH_RATIO * graphs[order[start]].num_nodes
+        stop = start + 1
+        while (stop < len(order) and stop - start < chunk_size
+               and graphs[order[stop]].num_nodes <= limit):
+            stop += 1
+        idx = np.array(order[start:stop], dtype=np.int64)
         members = [graphs[i] for i in idx]
         yield idx, pad_batch(members, members[-1].num_nodes)
+        start = stop
 
 
 def stratified_kfold(dataset: GraphDataset, k: int,

@@ -291,7 +291,9 @@ def test_augmenter_epochs_reuse_the_planned_seed_terms(monkeypatch):
                          (gcn_module, "masked_mean_pool")):
         monkeypatch.setattr(module, name,
                             counted(name, getattr(module, name)))
-    epochs, chunks = 3, 2
+    # sizes 3, 3 | 4, 5, 5 | 6: the cap of 4 never binds, but 4 > 5/4 of 3
+    # and 6 > 5/4 of 4 each start a chunk
+    epochs, chunks = 3, 3
     train_perturbations(seeds, 7, AugmentConfig(epochs=epochs, chunk_size=4),
                         np.random.default_rng(0))
     per_chunk = 1 + epochs  # the plan, then one per epoch

@@ -241,9 +241,24 @@ def test_eval_detects_tampered_checkpoint(trained_run, data_dir, tmp_path,
     assert rc == 2
 
 
+def assert_eval_rejects(tampered, message, run_dir, data_dir, copy, capsys,
+                        caplog):
+    """Run ``eval`` on a copy of ``run_dir`` whose report is ``tampered``;
+    it must fail with exactly ``message`` as one error line."""
+    caplog.set_level(logging.INFO, logger="gladcf")
+    shutil.copytree(run_dir, copy)
+    (copy / "report.json").write_text(json.dumps(tampered), "utf-8")
+    caplog.clear()
+    rc = main(["eval", "--run-dir", str(copy), "--data-dir", str(data_dir)])
+    assert rc == RUNTIME_ERROR
+    errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+    assert [r.getMessage() for r in errors] == [message]
+    assert all(r.exc_info is None for r in errors)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_eval_names_what_a_tampered_report_lacks(trained_run, data_dir,
                                                 tmp_path, capsys, caplog):
-    caplog.set_level(logging.INFO, logger="gladcf")
     payload = json.loads((trained_run / "report.json").read_text("utf-8"))
     dropped = payload["scores"][-1]
     cases = [
@@ -254,17 +269,51 @@ def test_eval_names_what_a_tampered_report_lacks(trained_run, data_dir,
          "report has 2 fold AUCs for 3 folds"),
     ]
     for case, (tampered, message) in enumerate(cases):
-        copy = tmp_path / f"run{case}"
-        shutil.copytree(trained_run, copy)
-        (copy / "report.json").write_text(json.dumps(tampered), "utf-8")
-        caplog.clear()
-        rc = main(["eval", "--run-dir", str(copy),
-                   "--data-dir", str(data_dir)])
-        assert rc == RUNTIME_ERROR
-        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
-        assert [r.getMessage() for r in errors] == [message]
-        assert all(r.exc_info is None for r in errors)
-        assert "Traceback" not in capsys.readouterr().err
+        assert_eval_rejects(tampered, message, trained_run, data_dir,
+                            tmp_path / f"run{case}", capsys, caplog)
+
+
+def _extra_fold_auc(payload):
+    return (dict(payload, fold_aucs=payload["fold_aucs"] + [0.123]),
+            "report has 4 fold AUCs for 3 folds")
+
+
+def _extra_score_row(payload):
+    row = dict(payload["scores"][0], fold=7, graph_id=999)
+    return (dict(payload, scores=payload["scores"] + [row]),
+            "report has a score for fold 7, graph 999, which no test split "
+            "holds")
+
+
+def _repeated_score_row(payload):
+    rows = payload["scores"]
+    return (dict(payload, scores=rows + rows[:1]),
+            f"report has {len(rows) + 1} score rows for {len(rows)} test "
+            "graphs")
+
+
+def _summary_mismatch(name, recompute):
+    def tamper(payload):
+        value = abs(payload[name] - 0.01)
+        return (dict(payload, **{name: value}),
+                f"report {name} {value!r} does not match its fold AUCs "
+                f"({float(recompute(payload['fold_aucs']))!r})")
+    return tamper
+
+
+@pytest.mark.parametrize("tamper", [
+    _extra_fold_auc, _extra_score_row, _repeated_score_row,
+    _summary_mismatch("mean_auc", np.mean),
+    _summary_mismatch("std_auc", np.std),
+], ids=["extra_fold_auc", "extra_score_row", "repeated_score_row",
+        "mean_auc_mismatch", "std_auc_mismatch"])
+def test_eval_rejects_what_a_tampered_report_adds(tamper, trained_run,
+                                                 data_dir, tmp_path, capsys,
+                                                 caplog):
+    payload = json.loads((trained_run / "report.json").read_text("utf-8"))
+    tampered, message = tamper(payload)
+    assert_eval_rejects(tampered, message, trained_run, data_dir,
+                        tmp_path / "run", capsys, caplog)
 
 
 def test_augment_exports_generated_dataset(data_dir, tmp_path, capsys):

@@ -45,17 +45,18 @@ def clique_adjacency(n):
     return adjacency
 
 
-def separable_dataset(n_normal=18, n_abnormal=6, seed=0):
-    """Rings labeled 0, cliques labeled 1, with varied node counts."""
+def separable_dataset(n_normal=18, n_abnormal=6, seed=0, sizes=(4, 7)):
+    """Rings labeled 0, cliques labeled 1, with node counts drawn from
+    ``range(*sizes)``."""
     rng = np.random.default_rng(seed)
     graphs = []
     for _ in range(n_normal):
-        n = int(rng.integers(4, 7))
+        n = int(rng.integers(*sizes))
         adjacency = ring_adjacency(n)
         graphs.append(make_graph(adjacency, np.zeros((n, 0)), 0,
                                  Provenance.ORIGINAL_NORMAL))
     for _ in range(n_abnormal):
-        n = int(rng.integers(4, 7))
+        n = int(rng.integers(*sizes))
         adjacency = clique_adjacency(n)
         graphs.append(make_graph(adjacency, np.zeros((n, 0)), 1,
                                  Provenance.ORIGINAL_ABNORMAL))
@@ -197,6 +198,21 @@ def test_run_cv_is_deterministic():
     assert first.fold_aucs == second.fold_aucs
     assert first.scores == second.scores
     assert first.config_hash == second.config_hash
+
+
+def test_run_cv_does_not_depend_on_chunk_size():
+    # Sizes 4-20 span several width cuts, so 128 chunks by width alone and
+    # 3 by count; the chunks, their widths and the order in which chunk
+    # losses are summed differ, and nothing else may.
+    dataset = separable_dataset(sizes=(4, 21))
+    small = run_cv(fast_config(chunk_size=3), dataset)
+    large = run_cv(fast_config(chunk_size=128), dataset)
+    assert small.generated_per_fold == large.generated_per_fold
+    assert [(r["fold"], r["graph_id"]) for r in small.scores] == \
+        [(r["fold"], r["graph_id"]) for r in large.scores]
+    np.testing.assert_allclose([r["score"] for r in small.scores],
+                               [r["score"] for r in large.scores],
+                               rtol=0, atol=1e-12)
 
 
 def test_parallel_folds_match_serial():

@@ -206,10 +206,13 @@ def test_stratified_kfold_errors():
 
 def test_size_chunks_order_by_size_then_index():
     rng = np.random.default_rng(6)
-    sizes = [5, 3, 5, 2, 3, 7, 2]
+    sizes = [5, 3, 5, 2, 3, 7, 2, 2]
     graphs = [random_graph(rng, n, 1) for n in sizes]
     chunks = list(padded_chunks(graphs, 3))
-    assert [idx.tolist() for idx, _ in chunks] == [[3, 6, 1], [4, 0, 2], [5]]
+    # [3, 6, 7] ends at the cap of 3 graphs; the other cuts come before a
+    # graph wider than 5/4 of its chunk's first: 5 > 3.75 and 7 > 6.25
+    assert [idx.tolist() for idx, _ in chunks] == [[3, 6, 7], [1, 4], [0, 2],
+                                                   [5]]
     for idx, batch in chunks:
         assert batch.size == len(idx)
         assert batch.n_max == sizes[idx[-1]] == max(sizes[i] for i in idx)
@@ -218,3 +221,23 @@ def test_size_chunks_order_by_size_then_index():
             np.testing.assert_array_equal(batch.adjacency_stack[row, :n, :n],
                                           graphs[i].adjacency)
     assert list(padded_chunks([], 3)) == []
+
+
+def test_size_chunks_cut_only_at_the_cap_or_a_width_jump():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        sizes = rng.integers(0, 60, size=int(rng.integers(1, 40))).tolist()
+        chunk_size = int(rng.integers(1, 12))
+        graphs = [make_graph(np.zeros((n, n)), np.zeros((n, 1)), 0,
+                             Provenance.ORIGINAL_NORMAL) for n in sizes]
+        chunks = list(padded_chunks(graphs, chunk_size))
+        runs = [idx.tolist() for idx, _ in chunks]
+        flat = [i for run in runs for i in run]
+        assert flat == sorted(range(len(sizes)), key=lambda i: (sizes[i], i))
+        for run, (_, batch) in zip(runs, chunks):
+            assert 1 <= len(run) <= chunk_size
+            assert batch.n_max == max(sizes[i] for i in run)
+            assert 4 * batch.n_max <= 5 * sizes[run[0]]
+        for run, following in zip(runs, runs[1:]):
+            assert (len(run) == chunk_size
+                    or 4 * sizes[following[0]] > 5 * sizes[run[0]])
