@@ -1,13 +1,14 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 Only the operations the graph models actually need live here: broadcasted
-elementwise arithmetic, (batched) matmul, a few activations (one fused with
-the bias and padding mask a GCN layer applies, one summed over sorted
-scalars in closed form), reductions, two gather-style ops and a block
-slice. Everything is float64. ``backward()`` runs an iterative topological
-sweep, so deep tapes cannot hit the recursion limit. A node whose inputs
-all have ``requires_grad=False`` records no tape entry at all, which makes
-"no grad" evaluation free.
+elementwise arithmetic, (batched) matmul, a few activations, reductions,
+two gather-style ops and a block slice. Two ops are whole pooled GCN hidden
+layers: one runs the weight, bias, padding mask, ReLU and mean pool as a
+single tape node, the other sums the activation over sorted scalars in
+closed form. Everything is float64. ``backward()`` runs an iterative
+topological sweep, so deep tapes cannot hit the recursion limit. A node
+whose inputs all have ``requires_grad=False`` records no tape entry at all,
+which makes "no grad" evaluation free.
 """
 
 from __future__ import annotations
@@ -255,27 +256,49 @@ def relu(t: Tensor) -> Tensor:
     return _node(data, (t,), backward)
 
 
-def bias_mask_relu(t: Tensor, bias: Tensor, mask: Array) -> Tensor:
-    """``relu((t + bias) ⊙ mask)`` as one node, for a 0/1 ``mask``.
+def pooled_bias_mask_relu(t: Tensor, weight: Tensor, bias: Tensor,
+                          mask: Array, pool: Tensor) -> Tensor:
+    """``pool · relu((t·W + b) ⊙ mask)`` as one node, ``(B, h)``.
 
-    The sum, the masked sum and the activation are computed in turn in one
-    output buffer, with the same values as the three separate ops. The
-    backward pass is the one product ``g ⊙ (out > 0)``: an entry can only be
-    positive where the mask is 1, so that product already applies the mask.
+    ``t`` is ``(B, n, k)``, ``weight`` ``(k, h)``, ``bias`` ``(h,)``,
+    ``mask`` a 0/1 ``(B, n)`` array and ``pool`` ``(B, 1, n)``. The forward
+    pass is one flat ``(B·n, k) @ (k, h)`` GEMM whose output buffer takes the
+    bias, the mask and the ReLU in place, then one batched product with
+    ``pool``. That per-node buffer is kept only while a tape entry holds it.
+    The backward pass makes one per-node array, ``pᵀ ⊙ g ⊙ (hidden > 0)``
+    (an entry can only be positive where the mask is 1, so that product
+    already applies the mask), and reads the bias, weight and input
+    gradients off it. These are the float operations of the unfused chain
+    ``matmul``, ``+ bias``, ``⊙ mask``, ``relu``, ``pool @``, in its order,
+    so values and gradients are bit-identical to it.
     """
-    t, bias = _as_tensor(t), _as_tensor(bias)
-    out = t.data + bias.data
-    out *= mask
-    np.maximum(out, 0.0, out=out)
+    t, weight, bias, pool = (_as_tensor(t), _as_tensor(weight),
+                             _as_tensor(bias), _as_tensor(pool))
+    b, n, k = t.shape
+    h = weight.shape[1]
+    t2 = t.data.reshape(b * n, k)
+    hidden = t2 @ weight.data
+    hidden += bias.data
+    hidden *= np.asarray(mask).reshape(-1, 1)
+    np.maximum(hidden, 0.0, out=hidden)
+    hidden = hidden.reshape(b, n, h)
+    data = (pool.data @ hidden).reshape(b, h)
 
     def backward(g: Array) -> None:
-        grad = g * (out > 0)
-        if t.requires_grad:
-            t._accumulate(_unbroadcast(grad, t.shape))
+        g = g.reshape(b, 1, h)
+        if pool.requires_grad:
+            pool._accumulate(g @ np.swapaxes(hidden, -1, -2))
+        grad = np.swapaxes(pool.data, -1, -2) * g
+        grad *= hidden > 0
         if bias.requires_grad:
-            bias._accumulate(_unbroadcast(grad, bias.shape))
+            bias._accumulate(grad.sum(axis=(0, 1)))
+        g2 = grad.reshape(b * n, h)
+        if weight.requires_grad:
+            weight._accumulate(t2.T @ g2)
+        if t.requires_grad:
+            t._accumulate((g2 @ weight.data.T).reshape(t.shape))
 
-    return _node(out, (t, bias), backward)
+    return _node(data, (t, weight, bias, pool), backward)
 
 
 class RampSums(NamedTuple):
@@ -312,13 +335,14 @@ def ramp_relu_sum(weight: Tensor, bias: Tensor, sums: RampSums) -> Tensor:
     ``weight`` holds the ``h`` slopes (``(1, h)`` or ``(h,)``), ``bias`` the
     ``h`` offsets, ``sums`` the rows' sorted ``s`` and prefix sums of ``q``
     and ``q·s`` (``ramp_sums``). The predicate ``s·w_j + b_j > 0`` is the
-    one ``bias_mask_relu`` evaluates, in the same float operations, and it
-    is monotone in ``s``: its true entries are a suffix of the sorted row
-    for ``w_j ≥ 0`` and a prefix for ``w_j < 0``. A bisection over the
-    sorted row finds that boundary for every row and unit at once, and the
-    unit is ``w_j·S₁ + b_j·S₀``, with ``S₀`` and ``S₁`` the sums of ``q``
-    and ``q·s`` over the active side. Those two sums are also the gradients
-    of ``w_j`` and ``b_j``; ``s`` and ``q`` are constants.
+    one ``pooled_bias_mask_relu`` evaluates on a one-column input, in the
+    same float operations, and it is monotone in ``s``: its true entries
+    are a suffix of the sorted row for ``w_j ≥ 0`` and a prefix for
+    ``w_j < 0``. A bisection over the sorted row finds that boundary for
+    every row and unit at once, and the unit is ``w_j·S₁ + b_j·S₀``, with
+    ``S₀`` and ``S₁`` the sums of ``q`` and ``q·s`` over the active side.
+    Those two sums are also the gradients of ``w_j`` and ``b_j``; ``s`` and
+    ``q`` are constants.
     """
     weight, bias = _as_tensor(weight), _as_tensor(bias)
     w = weight.data.reshape(1, -1)

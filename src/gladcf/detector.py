@@ -8,14 +8,15 @@ mean-pooled first and its last weight applied to one row per graph
 the pool weights ``mᵀÂ/n`` and ``s = Â·d`` — is planned once per chunk
 (``plan_branches``), and the forward pass reads only those plans, so no
 training epoch and no scoring pass touches ``Â`` or the padded batch. The
-feature branch's hidden layer runs per node from ``Â·X``. The degree
-branch's input is one column, so its pooled hidden layer has a closed form
-in the sorted ``s`` and builds no per-node state at all. The two pooled
-vectors are concatenated, then compressed by a linear reducer,
-then reweighted by a trainable square matrix: pool, then reduce, then
-reweight, which gives the same embedding as reducing and reweighting every
-node row before the pool. A sigmoid head turns embeddings into anomaly
-scores in (0, 1).
+feature branch's hidden layer reads ``Â·X`` and is pooled in the same tape
+node, so its per-node activations live only as long as that node's tape
+entry. The degree branch's input is one column, so its pooled hidden layer
+has a closed form in the sorted ``s`` and builds no per-node state at all.
+The two pooled vectors are concatenated, then compressed by a linear
+reducer, then reweighted by a trainable square matrix: pool, then reduce,
+then reweight, which gives the same embedding as reducing and reweighting
+every node row before the pool. A sigmoid head turns embeddings into
+anomaly scores in (0, 1).
 
 The loss splits the batch three ways — normal, original-abnormal, generated —
 normalizes each term by its own count, and mixes the abnormal terms by the

@@ -4,14 +4,14 @@ Self-loops are added only on real nodes (via the node mask), zero degrees are
 normalized as degree 1, and padded rows stay exactly zero through the hidden
 layer. The package builds two stack shapes, and only those are served: one
 layer (the augmenter's probe) and two layers (each detector branch). A stack
-is read out pooled: the hidden layer runs per node, then the mean pool, then
-the last layer's weight and bias on one row per graph (``gcn_readout``). What
-the readout needs of the graphs alone, ``Â·X`` and the pool weights, is
-computed apart from the layers (``plan_readout``), so callers with fixed
-graphs compute it once. A hidden layer on a single constant input column is
-read out in closed form, with no per-node state. The adjacency may itself be
-a differentiable tensor — the counterfactual generator backpropagates
-through the normalization.
+is read out pooled: the hidden layer and the mean pool are one tape node,
+then the last layer's weight and bias act on one row per graph
+(``gcn_readout``). What the readout needs of the graphs alone, ``Â·X`` and
+the pool weights, is computed apart from the layers (``plan_readout``), so
+callers with fixed graphs compute it once. A hidden layer on a single
+constant input column is read out in closed form, with no per-node state.
+The adjacency may itself be a differentiable tensor — the counterfactual
+generator backpropagates through the normalization.
 """
 
 from __future__ import annotations
@@ -75,16 +75,18 @@ def normalize_adjacency(adjacency: Tensor | Array, mask: Array, *,
     return with_loops * row * col
 
 
-def gcn_layer(params: GCNLayerParams, propagated: Tensor,
-              mask: Array) -> Tensor:
-    """The hidden layer from its propagated input: ``relu((Â·H · W + b) ⊙ m)``.
+def gcn_layer(params: GCNLayerParams, propagated: Tensor, mask: Array,
+              pool: Tensor) -> Tensor:
+    """The pooled hidden layer: ``pool · relu((Â·H · W + b) ⊙ m)``, ``(B, h)``.
 
-    ``propagated`` is ``Â·H``, which ``plan_readout`` computes once. The
-    bias, the padding mask and the ReLU are one fused tape node, so padded
-    rows come out exactly zero.
+    ``propagated`` is ``Â·H`` and ``pool`` the pool weights ``mᵀÂ/n``, both
+    from ``plan_readout``. The layer and the pool are one tape node
+    (``autodiff.pooled_bias_mask_relu``): padded rows are exactly zero
+    before the pool, and the per-node activations live only as long as the
+    tape entry that needs them.
     """
-    return ad.bias_mask_relu(ad.matmul(propagated, params.weight),
-                             params.bias, np.asarray(mask)[..., None])
+    return ad.pooled_bias_mask_relu(propagated, params.weight, params.bias,
+                                    mask, pool)
 
 
 @dataclass(frozen=True)
@@ -143,11 +145,12 @@ def gcn_readout(layers: Sequence[GCNLayerParams],
                 plan: ReadoutPlan) -> Tensor:
     """Mean-pooled output of a one- or two-layer stack, ``(B, out)``.
 
-    A two-layer stack runs its hidden layer per node (``gcn_layer`` on the
-    plan's ``Â·X``). The last layer and the mean pool are both linear, so
-    the pool goes first: ``mean_i (Â H W + b)_i = (p · H) · W + b``, and
-    the last weight and bias act on ``B`` rows instead of ``B · n``. A plan
-    with a ramp evaluates the hidden layer pooled, in closed form
+    A two-layer stack runs its hidden layer and the pool as one tape node
+    (``gcn_layer`` on the plan's ``Â·X``). The last layer and the mean pool
+    are both linear, so the pool goes first:
+    ``mean_i (Â H W + b)_i = (p · H) · W + b``, and the last weight and
+    bias act on ``B`` rows instead of ``B · n``. A plan with a ramp
+    evaluates the hidden layer pooled, in closed form
     (``autodiff.ramp_relu_sum``), with the same active nodes and gradients
     as the per-node path and no ``(B, n, ·)`` state. A graph with no real
     nodes pools to zero.
@@ -158,10 +161,10 @@ def gcn_readout(layers: Sequence[GCNLayerParams],
     first, last = layers[0], layers[-1]
     if plan.ramp is not None:
         pooled = ad.ramp_relu_sum(first.weight, first.bias, plan.ramp)
+    elif plan.depth == 2:
+        pooled = gcn_layer(first, plan.inputs, plan.mask, plan.pool)
     else:
         h = plan.inputs
-        if plan.depth == 2:
-            h = gcn_layer(first, h, plan.mask)
         pooled = ad.reshape(ad.matmul(plan.pool, h),
                             (plan.mask.shape[0], h.shape[-1]))
     return ad.matmul(pooled, last.weight) + pooled_bias(last.bias, plan.mask)

@@ -101,31 +101,55 @@ def test_unary_grads():
     assert_grads_close(lambda: ad.tsum(ad.absolute(off_kink)), [off_kink])
 
 
-def test_bias_mask_relu_equals_unfused_chain():
-    rng = np.random.default_rng(16)
-    mask = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 0.0, 0.0]])[..., None]
-    x = leaf(rng, (2, 4, 3))
-    b = leaf(rng, (3,))
-    weights = rng.normal(size=(2, 4, 3))
-    fused = ad.bias_mask_relu(x, b, mask)
-    chain = ad.relu((x + b) * mask)
-    np.testing.assert_array_equal(fused.data, chain.data)
-    # the ReLU both passes and clips some real entries
-    assert (fused.data > 0).any() and ((x.data + b.data) * mask < 0).any()
-    assert np.all(fused.data[0, 3:] == 0.0) and np.all(fused.data[1, 2:] == 0.0)
+def _pooled_chain(t, w, b, mask, pool):
+    """``pool @ relu((t @ W + b) ⊙ m)`` from separate ops: the reference."""
+    hidden = ad.relu((ad.matmul(t, w) + b) * Tensor(mask[..., None]))
+    return ad.reshape(ad.matmul(pool, hidden), (t.shape[0], w.shape[1]))
 
-    grads = []
-    for build in (lambda: ad.bias_mask_relu(x, b, mask),
-                  lambda: ad.relu((x + b) * mask)):
-        x.zero_grad()
-        b.zero_grad()
-        ad.tsum(build() * weights).backward()
-        grads.append((x.grad, b.grad))
-    np.testing.assert_array_equal(grads[0][0], grads[1][0])
-    np.testing.assert_array_equal(grads[0][1], grads[1][1])
-    assert np.all(grads[0][0][0, 3:] == 0.0)  # no gradient into padding
+
+def test_pooled_hidden_layer_matches_unfused_chain():
+    # graph 0 is full, graph 1 has 2 real nodes padded to 4 and graph 2 is
+    # empty; the soft pool weighs padded nodes too, which the mask cancels
+    rng = np.random.default_rng(16)
+    mask = np.array([[1.0] * 4, [1.0, 1.0, 0.0, 0.0], [0.0] * 4])
+    t = leaf(rng, (3, 4, 3))
+    w = leaf(rng, (3, 5))
+    b = leaf(rng, (5,))
+    pool = Tensor(rng.uniform(0.1, 0.9, size=(3, 1, 4)), requires_grad=True)
+    weights = rng.normal(size=(3, 5))
+
+    results = []
+    for build in (ad.pooled_bias_mask_relu, _pooled_chain):
+        for x in (t, w, b, pool):
+            x.zero_grad()
+        out = build(t, w, b, mask, pool)
+        ad.tsum(out * weights).backward()
+        results.append((out.data, [x.grad for x in (t, w, b, pool)]))
+    (got, got_grads), (want, want_grads) = results
+    assert got.shape == (3, 5)
+    np.testing.assert_array_equal(got, want)
+    for g_got, g_want in zip(got_grads, want_grads):
+        np.testing.assert_array_equal(g_got, g_want)
+    # the ReLU both passes and clips some real entries
+    pre = (t.data @ w.data + b.data) * mask[..., None]
+    assert (pre > 0).any() and (pre < 0).any()
+    np.testing.assert_array_equal(got[2], 0.0)   # the empty graph
+    assert np.all(got_grads[0][1, 2:] == 0.0)    # no gradient into padding
+    assert np.all(got_grads[3][1, 0, 2:] == 0.0)
+    assert (got_grads[3][1, 0, :2] != 0.0).any()
     assert_grads_close(
-        lambda: ad.tsum(ad.bias_mask_relu(x, b, mask) * weights), [x, b])
+        lambda: ad.tsum(ad.pooled_bias_mask_relu(t, w, b, mask, pool)
+                        * weights), [t, w, b, pool])
+
+    # a chunk whose graphs have no nodes at all pools to zero
+    empty = Tensor(np.zeros((2, 0, 3)), requires_grad=True)
+    w.zero_grad()
+    out = ad.pooled_bias_mask_relu(empty, w, b, np.zeros((2, 0)),
+                                   Tensor(np.zeros((2, 1, 0))))
+    np.testing.assert_array_equal(out.data, np.zeros((2, 5)))
+    ad.tsum(out).backward()
+    np.testing.assert_array_equal(w.grad, 0.0)
+    assert empty.grad.shape == (2, 0, 3)
 
 
 def test_clamp_blocks_gradient_outside_range():

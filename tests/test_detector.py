@@ -272,10 +272,11 @@ def test_empty_graph_gets_zero_embedding():
 
 
 def test_tape_holds_no_per_node_last_layer_state():
-    # The last GCN layer runs on pooled rows, so one forward and backward
-    # pass never holds a (B, n, hidden2) array, as a value or a gradient.
-    # The degree branch's hidden layer is pooled in closed form, so it holds
-    # no (B, n, hidden1) array either: only the feature branch does.
+    # Both branches read out pooled: the feature branch's hidden layer and
+    # its pool are one tape node, the degree branch's hidden layer has a
+    # closed form and the last layer runs on pooled rows. So one forward and
+    # backward pass holds no (B, n, hidden1) or (B, n, hidden2) array, as a
+    # value or a gradient; the only per-node arrays are the planned inputs.
     rng = np.random.default_rng(19)
     graphs, batch = _toy_batch(rng, n_hi=6)
     b, n = batch.node_mask.shape
@@ -301,7 +302,8 @@ def test_tape_holds_no_per_node_last_layer_state():
 
     config = DetectorConfig(hidden1=8, hidden2=7, reduce_dim=4)
     shapes = tape_shapes(config)
-    assert (b, n, config.hidden1) in shapes  # the walk reaches the hidden layer
+    assert (5, config.hidden1) in shapes  # the walk reaches the hidden weight
+    assert (b, n, config.hidden1) not in shapes
     assert (b, n, config.hidden2) not in shapes
     degree_only = tape_shapes(DetectorConfig(hidden1=8, hidden2=7,
                                              reduce_dim=4,

@@ -68,8 +68,23 @@ def _readout(layers, x, normalized, mask):
 
 
 def _hidden(layer, x, normalized, mask):
-    """The hidden layer on ``x``, propagated as ``plan_readout`` does."""
-    return gcn_layer(layer, ad.matmul(normalized, x), mask)
+    """The pooled hidden layer on ``x``, ``(B, h)``: propagated and pooled
+    as ``plan_readout`` does, ``p · relu((Â·X·W + b) ⊙ m)`` with
+    ``p = mᵀÂ/n``."""
+    b, n = mask.shape
+    pool = ad.reshape(masked_mean_pool(normalized, mask), (b, 1, n))
+    return gcn_layer(layer, ad.matmul(normalized, x), mask, pool)
+
+
+def _node_rows(layer, x, normalized, mask):
+    """The hidden layer's per-node rows, ``(B, n, h)``: node ``i``'s row is
+    the layer pooled with the one-hot weights of node ``i``."""
+    b, n = mask.shape
+    propagated = ad.matmul(normalized, x)
+    return np.stack(
+        [gcn_layer(layer, propagated, mask,
+                   Tensor(np.broadcast_to(np.eye(n)[i], (b, 1, n)))).data
+         for i in range(n)], axis=1)
 
 
 def _per_node_readout(layers, x, normalized, mask):
@@ -101,9 +116,14 @@ def test_forward_hand_oracle():
     per_node = a_hat @ (x @ w) + b
     mask = np.ones((1, 3))
     normalized = normalize_adjacency(a[None], mask)
-    # as a hidden layer, ReLU after; as the last one, mean-pooled
+    # as a hidden layer, ReLU after, then pooled through Â's rows; as the
+    # last one, mean-pooled
+    rows = np.maximum(per_node, 0.0)
+    np.testing.assert_allclose(_node_rows(params, x[None], normalized,
+                                          mask)[0], rows, atol=1e-12)
     hidden = _hidden(params, x[None], normalized, mask).data[0]
-    np.testing.assert_allclose(hidden, np.maximum(per_node, 0.0), atol=1e-12)
+    np.testing.assert_allclose(hidden, (a_hat @ rows).mean(axis=0),
+                               atol=1e-12)
     got = _readout([params], x[None], normalized, mask).data[0]
     np.testing.assert_allclose(got, per_node.mean(axis=0), atol=1e-12)
 
@@ -123,18 +143,20 @@ def test_layer_matches_dense_math_in_either_order(in_dim, out_dim):
     normalized = normalize_adjacency(a, mask)
     got = _hidden(layer, Tensor(x), normalized, mask).data
     norm, w = normalized.data, layer.weight.data
+    pool = (mask / mask.sum(axis=-1, keepdims=True))[:, None, :] @ norm
     for product in ((norm @ x) @ w, norm @ (x @ w)):
-        expected = np.maximum(mask[..., None] * (product + layer.bias.data),
-                              0.0)
-        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+        rows = np.maximum(mask[..., None] * (product + layer.bias.data), 0.0)
+        np.testing.assert_allclose(got, (pool @ rows)[:, 0], rtol=0,
+                                   atol=1e-12)
 
     # gradients through a differentiable soft adjacency, as the augmenter's
     # probe takes them
     soft = Tensor(rng.uniform(0.1, 0.9, size=(2, 5, 5)), requires_grad=True)
     features = Tensor(x, requires_grad=True)
-    weights = rng.normal(size=(2, 5, out_dim))
+    weights = rng.normal(size=(2, out_dim))
 
     def loss():
+        # the soft Â reaches the layer twice: in Â·X and in the pool
         out = _hidden(layer, features, normalize_adjacency(soft, mask), mask)
         return ad.tsum(out * weights)
 
@@ -167,7 +189,7 @@ def test_padded_rows_zero_through_layers():
     x[0, :3] = rng.normal(size=(3, 2))
     mask = np.array([[1.0, 1.0, 1.0, 0.0, 0.0]])
     normalized = normalize_adjacency(a, mask)
-    h = _hidden(layers[0], x, normalized, mask).data
+    h = _node_rows(layers[0], x, normalized, mask)
     assert np.all(h[0, 3:, :] == 0.0)
     # the padding changes nothing the readout sees
     tight = _readout(layers, x[:, :3], normalize_adjacency(
@@ -183,7 +205,7 @@ def test_equivalent_nodes_get_equal_rows():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])[None]
     x = np.array([[0.3, -0.7], [0.3, -0.7]])[None]
     mask = np.ones((1, 2))
-    out = _hidden(layer, x, normalize_adjacency(a, mask), mask).data[0]
+    out = _node_rows(layer, x, normalize_adjacency(a, mask), mask)[0]
     assert (out > 0).any()  # not equal merely because the ReLU zeroed both
     np.testing.assert_allclose(out[0], out[1], atol=1e-12)
 
@@ -280,9 +302,8 @@ def test_degree_readout_closed_form_matches_per_node_path(seed):
 
     def per_node():
         first, last = layers
-        h = ad.bias_mask_relu(ad.matmul(Tensor(s[..., None]), first.weight),
-                              first.bias, mask[..., None])
-        pooled = ad.reshape(ad.matmul(pool, h), (b, first.out_dim))
+        pooled = ad.pooled_bias_mask_relu(Tensor(s[..., None]), first.weight,
+                                          first.bias, mask, pool)
         return ad.matmul(pooled, last.weight) + pooled_bias(last.bias, mask)
 
     weights = np.random.default_rng(seed).normal(size=(b, 3))
