@@ -18,10 +18,10 @@ then reweight, which gives the same embedding as reducing and reweighting
 every node row before the pool. A sigmoid head turns embeddings into
 anomaly scores in (0, 1).
 
-The loss splits the batch three ways — normal, original-abnormal, generated —
-normalizes each term by its own count, and mixes the abnormal terms by the
-generated fraction alpha with an extra influence knob beta on the generated
-term. Training runs through ``optim.fit`` over size-bucketed chunks.
+The loss is a negative log-likelihood with one weight per graph, made once
+per training set (``loss_weights``): the normal, original-abnormal and
+generated terms weigh 1, 1 − alpha and beta·alpha, each spread over its
+partition. Training runs through ``optim.fit`` over size-bucketed chunks.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -56,7 +56,6 @@ class DetectorConfig:
     use_feature_branch: bool = True
     use_degree_branch: bool = True
     use_adaptive_weighting: bool = True
-    threshold: float = 0.5
 
     def __post_init__(self):
         if not (self.use_feature_branch or self.use_degree_branch):
@@ -64,9 +63,6 @@ class DetectorConfig:
         for name in ("hidden1", "hidden2", "reduce_dim"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
-        if not 0.0 < self.threshold < 1.0:
-            raise ConfigError(
-                f"threshold must lie in (0, 1), got {self.threshold}")
 
     @property
     def fused_dim(self) -> int:
@@ -171,15 +167,19 @@ Plans = tuple[ReadoutPlan | None, ReadoutPlan | None]
 def plan_branches(params: DetectorParams, batch: PaddedBatch) -> Plans:
     """Each branch's ``gcn.plan_readout`` for one batch, None where it is off.
 
-    Both branches share one ``normalize_adjacency``; the plans depend on the
-    graphs and the branch depths only, never on parameter values.
+    Both branches share one ``normalize_adjacency``, and the degree branch
+    reads the adjacency's row sums; the plans depend on the graphs and the
+    branch depths only, never on parameter values.
     """
+    # degrees first: allocated after normalize_adjacency's temporaries, this
+    # small array raised cv_bzr's peak RSS by 6 MB (glibc heap layout)
+    degrees = batch.adjacency_stack.sum(axis=-1, keepdims=True)
     normalized = normalize_adjacency(batch.adjacency_stack, batch.node_mask)
     return tuple(
         None if layers is None
         else plan_readout(len(layers), inputs, normalized, batch.node_mask)
         for layers, inputs in ((params.feature_branch, batch.feature_stack),
-                               (params.degree_branch, batch.degree_stack)))
+                               (params.degree_branch, degrees)))
 
 
 def fuse_features(params: DetectorParams, plans: Plans) -> Tensor:
@@ -227,7 +227,7 @@ def detector_scores(params: DetectorParams, plans: Plans) -> Tensor:
     return score(params, embedding)
 
 
-def decide(scores: Array, threshold: float = 0.5) -> Array:
+def decide(scores: Array, threshold: float) -> Array:
     """1 iff score − threshold is strictly positive."""
     return (np.asarray(scores) - threshold > 0).astype(np.int64)
 
@@ -251,77 +251,57 @@ def partition_masks(labels: Array, provenance) -> tuple[Array, Array, Array]:
     return is_normal, is_original_abnormal, is_generated_abnormal
 
 
-def _alpha(counts: tuple[int, int, int]) -> float:
-    """The generated share of the abnormal graphs; 0 when there are none."""
-    n_abn = counts[1] + counts[2]
-    return counts[2] / n_abn if n_abn else 0.0
+def _partitions(labels: Array, provenance
+                ) -> tuple[tuple[Array, Array, Array], list[int], float]:
+    """``partition_masks``, their counts, and alpha: the generated share of
+    the abnormal graphs, 0 when there are none."""
+    masks = partition_masks(labels, provenance)
+    counts = [int(m.sum()) for m in masks]
+    return masks, counts, counts[2] / max(counts[1] + counts[2], 1)
 
 
-def _partition_terms(scores: Tensor, masks: tuple[Array, Array, Array],
-                     counts: tuple[int, int, int]) -> list[Tensor | None]:
-    """Per partition (normal, original-abnormal, generated), the negated
-    log-likelihood of the graphs ``masks`` select over the partition's
-    count, or ``None`` where the mask selects none.
+def loss_weights(labels: Array, provenance, beta: float,
+                 include_normal: bool = True,
+                 include_abnormal: bool = True) -> Array:
+    """Per-graph weights that make ``weighted_nll`` the objective
+    L = L_nor + (1 − alpha)·L_ori + beta·alpha·L_gen, each term the negated
+    mean log-likelihood over its partition and alpha the generated share of
+    the abnormal graphs (0 without any): 1/n_nor, (1 − alpha)/n_ori and
+    beta·alpha/n_gen, or 0 where a term is switched off."""
+    masks, counts, alpha = _partitions(labels, provenance)
+    scales = (float(include_normal), (1.0 - alpha) * include_abnormal,
+              beta * alpha * include_abnormal)
+    return sum(mask * (scale / max(count, 1))
+               for mask, scale, count in zip(masks, scales, counts))
 
-    ``counts`` are the partition sizes of the whole objective, so the terms
-    of disjoint chunks sum to the terms of their union.
-    """
+
+def weighted_nll(scores: Tensor, labels: Array, weights: Array) -> Tensor:
+    """Σᵢ wᵢ·(−log pᵢ), where pᵢ = c·y + (1 − c)·(1 − y) is the likelihood
+    of label y under the score c clamped to [floor, 1 − floor]: c for an
+    anomaly and 1 − c for a normal graph."""
     clamped = ad.clamp(scores, SCORE_FLOOR, 1.0 - SCORE_FLOOR)
-    log_normal = ad.log(1.0 - clamped)
-    log_abnormal = ad.log(clamped)
-    return [ad.tsum(log_values * mask.astype(np.float64)) * (-1.0 / n)
-            if mask.any() else None
-            for log_values, mask, n in ((log_normal, masks[0], counts[0]),
-                                        (log_abnormal, masks[1], counts[1]),
-                                        (log_abnormal, masks[2], counts[2]))]
-
-
-def _objective(terms: list[Tensor | None], counts: tuple[int, int, int],
-               beta: float, include_normal: bool, include_abnormal: bool,
-               ) -> Tensor:
-    """The loss from ``_partition_terms``: the normal term plus the abnormal
-    terms mixed by alpha, each included only if its switch is on."""
-    alpha = _alpha(counts)
-    raw_nor, raw_ori, raw_gen = terms
-    mixed: list[Tensor] = []
-    if include_normal and raw_nor is not None:
-        mixed.append(raw_nor)
-    if include_abnormal and raw_ori is not None:
-        mixed.append(raw_ori * (1.0 - alpha))
-    if include_abnormal and raw_gen is not None:
-        mixed.append(raw_gen * (beta * alpha))
-
-    loss = mixed[0] if mixed else Tensor(0.0)
-    for t in mixed[1:]:
-        loss = loss + t
-    return loss
+    y = np.asarray(labels, dtype=np.float64)
+    likelihood = clamped * y + (1.0 - clamped) * (1.0 - y)
+    return ad.tsum(ad.log(likelihood) * -np.asarray(weights))
 
 
 def composite_loss(scores: Tensor, labels: Array, provenance,
                    beta: float, include_normal: bool = True,
                    include_abnormal: bool = True) -> tuple[Tensor, dict]:
-    """Imbalance-aware objective over one batch of scores, and its parts.
-
-    L = L_nor + (1 − alpha)·L_ori + beta·alpha·L_gen, where each term is the
-    negated mean log-likelihood over its partition, alpha is the generated
-    share of the abnormal samples, and empty partitions contribute zero.
-    Log arguments are clamped away from 0 and 1.
-    """
-    masks = partition_masks(labels, provenance)
-    counts = tuple(int(m.sum()) for m in masks)
-    if counts[1] + counts[2] == 0:
-        logger.debug("no abnormal samples in batch; loss reduces to the "
-                     "normal term")
-    terms = _partition_terms(scores, masks, counts)
-    loss = _objective(terms, counts, beta, include_normal, include_abnormal)
-    raw = [float(t.data) if t is not None else 0.0 for t in terms]
-    components = {
+    """The objective over one batch, ``weighted_nll`` at ``loss_weights``,
+    and its parts: each partition's negated mean log-likelihood (0 when
+    empty), alpha, beta and the partition counts."""
+    loss = weighted_nll(scores, labels, loss_weights(
+        labels, provenance, beta, include_normal, include_abnormal))
+    masks, counts, alpha = _partitions(labels, provenance)
+    raw = [float(weighted_nll(Tensor(scores.data), labels, m / max(n, 1)).data)
+           for m, n in zip(masks, counts)]
+    return loss, {
         "l_normal": raw[0], "l_original": raw[1], "l_generated": raw[2],
-        "alpha": _alpha(counts), "beta": beta,
+        "alpha": alpha, "beta": beta,
         "n_normal": counts[0], "n_original": counts[1],
         "n_generated": counts[2], "loss": float(loss.data),
     }
-    return loss, components
 
 
 # -- training ----------------------------------------------------------------
@@ -350,7 +330,6 @@ class TrainConfig:
 class _Chunk:
     plans: Plans  # the batch's plan_branches, made once
     indices: Array
-    masks: tuple[Array, Array, Array]  # see partition_masks
 
 
 def _plan_chunks(graphs, chunk_size: int,
@@ -360,14 +339,8 @@ def _plan_chunks(graphs, chunk_size: int,
     A chunk's graphs never change, so the branches' graph-only terms are
     computed here once and every epoch and every scoring pass reuses them.
     """
-    provenance = [g.provenance for g in graphs]
-    labels = np.array([g.label for g in graphs])
-    chunks = []
-    for idx, batch in padded_chunks(graphs, chunk_size):
-        masks = partition_masks(labels[idx], [provenance[i] for i in idx])
-        chunks.append(_Chunk(plans=plan_branches(params, batch),
-                             indices=idx, masks=masks))
-    return chunks
+    return [_Chunk(plans=plan_branches(params, batch), indices=idx)
+            for idx, batch in padded_chunks(graphs, chunk_size)]
 
 
 def train_detector(graphs, config: DetectorConfig, train_config: TrainConfig,
@@ -375,9 +348,9 @@ def train_detector(graphs, config: DetectorConfig, train_config: TrainConfig,
                    ) -> tuple[DetectorParams, list[float]]:
     """Train a fresh detector through ``optim.fit``.
 
-    Returns the trained parameters and the per-epoch loss trace. Each
-    chunk's loss uses the global partition counts, so the chunk losses sum
-    to the single-batch objective regardless of chunk size.
+    Returns the trained parameters and the per-epoch loss trace. The
+    objective's weights are made once for the whole training set, so the
+    chunk losses sum to the single-batch objective regardless of chunk size.
     """
     graphs = list(graphs)
     if not graphs:
@@ -385,18 +358,18 @@ def train_detector(graphs, config: DetectorConfig, train_config: TrainConfig,
     params = init_detector(graphs[0].feature_dim, config, rng)
     chunks = _plan_chunks(graphs, train_config.chunk_size, params)
 
-    counts = tuple(int(m.sum()) for m in partition_masks(
-        [g.label for g in graphs], [g.provenance for g in graphs]))
-    if counts[1] + counts[2] == 0:
+    labels = np.array([g.label for g in graphs])
+    weights = loss_weights(labels, [g.provenance for g in graphs],
+                           train_config.beta,
+                           train_config.include_normal_term,
+                           train_config.include_abnormal_term)
+    if not labels.any():
         logger.warning("training set has no abnormal graphs; the loss "
                        "reduces to its normal term")
 
     def chunk_loss(chunk: _Chunk) -> Tensor:
-        terms = _partition_terms(detector_scores(params, chunk.plans),
-                                 chunk.masks, counts)
-        return _objective(terms, counts, train_config.beta,
-                          train_config.include_normal_term,
-                          train_config.include_abnormal_term)
+        return weighted_nll(detector_scores(params, chunk.plans),
+                            labels[chunk.indices], weights[chunk.indices])
 
     trace = fit(params.trainables(), train_config.lr, train_config.epochs,
                 chunks, chunk_loss, "detector")
@@ -411,8 +384,6 @@ def predict_scores(params: DetectorParams, graphs,
     read, never flagged or unflagged.
     """
     graphs = list(graphs)
-    if not graphs:
-        return np.zeros(0)
     frozen = params.detached()
     out = np.zeros(len(graphs))
     for chunk in _plan_chunks(graphs, chunk_size, frozen):
@@ -422,7 +393,7 @@ def predict_scores(params: DetectorParams, graphs,
 
 # -- checkpointing -------------------------------------------------------------
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(path, params: DetectorParams, extra: dict | None = None
@@ -438,11 +409,32 @@ def save_checkpoint(path, params: DetectorParams, extra: dict | None = None
 
 
 def load_checkpoint(path) -> tuple[DetectorParams, dict]:
+    """The parameters and ``extra`` of a ``save_checkpoint`` archive, which
+    must hold exactly the arrays that ``init_detector`` builds for its
+    config, in the same shapes; anything else is a ``ConfigError``."""
     with np.load(path) as archive:
-        meta = json.loads(bytes(archive["meta_json"]).decode("utf-8"))
-        if meta.get("format_version") != CHECKPOINT_VERSION:
-            raise ConfigError(
-                f"unsupported checkpoint version {meta.get('format_version')}")
-        params = DetectorParams.from_arrays(
-            DetectorConfig(**meta["config"]), archive, requires_grad=True)
-    return params, meta["extra"]
+        arrays = {name: archive[name] for name in archive.files}
+    try:
+        meta = json.loads(bytes(arrays.pop("meta_json")).decode("utf-8"))
+        version, saved, extra = (meta["format_version"], meta["config"],
+                                 meta["extra"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"checkpoint meta is unreadable: {exc!r}") from None
+    if version != CHECKPOINT_VERSION:
+        raise ConfigError(f"unsupported checkpoint version {version}")
+    names = sorted(f.name for f in fields(DetectorConfig))
+    if not isinstance(saved, dict) or sorted(saved) != names:
+        raise ConfigError(f"checkpoint config must hold exactly {names}")
+    config = DetectorConfig(**saved)
+    # the feature width is the one shape the config does not fix
+    width = (np.shape(arrays.get("feature0_weight")) or (1,))[0]
+    needed = {name: t.shape for name, t in init_detector(
+        width, config, np.random.default_rng(0)).named().items()}
+    found = {name: array.shape for name, array in arrays.items()}
+    for name in sorted(needed.keys() | found.keys()):
+        if found.get(name) != needed.get(name):
+            raise ConfigError(f"checkpoint array {name!r}: shape "
+                              f"{found.get(name)} in the file, "
+                              f"{needed.get(name)} for its config")
+    params = DetectorParams.from_arrays(config, arrays, requires_grad=True)
+    return params, extra

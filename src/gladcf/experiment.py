@@ -84,6 +84,9 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.parallel_folds < 1:
             raise ConfigError("parallel_folds must be positive")
+        if not 0.0 < self.threshold < 1.0:
+            raise ConfigError(
+                f"threshold must lie in (0, 1), got {self.threshold}")
         # the model configs check their own fields, so a bad value fails
         # here rather than inside the first fold
         self.detector_config()
@@ -113,8 +116,7 @@ class ExperimentConfig:
             reduce_dim=self.reduce_dim,
             use_feature_branch=self.variant != "no_gcn_x",
             use_degree_branch=self.variant != "no_gcn_d",
-            use_adaptive_weighting=self.variant != "no_awlm",
-            threshold=self.threshold)
+            use_adaptive_weighting=self.variant != "no_awlm")
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(
@@ -215,6 +217,7 @@ class EvalReport:
 REPORT_SCHEMA = {
     "type": "object",
     "required": [f.name for f in fields(EvalReport)],
+    "additionalProperties": False,
     "properties": {
         "format_version": {"const": REPORT_VERSION},
         "dataset": {"type": "string"},
@@ -258,9 +261,15 @@ def validate_report(payload: dict) -> None:
     for key in REPORT_SCHEMA["required"]:
         if key not in payload:
             raise ConfigError(f"report missing field {key!r}")
+    unknown = sorted(payload.keys() - REPORT_SCHEMA["properties"].keys())
+    if unknown:
+        raise ConfigError(f"report has unknown field {unknown[0]!r}")
     if not isinstance(payload["fold_aucs"], list) or not all(
             isinstance(x, (int, float)) for x in payload["fold_aucs"]):
         raise ConfigError("fold_aucs must be a list of numbers")
+    if not isinstance(payload["scores"], list) or not all(
+            isinstance(row, dict) for row in payload["scores"]):
+        raise ConfigError("scores must be a list of objects")
     row_keys = REPORT_SCHEMA["properties"]["scores"]["items"]["required"]
     for row in payload["scores"]:
         for key in row_keys:

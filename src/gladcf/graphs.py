@@ -149,14 +149,13 @@ class GraphDataset:
 class PaddedBatch:
     """Dense zero-padded stacks for a list of graphs.
 
-    Shapes: adjacency ``(B, n, n)``, features ``(B, n, h)``, degrees
-    ``(B, n, 1)``, node_mask ``(B, n)``. Padded rows are
-    exactly zero everywhere and the mask marks real nodes with 1.
+    Shapes: adjacency ``(B, n, n)``, features ``(B, n, h)``, node_mask
+    ``(B, n)``. Padded rows are exactly zero everywhere and the mask marks
+    real nodes with 1.
     """
 
     adjacency_stack: Array
     feature_stack: Array
-    degree_stack: Array
     node_mask: Array
 
     @property
@@ -174,7 +173,6 @@ def pad_batch(graphs: Sequence[Graph], n_max: int) -> PaddedBatch:
     h = graphs[0].feature_dim if batch else 0
     adjacency = np.zeros((batch, n_max, n_max))
     features = np.zeros((batch, n_max, h))
-    degrees = np.zeros((batch, n_max, 1))
     mask = np.zeros((batch, n_max))
     for i, g in enumerate(graphs):
         n = g.num_nodes
@@ -186,10 +184,9 @@ def pad_batch(graphs: Sequence[Graph], n_max: int) -> PaddedBatch:
                 f"graph {i} feature dim {g.feature_dim} != {h}")
         adjacency[i, :n, :n] = g.adjacency
         features[i, :n, :] = g.node_features
-        degrees[i, :n, 0] = g.degrees
         mask[i, :n] = 1.0
     return PaddedBatch(adjacency_stack=adjacency, feature_stack=features,
-                       degree_stack=degrees, node_mask=mask)
+                       node_mask=mask)
 
 
 def padded_chunks(graphs: Sequence[Graph], chunk_size: int

@@ -16,7 +16,7 @@ from gladcf.errors import ConfigError
 from gladcf.experiment import ExperimentConfig, load_report
 from gladcf.graphs import Provenance, make_graph
 from gladcf.tu import load_tu_dataset, write_tu_dataset
-from util import ring_adjacency
+from util import rewrite_checkpoint, ring_adjacency
 
 
 def clique(n):
@@ -241,20 +241,26 @@ def test_eval_detects_tampered_checkpoint(trained_run, data_dir, tmp_path,
     assert rc == 2
 
 
+def eval_errors(run_dir, data_dir, capsys, caplog) -> list[str]:
+    """Run ``eval`` on ``run_dir``, which must fail without a traceback;
+    returns its error lines."""
+    caplog.set_level(logging.INFO, logger="gladcf")
+    caplog.clear()
+    rc = main(["eval", "--run-dir", str(run_dir), "--data-dir", str(data_dir)])
+    assert rc == RUNTIME_ERROR
+    errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+    assert all(r.exc_info is None for r in errors)
+    assert "Traceback" not in capsys.readouterr().err
+    return [r.getMessage() for r in errors]
+
+
 def assert_eval_rejects(tampered, message, run_dir, data_dir, copy, capsys,
                         caplog):
     """Run ``eval`` on a copy of ``run_dir`` whose report is ``tampered``;
     it must fail with exactly ``message`` as one error line."""
-    caplog.set_level(logging.INFO, logger="gladcf")
     shutil.copytree(run_dir, copy)
     (copy / "report.json").write_text(json.dumps(tampered), "utf-8")
-    caplog.clear()
-    rc = main(["eval", "--run-dir", str(copy), "--data-dir", str(data_dir)])
-    assert rc == RUNTIME_ERROR
-    errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
-    assert [r.getMessage() for r in errors] == [message]
-    assert all(r.exc_info is None for r in errors)
-    assert "Traceback" not in capsys.readouterr().err
+    assert eval_errors(copy, data_dir, capsys, caplog) == [message]
 
 
 def test_eval_names_what_a_tampered_report_lacks(trained_run, data_dir,
@@ -314,6 +320,42 @@ def test_eval_rejects_what_a_tampered_report_adds(tamper, trained_run,
     tampered, message = tamper(payload)
     assert_eval_rejects(tampered, message, trained_run, data_dir,
                         tmp_path / "run", capsys, caplog)
+
+
+def test_eval_rejects_a_malformed_report(trained_run, data_dir, tmp_path,
+                                         capsys, caplog):
+    payload = json.loads((trained_run / "report.json").read_text("utf-8"))
+    rows = payload["scores"]
+    cases = [
+        (dict(payload, note="hand-edited"), "report has unknown field 'note'"),
+        (dict(payload, scores={"0": rows[0]}),
+         "scores must be a list of objects"),
+        (dict(payload, scores=rows[:1] + [0.5] + rows[2:]),
+         "scores must be a list of objects"),
+    ]
+    for case, (tampered, message) in enumerate(cases):
+        assert_eval_rejects(tampered, message, trained_run, data_dir,
+                            tmp_path / f"run{case}", capsys, caplog)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda arrays, meta: meta["config"].update(threshold=0.5),
+     "checkpoint config must hold exactly"),
+    (lambda arrays, meta: arrays.pop("head_bias"),
+     "checkpoint array 'head_bias': shape None in the file, (1,) for its "
+     "config"),
+    (lambda arrays, meta: arrays.update(head_weight=arrays["head_weight"].T),
+     "checkpoint array 'head_weight': shape (1, 8) in the file, (8, 1) for "
+     "its config"),
+], ids=["unknown_config_key", "missing_array", "misshapen_array"])
+def test_eval_rejects_a_malformed_checkpoint(edit, message, trained_run,
+                                             data_dir, tmp_path, capsys,
+                                             caplog):
+    copy = tmp_path / "run"
+    shutil.copytree(trained_run, copy)
+    rewrite_checkpoint(copy / "fold1" / "detector.npz", edit)
+    errors = eval_errors(copy, data_dir, capsys, caplog)
+    assert len(errors) == 1 and errors[0].startswith(message), errors
 
 
 def test_augment_exports_generated_dataset(data_dir, tmp_path, capsys):

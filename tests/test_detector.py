@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -14,14 +15,15 @@ from gladcf.autodiff import Tensor
 from gladcf.detector import (DetectorConfig, TrainConfig, adaptive_weighting,
                              composite_loss, decide, detector_scores,
                              fuse_features, init_detector, load_checkpoint,
-                             partition_masks, plan_branches, predict_scores,
-                             save_checkpoint, score, train_detector)
+                             loss_weights, partition_masks, plan_branches,
+                             predict_scores, save_checkpoint, score,
+                             train_detector, weighted_nll)
 from gladcf.errors import ConfigError, TrainingDivergedError
 from gladcf.gcn import normalize_adjacency
 from gladcf.graphs import (GraphDataset, PaddedBatch, Provenance, make_graph,
                            pad_batch)
 from util import (assert_grads_close, connected_random_graph, random_graph,
-                  ring_adjacency)
+                  rewrite_checkpoint, ring_adjacency)
 
 TOY = DetectorConfig(hidden1=8, hidden2=6, reduce_dim=4)
 
@@ -96,6 +98,36 @@ def test_composite_loss_clamps_extreme_scores():
     assert np.isfinite(float(loss.data))
 
 
+def test_loss_weights_frozen_oracle():
+    # 2 normal (one generated), 1 original and 2 generated anomalies:
+    # alpha = 2/3, so the weights are 1/2, 1/2, (1/3)/1, (1.2 * 2/3)/2 twice
+    labels, prov = np.array([0, 0, 1, 1, 1]), [N, G, A, G, G]
+    np.testing.assert_allclose(loss_weights(labels, prov, beta=1.2),
+                               [0.5, 0.5, 1 / 3, 0.4, 0.4], rtol=1e-15)
+    np.testing.assert_allclose(
+        loss_weights(labels, prov, 1.2, include_normal=False),
+        [0.0, 0.0, 1 / 3, 0.4, 0.4], rtol=1e-15)
+    np.testing.assert_array_equal(
+        loss_weights(labels, prov, 1.2, include_abnormal=False),
+        [0.5, 0.5, 0.0, 0.0, 0.0])
+    # no anomalies: alpha = 0 and only the normal term is left
+    np.testing.assert_array_equal(
+        loss_weights(np.zeros(4), [N] * 4, beta=1.2), 0.25)
+
+
+def test_weighted_nll_reads_each_log_likelihood_exactly():
+    rng = np.random.default_rng(15)
+    scores = np.concatenate([rng.uniform(size=20), [0.0, 1.0, 0.0, 1.0]])
+    labels = np.concatenate([rng.integers(0, 2, size=20), [0, 0, 1, 1]])
+    clamped = np.clip(scores, detector_module.SCORE_FLOOR,
+                      1.0 - detector_module.SCORE_FLOOR)
+    expected = -np.where(labels == 1, np.log(clamped), np.log(1.0 - clamped))
+    got = [float(weighted_nll(Tensor(scores), labels,
+                              np.eye(len(scores))[i]).data)
+           for i in range(len(scores))]
+    np.testing.assert_array_equal(got, expected)
+
+
 def test_partition_masks_generated_normals_join_normal_term():
     masks = partition_masks(np.array([0, 0, 1, 1]), [N, G, A, G])
     np.testing.assert_array_equal(masks[0], [True, True, False, False])
@@ -133,8 +165,6 @@ def test_init_shapes_and_ablation_dims():
     assert no_x.reducer.weight.shape == (6, 4)
     with pytest.raises(ConfigError):
         DetectorConfig(use_feature_branch=False, use_degree_branch=False)
-    with pytest.raises(ConfigError):
-        DetectorConfig(threshold=1.0)
 
 
 def test_init_is_seeded_and_bounded():
@@ -170,9 +200,10 @@ def _per_node_states(params, batch):
     """
     mask = batch.node_mask
     normalized = normalize_adjacency(batch.adjacency_stack, mask).data
+    degrees = batch.adjacency_stack.sum(axis=-1, keepdims=True)
     states = []
     for layers, h in ((params.feature_branch, batch.feature_stack),
-                      (params.degree_branch, batch.degree_stack)):
+                      (params.degree_branch, degrees)):
         if layers is None:
             continue
         for i, layer in enumerate(layers):
@@ -351,12 +382,12 @@ def test_non_finite_chunk_loss_stops_training(monkeypatch):
     graphs = [random_graph(rng, n, 3, label=i % 2,
                            provenance=A if i % 2 else N)
               for i, n in enumerate((3, 5, 4, 6))]
-    objective = detector_module._objective
+    objective = detector_module.weighted_nll
 
     def diverging(*args):
         return objective(*args) * np.nan
 
-    monkeypatch.setattr(detector_module, "_objective", diverging)
+    monkeypatch.setattr(detector_module, "weighted_nll", diverging)
     with pytest.raises(TrainingDivergedError, match="epoch 0"):
         train_detector(graphs, TOY, TrainConfig(epochs=2, chunk_size=2),
                        np.random.default_rng(0))
@@ -549,16 +580,18 @@ def test_predict_scores_leaves_parameter_flags_alone(adaptive):
     assert all(t.requires_grad for t in params.trainables())
 
 
-# the version-1 checkpoint layout: npz keys in order, and the meta config keys
-_V1_TAIL = ["reducer_weight", "reducer_bias", "adaptive_weight", "head_weight",
+# the version-2 checkpoint layout: npz keys in order, and the meta config keys
+_V2_TAIL = ["reducer_weight", "reducer_bias", "adaptive_weight", "head_weight",
             "head_bias", "meta_json"]
-_V1_KEYS = {
+_V2_KEYS = {
     "full": [f"{branch}{i}_{part}" for branch in ("feature", "degree")
-             for i in range(2) for part in ("weight", "bias")] + _V1_TAIL,
+             for i in range(2) for part in ("weight", "bias")] + _V2_TAIL,
     "no_gcn_d": [f"feature{i}_{part}" for i in range(2)
-                 for part in ("weight", "bias")] + _V1_TAIL,
+                 for part in ("weight", "bias")] + _V2_TAIL,
+    "no_gcn_x": [f"degree{i}_{part}" for i in range(2)
+                 for part in ("weight", "bias")] + _V2_TAIL,
 }
-_V1_CONFIG_KEYS = ["hidden1", "hidden2", "reduce_dim", "threshold",
+_V2_CONFIG_KEYS = ["hidden1", "hidden2", "reduce_dim",
                    "use_adaptive_weighting", "use_degree_branch",
                    "use_feature_branch"]
 
@@ -567,17 +600,18 @@ def test_checkpoint_roundtrip(tmp_path):
     import json
 
     rng = np.random.default_rng(13)
-    for variant, keys in _V1_KEYS.items():
+    for variant, keys in _V2_KEYS.items():
         config = dataclasses.replace(
-            TOY, use_degree_branch=variant != "no_gcn_d")
+            TOY, use_feature_branch=variant != "no_gcn_x",
+            use_degree_branch=variant != "no_gcn_d")
         params = init_detector(5, config, rng)
         path = tmp_path / f"{variant}.npz"
         save_checkpoint(path, params, extra={"fold": 3, "auc": 0.91})
         with np.load(path) as archive:
             assert archive.files == keys
             meta = json.loads(bytes(archive["meta_json"]).decode("utf-8"))
-        assert meta["format_version"] == 1
-        assert sorted(meta["config"]) == _V1_CONFIG_KEYS
+        assert meta["format_version"] == 2
+        assert sorted(meta["config"]) == _V2_CONFIG_KEYS
         loaded, extra = load_checkpoint(path)
         assert extra == {"fold": 3, "auc": 0.91}
         assert loaded.config == params.config
@@ -588,20 +622,36 @@ def test_checkpoint_roundtrip(tmp_path):
                                    predict_scores(loaded, graphs), atol=1e-15)
 
 
-def test_checkpoint_version_guard(tmp_path):
-    rng = np.random.default_rng(14)
-    params = init_detector(3, TOY, rng)
+def _saved_checkpoint(tmp_path):
     path = tmp_path / "detector.npz"
-    save_checkpoint(path, params)
-    import json
+    save_checkpoint(path, init_detector(3, TOY, np.random.default_rng(14)))
+    return path
 
-    with np.load(path) as archive:
-        arrays = {k: archive[k] for k in archive.files}
-    meta = json.loads(bytes(arrays["meta_json"]).decode())
-    meta["format_version"] = 99
-    arrays["meta_json"] = np.frombuffer(
-        json.dumps(meta).encode(), dtype=np.uint8)
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
-    with pytest.raises(ConfigError, match="version"):
+
+def test_checkpoint_version_guard(tmp_path):
+    path = _saved_checkpoint(tmp_path)
+    for version in (1, 99):
+        rewrite_checkpoint(
+            path, lambda arrays, meta: meta.update(format_version=version))
+        with pytest.raises(ConfigError,
+                           match=f"unsupported checkpoint version {version}"):
+            load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda arrays, meta: meta["config"].update(threshold=0.5),
+     "checkpoint config must hold exactly"),
+    (lambda arrays, meta: arrays.pop("degree1_bias"),
+     "'degree1_bias': shape None in the file, (6,) for its config"),
+    (lambda arrays, meta: arrays.update(
+        head_weight=np.zeros((TOY.reduce_dim + 1, 1))),
+     "'head_weight': shape (5, 1) in the file, (4, 1) for its config"),
+    (lambda arrays, meta: meta.pop("extra"),
+     "checkpoint meta is unreadable: KeyError('extra')"),
+], ids=["unknown_config_key", "missing_array", "misshapen_array",
+        "meta_without_extra"])
+def test_malformed_checkpoint_is_rejected(edit, message, tmp_path):
+    path = _saved_checkpoint(tmp_path)
+    rewrite_checkpoint(path, edit)
+    with pytest.raises(ConfigError, match=re.escape(message)):
         load_checkpoint(path)

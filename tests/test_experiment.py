@@ -124,7 +124,8 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(dataset="X", folds=1)
     # every model field is checked when the config is built, before any fold
-    for field, value in (("threshold", 1.5), ("hidden1", 0), ("epochs", 0),
+    for field, value in (("threshold", 1.5), ("threshold", 1.0),
+                         ("threshold", 0.0), ("hidden1", 0), ("epochs", 0),
                          ("lr", -1.0), ("cf_epochs", 0), ("cf_lr", 0.0),
                          ("chunk_size", 0), ("beta", -1.0), ("sigma", 1.5),
                          ("tau", 0.0), ("lr", float("nan")),

@@ -128,13 +128,11 @@ def test_pad_batch_shapes_and_zero_padding():
     batch = pad_batch(graphs, n_max=6)
     assert batch.adjacency_stack.shape == (2, 6, 6)
     assert batch.feature_stack.shape == (2, 6, 2)
-    assert batch.degree_stack.shape == (2, 6, 1)
     assert batch.node_mask.shape == (2, 6)
     np.testing.assert_array_equal(batch.node_mask[0], [1, 1, 1, 0, 0, 0])
     assert np.all(batch.adjacency_stack[0, 3:, :] == 0)
     assert np.all(batch.adjacency_stack[0, :, 3:] == 0)
     assert np.all(batch.feature_stack[0, 3:, :] == 0)
-    assert np.all(batch.degree_stack[0, 3:, :] == 0)
     np.testing.assert_array_equal(batch.adjacency_stack[1, :5, :5],
                                   graphs[1].adjacency)
 

@@ -1,6 +1,9 @@
-"""Shared helpers for the test suite: finite differences and graph builders."""
+"""Shared helpers for the test suite: finite differences, graph builders
+and a checkpoint rewriter."""
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -119,3 +122,16 @@ def write_tu(directory, name, graph_edges, graph_sizes, labels):
     with open(directory / f"{name}_graph_labels.txt", "w") as fh:
         for label in labels:
             fh.write(f"{label}\n")
+
+
+def rewrite_checkpoint(path, edit):
+    """Re-save the checkpoint archive at ``path`` after ``edit(arrays, meta)``
+    has changed its arrays or its decoded meta blob in place."""
+    with np.load(path) as archive:
+        arrays = {k: archive[k] for k in archive.files}
+    meta = json.loads(bytes(arrays["meta_json"]).decode())
+    edit(arrays, meta)
+    arrays["meta_json"] = np.frombuffer(
+        json.dumps(meta).encode(), dtype=np.uint8)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
