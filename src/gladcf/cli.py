@@ -227,13 +227,33 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _stored_config(saved: dict) -> dict:
+    """The ``ExperimentConfig`` fields of a report's ``config``, each of its
+    ``_CONFIG_FIELDS`` type: a float field also takes an integer, and
+    ``None`` stands only where the field's default is ``None``."""
+    stored = {}
+    for field in dataclasses.fields(ExperimentConfig):
+        if field.name not in saved:
+            if field.default is dataclasses.MISSING:
+                raise ConfigError(f"report config has no {field.name!r}")
+            continue
+        value = saved[field.name]
+        typ = _CONFIG_FIELDS[field.name][0]
+        allowed = (int, float) if typ is float else typ
+        if not (value is None and field.default is None) and (
+                isinstance(value, bool) or not isinstance(value, allowed)):
+            raise ConfigError(f"report config {field.name!r} must be of type "
+                              f"{typ.__name__}, got {value!r}")
+        stored[field.name] = value
+    return stored
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
     run_dir = _run_dir(args)
     report = load_report(run_dir / "report.json")
     # rebuild the exact configuration the run used; only the data location
     # may be overridden, since the data may have moved between machines
-    field_names = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    stored = {k: v for k, v in report.config.items() if k in field_names}
+    stored = _stored_config(report.config)
     if getattr(args, "data_dir", None):
         stored["data_dir"] = args.data_dir
     config = ExperimentConfig(**stored)

@@ -425,6 +425,12 @@ def load_checkpoint(path) -> tuple[DetectorParams, dict]:
     names = sorted(f.name for f in fields(DetectorConfig))
     if not isinstance(saved, dict) or sorted(saved) != names:
         raise ConfigError(f"checkpoint config must hold exactly {names}")
+    for f in fields(DetectorConfig):
+        # exactly the default's type: an int width, a bool switch
+        if type(saved[f.name]) is not type(f.default):
+            raise ConfigError(
+                f"checkpoint config {f.name!r} must be of type "
+                f"{type(f.default).__name__}, got {saved[f.name]!r}")
     config = DetectorConfig(**saved)
     # the feature width is the one shape the config does not fix
     width = (np.shape(arrays.get("feature0_weight")) or (1,))[0]

@@ -12,6 +12,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
@@ -213,7 +214,8 @@ class EvalReport:
         return cls(**payload)
 
 
-# JSON-schema rendering of the report contract, for external validators.
+# The report contract in JSON Schema: `validate_report` walks it, and
+# external validators can read it as it is.
 REPORT_SCHEMA = {
     "type": "object",
     "required": [f.name for f in fields(EvalReport)],
@@ -251,30 +253,66 @@ REPORT_SCHEMA = {
 }
 
 
+# JSON's types as Python classes; a bool is neither a number nor an integer
+_JSON_TYPES = {"object": dict, "array": list, "string": str,
+               "number": (int, float), "integer": int}
+# the keywords `validate_report` reads; REPORT_SCHEMA uses no others
+SCHEMA_KEYWORDS = frozenset({
+    "type", "const", "enum", "required", "properties",
+    "additionalProperties", "items", "minimum", "maximum", "pattern"})
+
+
+def _is_type(value, name: str) -> bool:
+    if isinstance(value, bool):
+        return False
+    if name == "integer" and isinstance(value, float):
+        return value.is_integer()  # JSON does not tell 1.0 from 1
+    return isinstance(value, _JSON_TYPES[name])
+
+
+def _same(a, b) -> bool:
+    """JSON equality, under which ``true`` is not ``1``."""
+    return a == b and isinstance(a, bool) == isinstance(b, bool)
+
+
+def _walk(value, schema: dict, path: str) -> None:
+    """Raise a ``ConfigError`` at the first place ``value`` breaks
+    ``schema``; a schema that bounds, matches or descends into a value
+    also gives its type, so each keyword meets the type it expects."""
+    def fault(text: str):
+        raise ConfigError(f"{path} {text}")
+
+    if "type" in schema and not _is_type(value, schema["type"]):
+        fault(f"must be of type {schema['type']}")
+    if "const" in schema and not _same(value, schema["const"]):
+        fault(f"must be {schema['const']!r}")
+    if "enum" in schema and not any(_same(value, v) for v in schema["enum"]):
+        fault(f"must be one of {schema['enum']}")
+    if "minimum" in schema and value < schema["minimum"]:
+        fault(f"must be at least {schema['minimum']}")
+    if "maximum" in schema and value > schema["maximum"]:
+        fault(f"must be at most {schema['maximum']}")
+    if "pattern" in schema and not re.search(schema["pattern"], value):
+        fault(f"must match {schema['pattern']!r}")
+    for key in schema.get("required", ()):
+        if key not in value:
+            fault(f"has no field {key!r}")
+    properties = schema.get("properties", {})
+    if schema.get("additionalProperties", True) is False:
+        unknown = sorted(value.keys() - properties.keys())
+        if unknown:
+            fault(f"has unknown field {unknown[0]!r}")
+    for key, subschema in properties.items():
+        if key in value:
+            _walk(value[key], subschema, f"{path}.{key}")
+    for i, item in enumerate(value if "items" in schema else ()):
+        _walk(item, schema["items"], f"{path}[{i}]")
+
+
 def validate_report(payload: dict) -> None:
-    """Lightweight structural check of the fields REPORT_SCHEMA requires."""
-    if not isinstance(payload, dict):
-        raise ConfigError("report must be a JSON object")
-    if payload.get("format_version") != REPORT_VERSION:
-        raise ConfigError(
-            f"unsupported report version {payload.get('format_version')!r}")
-    for key in REPORT_SCHEMA["required"]:
-        if key not in payload:
-            raise ConfigError(f"report missing field {key!r}")
-    unknown = sorted(payload.keys() - REPORT_SCHEMA["properties"].keys())
-    if unknown:
-        raise ConfigError(f"report has unknown field {unknown[0]!r}")
-    if not isinstance(payload["fold_aucs"], list) or not all(
-            isinstance(x, (int, float)) for x in payload["fold_aucs"]):
-        raise ConfigError("fold_aucs must be a list of numbers")
-    if not isinstance(payload["scores"], list) or not all(
-            isinstance(row, dict) for row in payload["scores"]):
-        raise ConfigError("scores must be a list of objects")
-    row_keys = REPORT_SCHEMA["properties"]["scores"]["items"]["required"]
-    for row in payload["scores"]:
-        for key in row_keys:
-            if key not in row:
-                raise ConfigError(f"score row missing field {key!r}")
+    """Raise a ``ConfigError`` naming the first place where ``payload``
+    breaks REPORT_SCHEMA, the one statement of what a report is."""
+    _walk(payload, REPORT_SCHEMA, "report")
 
 
 # -- cross-validation ----------------------------------------------------------
@@ -366,7 +404,7 @@ def run_cv(config: ExperimentConfig, dataset: GraphDataset | None = None,
         # a forked pool starts all its workers at the first submit
         with ProcessPoolExecutor(
                 max_workers=min(config.parallel_folds, len(jobs))) as pool:
-            results = list(pool.map(_run_fold_star, jobs))
+            results = list(pool.map(_run_fold, *zip(*jobs)))
     else:
         results = [_run_fold(*job) for job in jobs]
     results.sort(key=lambda r: r["fold"])
@@ -390,10 +428,6 @@ def run_cv(config: ExperimentConfig, dataset: GraphDataset | None = None,
     logger.info("%s: AUC %.4f ± %.4f", dataset.name, report.mean_auc,
                 report.std_auc)
     return report
-
-
-def _run_fold_star(job) -> dict:
-    return _run_fold(*job)
 
 
 # -- histograms -----------------------------------------------------------------

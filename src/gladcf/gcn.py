@@ -65,13 +65,10 @@ def normalize_adjacency(adjacency: Tensor | Array, mask: Array, *,
     if extra_degree:
         degrees = degrees + extra_degree
     inv_sqrt = ad.power(ad.safe_nonzero(degrees), -0.5)
-    if adjacency.ndim == 2:
-        row = ad.reshape(inv_sqrt, (adjacency.shape[0], 1))
-        col = ad.reshape(inv_sqrt, (1, adjacency.shape[0]))
-    else:
-        b, n = inv_sqrt.shape
-        row = ad.reshape(inv_sqrt, (b, n, 1))
-        col = ad.reshape(inv_sqrt, (b, 1, n))
+    # (..., n) as a column and as a row, for one matrix or a stack alike
+    shape = inv_sqrt.shape
+    row = ad.reshape(inv_sqrt, shape + (1,))
+    col = ad.reshape(inv_sqrt, shape[:-1] + (1, shape[-1]))
     return with_loops * row * col
 
 

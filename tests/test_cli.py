@@ -326,16 +326,41 @@ def test_eval_rejects_a_malformed_report(trained_run, data_dir, tmp_path,
                                          capsys, caplog):
     payload = json.loads((trained_run / "report.json").read_text("utf-8"))
     rows = payload["scores"]
+    config = payload["config"]
     cases = [
         (dict(payload, note="hand-edited"), "report has unknown field 'note'"),
         (dict(payload, scores={"0": rows[0]}),
-         "scores must be a list of objects"),
+         "report.scores must be of type array"),
         (dict(payload, scores=rows[:1] + [0.5] + rows[2:]),
-         "scores must be a list of objects"),
+         "report.scores[1] must be of type object"),
+        (dict(payload, config=[]), "report.config must be of type object"),
+        (dict(payload, scores=[dict(rows[0], score="0.5")] + rows[1:]),
+         "report.scores[0].score must be of type number"),
+        (dict(payload, config=dict(config, seed="0")),
+         "report config 'seed' must be of type int, got '0'"),
+        (dict(payload, config=dict(config, folds=3.0)),
+         "report config 'folds' must be of type int, got 3.0"),
+        (dict(payload, config=dict(config, sigma=None)),
+         "report config 'sigma' must be of type float, got None"),
+        (dict(payload, config={k: v for k, v in config.items()
+                               if k != "dataset"}),
+         "report config has no 'dataset'"),
     ]
     for case, (tampered, message) in enumerate(cases):
         assert_eval_rejects(tampered, message, trained_run, data_dir,
                             tmp_path / f"run{case}", capsys, caplog)
+
+
+def test_eval_reads_an_integer_float_and_a_null_default(trained_run,
+                                                         data_dir, tmp_path,
+                                                         capsys):
+    # JSON does not tell 1 from 1.0, and `beta`'s default is None
+    copy = tmp_path / "run"
+    shutil.copytree(trained_run, copy)
+    payload = json.loads((copy / "report.json").read_text("utf-8"))
+    payload["config"].update(cf_lr=1, beta=None)
+    (copy / "report.json").write_text(json.dumps(payload), "utf-8")
+    assert_eval_verifies(copy, data_dir, capsys)
 
 
 @pytest.mark.parametrize("edit,message", [
@@ -347,7 +372,12 @@ def test_eval_rejects_a_malformed_report(trained_run, data_dir, tmp_path,
     (lambda arrays, meta: arrays.update(head_weight=arrays["head_weight"].T),
      "checkpoint array 'head_weight': shape (1, 8) in the file, (8, 1) for "
      "its config"),
-], ids=["unknown_config_key", "missing_array", "misshapen_array"])
+    (lambda arrays, meta: meta["config"].update(hidden1="8"),
+     "checkpoint config 'hidden1' must be of type int, got '8'"),
+    (lambda arrays, meta: meta["config"].update(use_feature_branch="no"),
+     "checkpoint config 'use_feature_branch' must be of type bool, got 'no'"),
+], ids=["unknown_config_key", "missing_array", "misshapen_array",
+        "string_width", "string_switch"])
 def test_eval_rejects_a_malformed_checkpoint(edit, message, trained_run,
                                              data_dir, tmp_path, capsys,
                                              caplog):

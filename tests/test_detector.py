@@ -648,8 +648,17 @@ def test_checkpoint_version_guard(tmp_path):
      "'head_weight': shape (5, 1) in the file, (4, 1) for its config"),
     (lambda arrays, meta: meta.pop("extra"),
      "checkpoint meta is unreadable: KeyError('extra')"),
+    (lambda arrays, meta: meta["config"].update(hidden1="8"),
+     "checkpoint config 'hidden1' must be of type int, got '8'"),
+    (lambda arrays, meta: meta["config"].update(hidden1=8.0),
+     "checkpoint config 'hidden1' must be of type int, got 8.0"),
+    (lambda arrays, meta: meta["config"].update(hidden1=True),
+     "checkpoint config 'hidden1' must be of type int, got True"),
+    (lambda arrays, meta: meta["config"].update(use_feature_branch="no"),
+     "checkpoint config 'use_feature_branch' must be of type bool, got 'no'"),
 ], ids=["unknown_config_key", "missing_array", "misshapen_array",
-        "meta_without_extra"])
+        "meta_without_extra", "string_width", "float_width", "bool_width",
+        "string_switch"])
 def test_malformed_checkpoint_is_rejected(edit, message, tmp_path):
     path = _saved_checkpoint(tmp_path)
     rewrite_checkpoint(path, edit)

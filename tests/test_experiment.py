@@ -2,6 +2,7 @@
 cross-validation integrity, determinism (serial and parallel), report and
 CSV artifacts, the beta grid, and histograms."""
 
+import copy
 import json
 import logging
 import re
@@ -239,8 +240,8 @@ def test_parallel_folds_start_no_more_workers_than_folds(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs):
-            return map(fn, jobs)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
     dataset = separable_dataset()
@@ -317,27 +318,112 @@ def test_report_json_round_trip(tmp_path):
     assert loaded.to_dict() == report.to_dict()
 
 
-def test_report_matches_published_schema():
-    jsonschema = pytest.importorskip("jsonschema")
-    dataset = separable_dataset()
-    report = run_cv(fast_config(epochs=5), dataset)
-    # round-trip through JSON so types are exactly what consumers will see
-    payload = json.loads(json.dumps(report.to_dict()))
-    jsonschema.validate(payload, REPORT_SCHEMA)
+@pytest.fixture(scope="module")
+def report_payload():
+    """A report as consumers see it: run_cv's, round-tripped through JSON."""
+    report = run_cv(fast_config(epochs=5), separable_dataset())
+    return json.loads(json.dumps(report.to_dict()))
 
 
-def test_validate_report_rejects_bad_payloads():
-    dataset = separable_dataset()
-    payload = run_cv(fast_config(epochs=5), dataset).to_dict()
-    validate_report(payload)
-    missing = dict(payload)
-    del missing["fold_aucs"]
-    with pytest.raises(ConfigError):
-        validate_report(missing)
-    wrong_version = dict(payload)
-    wrong_version["format_version"] = 99
-    with pytest.raises(ConfigError):
-        validate_report(wrong_version)
+def _second_row(edit):
+    """A payload edit that applies ``edit`` to a copy of score row 1."""
+    def tamper(payload):
+        rows = [dict(row) for row in payload["scores"]]
+        edit(rows[1])
+        return dict(payload, scores=rows)
+    return tamper
+
+
+# case -> (payload edit, validate_report's message; None for a valid report)
+REPORT_CASES = {
+    "valid": (lambda p: p, None),
+    # JSON has one number type: 2.0 is an integer, as it is to jsonschema
+    "integral_float_count": (
+        lambda p: dict(p, generated_per_fold=[2.0] + p["generated_per_fold"]),
+        None),
+    "not_an_object": (lambda p: [p], "report must be of type object"),
+    "missing_field": (
+        lambda p: {k: v for k, v in p.items() if k != "fold_aucs"},
+        "report has no field 'fold_aucs'"),
+    "unknown_field": (lambda p: dict(p, note="hand-edited"),
+                      "report has unknown field 'note'"),
+    "wrong_version": (lambda p: dict(p, format_version=99),
+                      "report.format_version must be 1"),
+    "bool_version": (lambda p: dict(p, format_version=True),
+                     "report.format_version must be 1"),
+    "numeric_dataset": (lambda p: dict(p, dataset=7),
+                        "report.dataset must be of type string"),
+    "list_config": (lambda p: dict(p, config=[]),
+                    "report.config must be of type object"),
+    "short_hash": (lambda p: dict(p, config_hash="abc"),
+                   "report.config_hash must match '^[0-9a-f]{12}$'"),
+    "string_fold_auc": (lambda p: dict(p, fold_aucs=["0.9"] + p["fold_aucs"]),
+                        "report.fold_aucs[0] must be of type number"),
+    "mean_auc_above_one": (lambda p: dict(p, mean_auc=1.5),
+                           "report.mean_auc must be at most 1.0"),
+    "negative_std_auc": (lambda p: dict(p, std_auc=-0.1),
+                         "report.std_auc must be at least 0.0"),
+    "object_scores": (lambda p: dict(p, scores={"0": p["scores"][0]}),
+                      "report.scores must be of type array"),
+    "number_row": (lambda p: dict(p, scores=p["scores"][:1] + [0.5]),
+                   "report.scores[1] must be of type object"),
+    "row_without_score": (_second_row(lambda row: row.pop("score")),
+                          "report.scores[1] has no field 'score'"),
+    "string_score": (_second_row(lambda row: row.update(score="0.5")),
+                     "report.scores[1].score must be of type number"),
+    "score_above_one": (_second_row(lambda row: row.update(score=1.5)),
+                        "report.scores[1].score must be at most 1.0"),
+    "negative_graph_id": (_second_row(lambda row: row.update(graph_id=-1)),
+                          "report.scores[1].graph_id must be at least 0"),
+    "label_two": (_second_row(lambda row: row.update(label=2)),
+                  "report.scores[1].label must be one of [0, 1]"),
+    "bool_decision": (_second_row(lambda row: row.update(decision=True)),
+                      "report.scores[1].decision must be of type integer"),
+    "null_fold_seconds": (lambda p: dict(p, fold_seconds=None),
+                          "report.fold_seconds must be of type array"),
+    "string_generated": (lambda p: dict(p, generated_per_fold="abc"),
+                         "report.generated_per_fold must be of type array"),
+    "numeric_created_at": (lambda p: dict(p, created_at=0),
+                           "report.created_at must be of type string"),
+}
+
+
+@pytest.mark.parametrize("case", list(REPORT_CASES))
+def test_validate_report_follows_the_schema(case, report_payload):
+    tamper, message = REPORT_CASES[case]
+    payload = tamper(copy.deepcopy(report_payload))
+    if message is None:
+        validate_report(payload)
+    else:
+        with pytest.raises(ConfigError) as caught:
+            validate_report(payload)
+        assert str(caught.value) == message
+    try:
+        import jsonschema
+    except ImportError:
+        return
+    checker = jsonschema.validators.validator_for(REPORT_SCHEMA)(REPORT_SCHEMA)
+    assert checker.is_valid(payload) is (message is None)
+
+
+def _subschemas(schema):
+    yield schema
+    for subschema in schema.get("properties", {}).values():
+        yield from _subschemas(subschema)
+    if "items" in schema:
+        yield from _subschemas(schema["items"])
+
+
+def test_report_schema_uses_only_what_the_walker_reads():
+    """A keyword the walker ignores would be a constraint nobody enforces."""
+    for schema in _subschemas(REPORT_SCHEMA):
+        assert schema.keys() <= experiment.SCHEMA_KEYWORDS, schema
+        assert schema.get("type", "object") in experiment._JSON_TYPES
+        assert schema.get("additionalProperties", False) is False
+        # bounds, patterns and descent need the type the walker checks first
+        if schema.keys() & {"minimum", "maximum", "pattern", "required",
+                            "properties", "additionalProperties", "items"}:
+            assert "type" in schema, schema
 
 
 def test_scores_csv_format(tmp_path):
