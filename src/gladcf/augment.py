@@ -4,17 +4,20 @@ A trainable pair of logit matrices rewrites a seed graph: one left-multiplies
 the adjacency before a sigmoid+threshold step (structure rewiring), the other
 gates node features through a sigmoid+threshold mask. Training minimizes a
 two-part objective: stay close to the original structure (Frobenius distance,
-minus the feature-mask norm) while pushing a small frozen readout probe's
-class distribution away from the original graph's (negated KL terms),
-through ``optim.fit``. Smooth sigmoid surrogates are used during training;
-the hard thresholds ``sigma`` and ``tau`` live in ``AugmentConfig`` and
-apply only when samples are generated.
+minus the feature-mask norm) while pushing a small frozen probe's class
+distribution away from the original graph's (negated KL terms), through
+``optim.fit``. The probe is one linear convolution, mean-pooled, so it reads
+a graph as a linear map of its pooled propagated features ``p·X``, with
+``p = mᵀÂ/n`` (``gcn.linear_readout``). Smooth sigmoid surrogates are used
+during training; the hard thresholds ``sigma`` and ``tau`` live in
+``AugmentConfig`` and apply only when samples are generated.
 
 Seed graphs are processed in the detector's size-ordered chunks
 (``graphs.padded_chunks``), each padded only to its own largest node count
-``w`` and planned once (``plan_seeds``). The objective is still the one
-defined on the dataset-wide ``n_max`` padding: the columns cut off past
-``w`` enter it as two closed-form constants (see ``counterfactual_loss``).
+``w`` and planned once (``plan_seeds``): the plan keeps the pool weights of
+the original adjacency. The objective is still the one defined on the
+dataset-wide ``n_max`` padding: the columns cut off past ``w`` enter it as
+two closed-form constants (see ``counterfactual_loss``).
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, SizeError
-from .gcn import (GCNLayerParams, ReadoutPlan, gcn_readout, init_gcn_layer,
-                  normalize_adjacency, plan_readout)
+from .gcn import (GCNLayerParams, init_gcn_layer, linear_readout,
+                  masked_mean_pool, normalize_adjacency)
 from .graphs import Graph, Provenance, make_graph, padded_chunks
 from .optim import fit
 
@@ -154,27 +157,36 @@ def mask_features(pair: PerturbationPair, features: Tensor | Array,
 
 @dataclass(frozen=True)
 class SeedChunk:
-    """The probe's one-layer ``plan_readout`` of a seed chunk's original
-    graphs and its class distribution on them, ``(B, 2)``, made once.
+    """A padded chunk of seed graphs, the pool weights ``mᵀÂ/n`` of their
+    original adjacency and the probe's class distribution on them,
+    ``(B, 2)``, made once.
     """
 
     adjacency_stack: Array  # (B, w, w)
-    readout: ReadoutPlan
+    feature_stack: Array    # (B, w, h)
+    node_mask: Array        # (B, w)
+    pool: Array             # (B, 1, w)
     original: Array
 
 
 def plan_seeds(probe: GCNLayerParams, adjacency_stack: Array,
                feature_stack: Array, node_mask: Array) -> SeedChunk:
     """Plan one padded chunk of seed graphs for ``counterfactual_loss``."""
-    readout = plan_readout(1, feature_stack, normalize_adjacency(
-        adjacency_stack, node_mask), node_mask)
-    return SeedChunk(adjacency_stack=adjacency_stack, readout=readout,
-                     original=_distribution(probe, readout).data)
+    pool = masked_mean_pool(normalize_adjacency(adjacency_stack, node_mask),
+                            node_mask).data
+    return SeedChunk(adjacency_stack=adjacency_stack,
+                     feature_stack=feature_stack, node_mask=node_mask,
+                     pool=pool, original=_distribution(
+                         probe, pool, feature_stack, node_mask).data)
 
 
-def _distribution(probe: GCNLayerParams, plan: ReadoutPlan) -> Tensor:
-    """Two-way class distribution per graph: conv layer, mean pool, softmax."""
-    return ad.softmax_last(gcn_readout([probe], plan))
+def _distribution(probe: GCNLayerParams, pool: Tensor | Array,
+                  features: Tensor | Array, mask: Array) -> Tensor:
+    """Two-way class distribution per graph: the softmax of the probe's
+    ``linear_readout`` of ``p·X``, with ``pool`` the weights ``p = mᵀÂ/n``."""
+    pooled = ad.reshape(ad.matmul(pool, features),
+                        (len(mask), features.shape[-1]))
+    return ad.softmax_last(linear_readout(probe, pooled, mask))
 
 
 def _kl_rows(p: Array, q: Tensor) -> Tensor:
@@ -195,8 +207,8 @@ def counterfactual_loss(pair: PerturbationPair, probe: GCNLayerParams,
     adjacency, minus the Frobenius norm of the smooth feature mask, minus the
     two KL divergence terms between the probe's distribution on the original
     graph and on each perturbed view. ``chunk`` is the seeds' ``plan_seeds``;
-    the feature view reads its planned pool, so only the smooth-rewired
-    adjacency is normalized here.
+    the feature view reads its planned pool weights, so only the
+    smooth-rewired adjacency is normalized and pooled here.
 
     The stacks may be padded to any width ``w ≤ n_max``; the value is that of
     the same graphs padded to ``n_max``. Each of the ``n_max − w`` columns
@@ -213,7 +225,7 @@ def counterfactual_loss(pair: PerturbationPair, probe: GCNLayerParams,
     cut_degree = 0.5 * (n_max - width)
 
     smooth_adj = perturb_structure(pair, adjacency_stack)
-    smooth_feats = mask_features(pair, chunk.readout.inputs)
+    smooth_feats = mask_features(pair, chunk.feature_stack)
     # ‖A − S[:w]‖² + ‖S[w:]‖²: past row w the padded adjacency is all zero
     top = ad.block(smooth_adj, width, width)
     below = ad.block(smooth_adj, n_max - width, width, first_row=width)
@@ -226,11 +238,12 @@ def counterfactual_loss(pair: PerturbationPair, probe: GCNLayerParams,
     closeness = structure_dist - gate_norm
 
     clamped = bool((original < PROBABILITY_FLOOR).any())
-    p_structure = _distribution(probe, plan_readout(
-        1, chunk.readout.inputs, normalize_adjacency(
-            top, chunk.readout.mask,
-            extra_degree=cut_degree), chunk.readout.mask))
-    p_features = _distribution(probe, chunk.readout.with_inputs(smooth_feats))
+    mask = chunk.node_mask
+    structure_pool = masked_mean_pool(normalize_adjacency(
+        top, mask, extra_degree=cut_degree), mask)
+    p_structure = _distribution(probe, structure_pool, chunk.feature_stack,
+                                mask)
+    p_features = _distribution(probe, chunk.pool, smooth_feats, mask)
     clamped = clamped or bool((p_structure.data < PROBABILITY_FLOOR).any())
     clamped = clamped or bool((p_features.data < PROBABILITY_FLOOR).any())
     divergence = _kl_rows(original, p_structure) + \

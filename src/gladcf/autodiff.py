@@ -1,14 +1,17 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 Only the operations the graph models actually need live here: broadcasted
-elementwise arithmetic, (batched) matmul, a few activations, reductions,
-two gather-style ops and a block slice. Two ops are whole pooled GCN hidden
-layers: one runs the weight, bias, padding mask, ReLU and mean pool as a
-single tape node, the other sums the activation over sorted scalars in
-closed form. Everything is float64. ``backward()`` runs an iterative
-topological sweep, so deep tapes cannot hit the recursion limit. A node
-whose inputs all have ``requires_grad=False`` records no tape entry at all,
-which makes "no grad" evaluation free.
+elementwise arithmetic, matmul with numpy's stacked broadcasting (one path
+for every rank), a few activations, whole-tensor and per-axis sums, a
+scalar mean, two gather-style ops and a block slice. Two ops are whole
+pooled GCN hidden layers on constant graph terms, with the weight and bias
+as their only tape parents: one runs the weight as one flat GEMM, then the
+bias, padding mask, ReLU and mean pool, as a single tape node; the other
+sums the activation over sorted scalars in closed form. Everything is
+float64. ``backward()`` runs an iterative topological sweep, so deep tapes
+cannot hit the recursion limit. A node whose inputs all have
+``requires_grad=False`` records no tape entry at all, which makes "no grad"
+evaluation free.
 """
 
 from __future__ import annotations
@@ -194,26 +197,12 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product with numpy's stacked-matrix broadcasting rules.
 
-    A shared right operand ``(k, m)`` is applied to all leading axes of ``a``
-    at once: one flat ``(rows, k) @ (k, m)`` GEMM forward, and one
-    ``a₂ᵀ @ g₂`` weight gradient instead of a per-matrix stack summed away.
+    An operand broadcast across the other's leading axes gets its gradient
+    summed back over them.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul operands must be at least 2-D")
-    if b.ndim == 2:
-        a2 = a.data.reshape(-1, a.shape[-1])
-        data = (a2 @ b.data).reshape(a.shape[:-1] + b.shape[1:])
-
-        def backward(g: Array) -> None:
-            g2 = g.reshape(-1, g.shape[-1])
-            if a.requires_grad:
-                a._accumulate((g2 @ b.data.T).reshape(a.shape))
-            if b.requires_grad:
-                b._accumulate(a2.T @ g2)
-
-        return _node(data, (a, b), backward)
-
     data = a.data @ b.data
 
     def backward(g: Array) -> None:
@@ -253,49 +242,44 @@ def relu(t: Tensor) -> Tensor:
     return _node(data, (t,), backward)
 
 
-def pooled_bias_mask_relu(t: Tensor, weight: Tensor, bias: Tensor,
-                          mask: Array, pool: Tensor) -> Tensor:
+def pooled_bias_mask_relu(t: Array, weight: Tensor, bias: Tensor,
+                          mask: Array, pool: Array) -> Tensor:
     """``pool · relu((t·W + b) ⊙ mask)`` as one node, ``(B, h)``.
 
-    ``t`` is ``(B, n, k)``, ``weight`` ``(k, h)``, ``bias`` ``(h,)``,
-    ``mask`` a 0/1 ``(B, n)`` array and ``pool`` ``(B, 1, n)``. The forward
-    pass is one flat ``(B·n, k) @ (k, h)`` GEMM whose output buffer takes the
-    bias, the mask and the ReLU in place, then one batched product with
-    ``pool``. That per-node buffer is kept only while a tape entry holds it.
-    The backward pass makes one per-node array, ``pᵀ ⊙ g ⊙ (hidden > 0)``
-    (an entry can only be positive where the mask is 1, so that product
-    already applies the mask), and reads the bias, weight and input
-    gradients off it. These are the float operations of the unfused chain
-    ``matmul``, ``+ bias``, ``⊙ mask``, ``relu``, ``pool @``, in its order,
-    so values and gradients are bit-identical to it.
+    ``t`` is a constant ``(B, n, k)`` array, ``weight`` ``(k, h)``, ``bias``
+    ``(h,)``, ``mask`` a 0/1 ``(B, n)`` array and ``pool`` a constant
+    ``(B, 1, n)`` array; the tape's parents are ``weight`` and ``bias``. The
+    forward pass is one flat ``(B·n, k) @ (k, h)`` GEMM whose output buffer
+    takes the bias, the mask and the ReLU in place, then one batched
+    product with ``pool``. That per-node buffer is kept only while a tape
+    entry holds it. The backward pass makes one per-node array,
+    ``pᵀ ⊙ g ⊙ (hidden > 0)`` (an entry can only be positive where the mask
+    is 1, so that product already applies the mask), and reads the bias and
+    weight gradients off it. These are the float operations of the unfused
+    chain ``matmul`` (of ``t`` flattened to ``(B·n, k)``), ``+ bias``,
+    ``⊙ mask``, ``relu``, ``pool @``, in its order, so values and gradients
+    are bit-identical to it.
     """
-    t, weight, bias, pool = (_as_tensor(t), _as_tensor(weight),
-                             _as_tensor(bias), _as_tensor(pool))
+    weight, bias = _as_tensor(weight), _as_tensor(bias)
     b, n, k = t.shape
     h = weight.shape[1]
-    t2 = t.data.reshape(b * n, k)
+    t2 = t.reshape(b * n, k)
     hidden = t2 @ weight.data
     hidden += bias.data
     hidden *= np.asarray(mask).reshape(-1, 1)
     np.maximum(hidden, 0.0, out=hidden)
     hidden = hidden.reshape(b, n, h)
-    data = (pool.data @ hidden).reshape(b, h)
+    data = (pool @ hidden).reshape(b, h)
 
     def backward(g: Array) -> None:
-        g = g.reshape(b, 1, h)
-        if pool.requires_grad:
-            pool._accumulate(g @ np.swapaxes(hidden, -1, -2))
-        grad = np.swapaxes(pool.data, -1, -2) * g
+        grad = np.swapaxes(pool, -1, -2) * g.reshape(b, 1, h)
         grad *= hidden > 0
         if bias.requires_grad:
             bias._accumulate(grad.sum(axis=(0, 1)))
-        g2 = grad.reshape(b * n, h)
         if weight.requires_grad:
-            weight._accumulate(t2.T @ g2)
-        if t.requires_grad:
-            t._accumulate((g2 @ weight.data.T).reshape(t.shape))
+            weight._accumulate(t2.T @ grad.reshape(b * n, h))
 
-    return _node(data, (t, weight, bias, pool), backward)
+    return _node(data, (weight, bias), backward)
 
 
 class RampSums(NamedTuple):
@@ -444,27 +428,22 @@ def safe_nonzero(t: Tensor) -> Tensor:
 # -- reductions and shape ops -------------------------------------------------
 
 
-def tsum(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(t: Tensor, axis=None) -> Tensor:
     t = _as_tensor(t)
-    data = t.data.sum(axis=axis, keepdims=keepdims)
+    data = t.data.sum(axis=axis)
 
     def backward(g: Array) -> None:
-        if axis is not None and not keepdims:
-            axes = (axis,) if isinstance(axis, int) else tuple(axis)
-            g = np.expand_dims(g, axes)
+        if axis is not None:
+            g = np.expand_dims(g, axis)
         t._accumulate(np.broadcast_to(g, t.shape))
 
     return _node(data, (t,), backward)
 
 
-def mean(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def mean(t: Tensor) -> Tensor:
+    """The mean of every entry, a scalar."""
     t = _as_tensor(t)
-    if axis is None:
-        count = t.data.size
-    else:
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        count = int(np.prod([t.shape[a] for a in axes]))
-    return tsum(t, axis=axis, keepdims=keepdims) * (1.0 / count)
+    return tsum(t) * (1.0 / t.data.size)
 
 
 def reshape(t: Tensor, shape: tuple[int, ...]) -> Tensor:

@@ -13,10 +13,10 @@ node, so its per-node activations live only as long as that node's tape
 entry. The degree branch's input is one column, so its pooled hidden layer
 has a closed form in the sorted ``s`` and builds no per-node state at all.
 The two pooled vectors are concatenated, then compressed by a linear
-reducer, then reweighted by a trainable square matrix: pool, then reduce,
-then reweight, which gives the same embedding as reducing and reweighting
-every node row before the pool. A sigmoid head turns embeddings into
-anomaly scores in (0, 1).
+reducer (``gcn.linear_readout``), then reweighted by a trainable square
+matrix: pool, then reduce, then reweight, which gives the same embedding as
+reducing and reweighting every node row before the pool. A sigmoid head
+turns embeddings into anomaly scores in (0, 1).
 
 The loss is a negative log-likelihood with one weight per graph, made once
 per training set (``loss_weights``): the normal, original-abnormal and
@@ -37,7 +37,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError
 from .gcn import (GCNLayerParams, ReadoutPlan, gcn_readout, init_gcn_layer,
-                  normalize_adjacency, plan_readout, pooled_bias)
+                  linear_readout, normalize_adjacency, plan_readout)
 from .graphs import PaddedBatch, Provenance, padded_chunks
 from .optim import fit
 
@@ -168,8 +168,8 @@ def plan_branches(params: DetectorParams, batch: PaddedBatch) -> Plans:
     """Each branch's ``gcn.plan_readout`` for one batch, None where it is off.
 
     Both branches share one ``normalize_adjacency``, and the degree branch
-    reads the adjacency's row sums; the plans depend on the graphs and the
-    branch depths only, never on parameter values.
+    reads the adjacency's row sums; the plans depend on the graphs only,
+    never on parameter values.
     """
     # degrees first: allocated after normalize_adjacency's temporaries, this
     # small array raised cv_bzr's peak RSS by 6 MB (glibc heap layout)
@@ -177,7 +177,7 @@ def plan_branches(params: DetectorParams, batch: PaddedBatch) -> Plans:
     normalized = normalize_adjacency(batch.adjacency_stack, batch.node_mask)
     return tuple(
         None if layers is None
-        else plan_readout(len(layers), inputs, normalized, batch.node_mask)
+        else plan_readout(inputs, normalized, batch.node_mask)
         for layers, inputs in ((params.feature_branch, batch.feature_stack),
                                (params.degree_branch, degrees)))
 
@@ -201,13 +201,12 @@ def adaptive_weighting(params: DetectorParams, fused: Tensor,
 
     The reducer and the square reweighting matrix are linear maps applied to
     every node row alike, so applying them to the pooled vector gives the
-    mean of their per-node outputs, independent of node order. The reducer's
-    bias joins only graphs with real nodes (``pooled_bias``), so an empty
-    graph keeps a zero embedding. With adaptive weighting off, the
-    reweighting matrix is bypassed.
+    mean of their per-node outputs, independent of node order. The reducer
+    is a ``linear_readout``, whose bias joins only graphs with real nodes,
+    so an empty graph keeps a zero embedding. With adaptive weighting off,
+    the reweighting matrix is bypassed.
     """
-    reduced = (ad.matmul(fused, params.reducer.weight)
-               + pooled_bias(params.reducer.bias, mask))
+    reduced = linear_readout(params.reducer, fused, mask)
     if params.config.use_adaptive_weighting:
         reduced = ad.matmul(reduced, params.adaptive_weight)
     return reduced

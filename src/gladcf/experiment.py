@@ -90,6 +90,7 @@ class ExperimentConfig:
                 f"threshold must lie in (0, 1), got {self.threshold}")
         # the model configs check their own fields, so a bad value fails
         # here rather than inside the first fold
+        self.feature_config()
         self.detector_config()
         self.train_config()
         self.augment_config()
@@ -110,6 +111,10 @@ class ExperimentConfig:
         snapshot["lr"] = self.resolved_lr()
         snapshot["package_version"] = __version__
         return snapshot
+
+    def feature_config(self) -> FeatureConfig:
+        return FeatureConfig(mode=FeatureMode(self.feature_mode),
+                             num_bins=self.num_bins)
 
     def detector_config(self) -> DetectorConfig:
         return DetectorConfig(
@@ -155,9 +160,8 @@ def load_dataset(config: ExperimentConfig) -> GraphDataset:
     directory = Path(data_dir) / config.dataset
     graphs = load_tu_dataset(directory, anomaly_label_value=config.anomaly_label,
                              name=config.dataset)
-    feature_config = FeatureConfig(mode=FeatureMode(config.feature_mode),
-                                   num_bins=config.num_bins)
-    return build_features(graphs, feature_config, name=config.dataset)
+    return build_features(graphs, config.feature_config(),
+                          name=config.dataset)
 
 
 # -- the rank-based metric ---------------------------------------------------

@@ -2,21 +2,23 @@
 
 Self-loops are added only on real nodes (via the node mask), zero degrees are
 normalized as degree 1, and padded rows stay exactly zero through the hidden
-layer. The package builds two stack shapes, and only those are served: one
-layer (the augmenter's probe) and two layers (each detector branch). A stack
-is read out pooled: the hidden layer and the mean pool are one tape node,
-then the last layer's weight and bias act on one row per graph
-(``gcn_readout``). What the readout needs of the graphs alone, ``Â·X`` and
-the pool weights, is computed apart from the layers (``plan_readout``), so
-callers with fixed graphs compute it once. A hidden layer on a single
-constant input column is read out in closed form, with no per-node state.
-The adjacency may itself be a differentiable tensor — the counterfactual
-generator backpropagates through the normalization.
+layer. The package builds one stack shape, two layers (each detector
+branch), and reads it out pooled: the hidden layer and the mean pool are one
+tape node, then the last layer's weight and bias act on one row per graph
+(``linear_readout``). What the readout needs of the graphs alone, ``Â·X``
+and the pool weights, is a set of NumPy constants computed apart from the
+layers (``plan_readout``), so callers with fixed graphs compute it once. A
+hidden layer on a single input column is read out in closed form, with no
+per-node state. The augmenter's probe is one linear convolution,
+mean-pooled: a linear map of its pooled propagated features, so it is a
+``linear_readout`` too. ``normalize_adjacency`` and ``masked_mean_pool``
+also take a differentiable adjacency — the counterfactual generator
+backpropagates through the normalization and the pool.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -72,13 +74,13 @@ def normalize_adjacency(adjacency: Tensor | Array, mask: Array, *,
     return with_loops * row * col
 
 
-def gcn_layer(params: GCNLayerParams, propagated: Tensor, mask: Array,
-              pool: Tensor) -> Tensor:
+def gcn_layer(params: GCNLayerParams, propagated: Array, mask: Array,
+              pool: Array) -> Tensor:
     """The pooled hidden layer: ``pool · relu((Â·H · W + b) ⊙ m)``, ``(B, h)``.
 
     ``propagated`` is ``Â·H`` and ``pool`` the pool weights ``mᵀÂ/n``, both
-    from ``plan_readout``. The layer and the pool are one tape node
-    (``autodiff.pooled_bias_mask_relu``): padded rows are exactly zero
+    constants from ``plan_readout``. The layer and the pool are one tape
+    node (``autodiff.pooled_bias_mask_relu``): padded rows are exactly zero
     before the pool, and the per-node activations live only as long as the
     tape entry that needs them.
     """
@@ -88,87 +90,81 @@ def gcn_layer(params: GCNLayerParams, propagated: Tensor, mask: Array,
 
 @dataclass(frozen=True)
 class ReadoutPlan:
-    """The graph-only terms a stack's pooled readout reads, for one batch.
+    """The graph-only constants a two-layer stack's pooled readout reads,
+    for one batch.
 
-    Made by ``plan_readout`` for a stack of ``depth`` layers. A caller whose
-    graphs do not change (a detector chunk) makes it once and reads it on
-    every forward, which then never touches ``Â``.
+    Made by ``plan_readout``. A caller whose graphs do not change (a
+    detector chunk) makes it once and reads it on every forward, which then
+    never touches ``Â``. A plan holds either ``inputs`` and ``pool`` or, for
+    one input column, only ``ramp``.
     """
 
-    depth: int
     mask: Array                # (B, n)
-    inputs: Tensor | None      # X for one layer, Â·X for two
-    pool: Tensor | None        # the pool weights mᵀÂ/n, (B, 1, n)
+    inputs: Array | None       # Â·X, (B, n, F)
+    pool: Array | None         # the pool weights mᵀÂ/n, (B, 1, n)
     ramp: ad.RampSums | None   # the closed form of the hidden layer on s = Â·x
 
-    def with_inputs(self, inputs: Tensor) -> ReadoutPlan:
-        """This plan with other node features X; its pool reads ``Â`` only."""
-        if self.depth != 1:
-            raise ValueError("only a one-layer plan reads its inputs as X")
-        return replace(self, inputs=inputs)
 
-
-def plan_readout(depth: int, features: Tensor | Array, normalized: Tensor,
+def plan_readout(features: Array, normalized: Tensor,
                  mask: Array) -> ReadoutPlan:
-    """Compute what ``gcn_readout`` needs of the graphs for ``depth`` layers.
+    """Compute what ``gcn_readout`` needs of the graphs.
 
-    ``depth`` is 1 or 2; any other depth raises ``ValueError``. The pool
-    weights ``p = mᵀÂ / n`` are ``masked_mean_pool`` over the rows of
-    ``Â``, which holds for any ``Â``, soft ones with non-zero padded cells
-    included. The hidden layer of a two-layer stack reads ``Â·X``. For one
-    constant input column ``x``, its pooled unit ``j`` is
-    ``Σᵢ pᵢ·relu(sᵢ·w_j + b_j)`` with ``s = Â·x`` (padded nodes weigh 0),
-    so the plan keeps only each graph's ``s`` sorted, with prefix sums of
-    ``p`` and ``p·s`` (``autodiff.ramp_sums``). Pass the output of
-    ``normalize_adjacency`` so that several stacks can share one
-    normalization.
+    ``normalized`` is the output of ``normalize_adjacency``, so that several
+    stacks can share one normalization; a differentiable one raises
+    ``ValueError``, because a plan holds constants only. The pool weights
+    ``p = mᵀÂ / n`` are ``masked_mean_pool`` over the rows of ``Â``, and
+    the hidden layer reads ``Â·X``. For one input column ``x``, the hidden
+    layer's pooled unit ``j`` is ``Σᵢ pᵢ·relu(sᵢ·w_j + b_j)`` with
+    ``s = Â·x`` (padded nodes weigh 0), so the plan keeps only each graph's
+    ``s`` sorted, with prefix sums of ``p`` and ``p·s``
+    (``autodiff.ramp_sums``).
     """
-    if depth not in (1, 2):
-        raise ValueError(f"a readout serves 1 or 2 layers, not {depth}")
+    if normalized.requires_grad:
+        raise ValueError("a readout plan reads a constant Â")
     mask = np.asarray(mask, dtype=np.float64)
-    h = features if isinstance(features, Tensor) else Tensor(features)
-    b, n = mask.shape
-    pool = ad.reshape(masked_mean_pool(normalized, mask), (b, 1, n))
-    if depth == 1:
-        return ReadoutPlan(depth, mask, inputs=h, pool=pool, ramp=None)
-    propagated = ad.matmul(normalized, h)
-    if h.shape[-1] == 1 and not propagated.requires_grad:
-        ramp = ad.ramp_sums(propagated.data[..., 0], pool.data[:, 0] * mask)
-        return ReadoutPlan(depth, mask, inputs=None, pool=None, ramp=ramp)
-    return ReadoutPlan(depth, mask, inputs=propagated, pool=pool, ramp=None)
+    pool = masked_mean_pool(normalized, mask).data
+    propagated = ad.matmul(normalized, features).data
+    if propagated.shape[-1] == 1:
+        ramp = ad.ramp_sums(propagated[..., 0], pool[:, 0] * mask)
+        return ReadoutPlan(mask, inputs=None, pool=None, ramp=ramp)
+    return ReadoutPlan(mask, inputs=propagated, pool=pool, ramp=None)
 
 
 def gcn_readout(layers: Sequence[GCNLayerParams],
                 plan: ReadoutPlan) -> Tensor:
-    """Mean-pooled output of a one- or two-layer stack, ``(B, out)``.
+    """Mean-pooled output of a two-layer stack, ``(B, out)``.
 
-    A two-layer stack runs its hidden layer and the pool as one tape node
-    (``gcn_layer`` on the plan's ``Â·X``). The last layer and the mean pool
-    are both linear, so the pool goes first:
-    ``mean_i (Â H W + b)_i = (p · H) · W + b``, and the last weight and
-    bias act on ``B`` rows instead of ``B · n``. A plan with a ramp
-    evaluates the hidden layer pooled, in closed form
-    (``autodiff.ramp_relu_sum``), with the same active nodes and gradients
-    as the per-node path and no ``(B, n, ·)`` state. A graph with no real
-    nodes pools to zero.
+    The hidden layer and the pool run as one tape node (``gcn_layer`` on
+    the plan's ``Â·X``). The last layer and the mean pool are both linear,
+    so the pool goes first: ``mean_i (Â H W + b)_i = (p · H) · W + b``, and
+    the last weight and bias act on ``B`` rows instead of ``B · n``
+    (``linear_readout``). A plan with a ramp evaluates the hidden layer
+    pooled, in closed form (``autodiff.ramp_relu_sum``), with the same
+    active nodes and gradients as the per-node path and no ``(B, n, ·)``
+    state. A graph with no real nodes pools to zero.
     """
-    if len(layers) != plan.depth:
-        raise ValueError(f"a plan for {plan.depth} layers cannot read out "
-                         f"{len(layers)}")
-    first, last = layers[0], layers[-1]
+    first, last = layers
     if plan.ramp is not None:
         pooled = ad.ramp_relu_sum(first.weight, first.bias, plan.ramp)
-    elif plan.depth == 2:
-        pooled = gcn_layer(first, plan.inputs, plan.mask, plan.pool)
     else:
-        h = plan.inputs
-        pooled = ad.reshape(ad.matmul(plan.pool, h),
-                            (plan.mask.shape[0], h.shape[-1]))
-    return ad.matmul(pooled, last.weight) + pooled_bias(last.bias, plan.mask)
+        pooled = gcn_layer(first, plan.inputs, plan.mask, plan.pool)
+    return linear_readout(last, pooled, plan.mask)
+
+
+def linear_readout(layer: GCNLayerParams, pooled: Tensor,
+                   mask: Array) -> Tensor:
+    """``pooled · W + b`` for pooled rows ``(B, F)``, ``(B, out)``.
+
+    The mean over real nodes of a linear layer applied to every node row:
+    the bias joins only graphs with real nodes, so an empty graph reads out
+    zero, as ``masked_mean_pool`` pools it.
+    """
+    nonempty = (np.asarray(mask).sum(axis=-1) > 0).astype(np.float64)
+    return ad.matmul(pooled, layer.weight) + layer.bias * nonempty[:, None]
 
 
 def masked_mean_pool(node_states: Tensor, mask: Array) -> Tensor:
-    """Average real-node rows of a ``(B, n, F)`` tensor into ``(B, F)``.
+    """Average real-node rows of a ``(B, n, F)`` tensor into ``(B, 1, F)``.
 
     One batched product of each graph's row ``m / n`` with its states, so
     no masked copy of the states is made. A batch element with no real
@@ -177,15 +173,4 @@ def masked_mean_pool(node_states: Tensor, mask: Array) -> Tensor:
     mask = np.asarray(mask, dtype=np.float64)
     counts = mask.sum(axis=-1)
     scale = np.where(counts > 0, 1.0 / np.maximum(counts, 1.0), 0.0)
-    pooled = ad.matmul((mask * scale[:, None])[:, None, :], node_states)
-    return ad.reshape(pooled, (pooled.shape[0], pooled.shape[-1]))
-
-
-def pooled_bias(bias: Tensor, mask: Array) -> Tensor:
-    """The mean over real nodes of a bias added to every node row, ``(B, F)``.
-
-    That is the bias itself for a graph with real nodes, and zero for an
-    empty one, as ``masked_mean_pool`` gives it.
-    """
-    nonempty = (np.asarray(mask).sum(axis=-1) > 0).astype(np.float64)
-    return bias * nonempty[:, None]
+    return ad.matmul((mask * scale[:, None])[:, None, :], node_states)

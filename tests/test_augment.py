@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import gladcf.autodiff as ad
-import gladcf.gcn as gcn_module
 from gladcf import augment
 from gladcf.autodiff import Tensor
 from gladcf.augment import (AugmentConfig, PerturbationPair, augment_training_set,
@@ -160,6 +159,8 @@ def test_loss_matches_independent_recomputation():
 
 
 def test_loss_gradients_match_finite_differences():
+    # the edge logits reach the loss through the probe's soft Â, its
+    # normalization and its pool weights: the one differentiable adjacency
     rng = np.random.default_rng(8)
     n, h, batch = 4, 2, 2
     pair = _pair(n, h, seed=9)
@@ -206,7 +207,9 @@ def test_probe_is_frozen_and_seeded():
     chunk = plan_seeds(probe_a, np.zeros((2, 4, 4)),
                        np.random.random((2, 4, 3)), np.ones((2, 4)))
     np.testing.assert_allclose(chunk.original.sum(axis=-1), 1.0)
-    dist = augment._distribution(probe_a, chunk.readout)
+    dist = augment._distribution(probe_a, chunk.pool, chunk.feature_stack,
+                                 chunk.node_mask)
+    np.testing.assert_array_equal(dist.data, chunk.original)
     assert dist._backward is None  # nothing trainable in the tape
 
 
@@ -287,10 +290,9 @@ def test_augmenter_epochs_reuse_the_planned_seed_terms(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for module, name in ((augment, "normalize_adjacency"),
-                         (gcn_module, "masked_mean_pool")):
-        monkeypatch.setattr(module, name,
-                            counted(name, getattr(module, name)))
+    for name in calls:
+        monkeypatch.setattr(augment, name,
+                            counted(name, getattr(augment, name)))
     # sizes 3, 3 | 4, 5, 5 | 6: the cap of 4 never binds, but 4 > 5/4 of 3
     # and 6 > 5/4 of 4 each start a chunk
     epochs, chunks = 3, 3

@@ -47,8 +47,15 @@ def clique_adjacency(n):
 
 
 def separable_dataset(n_normal=18, n_abnormal=6, seed=0, sizes=(4, 7)):
+    """``separable_graphs`` with identity features."""
+    return build_features(
+        separable_graphs(n_normal, n_abnormal, seed, sizes),
+        FeatureConfig(mode=FeatureMode.IDENTITY), name="synthetic")
+
+
+def separable_graphs(n_normal=18, n_abnormal=6, seed=0, sizes=(4, 7)):
     """Rings labeled 0, cliques labeled 1, with node counts drawn from
-    ``range(*sizes)``."""
+    ``range(*sizes)``, without node features."""
     rng = np.random.default_rng(seed)
     graphs = []
     for _ in range(n_normal):
@@ -61,8 +68,7 @@ def separable_dataset(n_normal=18, n_abnormal=6, seed=0, sizes=(4, 7)):
         adjacency = clique_adjacency(n)
         graphs.append(make_graph(adjacency, np.zeros((n, 0)), 1,
                                  Provenance.ORIGINAL_ABNORMAL))
-    return build_features(graphs, FeatureConfig(mode=FeatureMode.IDENTITY),
-                          name="synthetic")
+    return graphs
 
 
 def fast_config(**overrides):
@@ -132,7 +138,8 @@ def test_config_validation():
                          ("tau", 0.0), ("lr", float("nan")),
                          ("lr", float("inf")), ("beta", float("nan")),
                          ("beta", float("inf")), ("cf_lr", float("nan")),
-                         ("cf_lr", float("inf")), ("seed", -1)):
+                         ("cf_lr", float("inf")), ("seed", -1),
+                         ("num_bins", 0)):
         with pytest.raises(ConfigError):
             ExperimentConfig(dataset="X", **{field: value})
 
@@ -214,6 +221,52 @@ def test_run_cv_does_not_depend_on_chunk_size():
         [(r["fold"], r["graph_id"]) for r in large.scores]
     np.testing.assert_allclose([r["score"] for r in small.scores],
                                [r["score"] for r in large.scores],
+                               rtol=0, atol=1e-12)
+
+
+def _relabelled(graphs, seed=0):
+    """The same graphs, the nodes of each one put in a random order."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for g in graphs:
+        order = rng.permutation(g.num_nodes)
+        out.append(make_graph(g.adjacency[np.ix_(order, order)],
+                              g.node_features[order], g.label, g.provenance))
+    return out
+
+
+# The augmenter's rewrite is tied to node index and to the n_max padding
+# (ROADMAP item 2): the full model's largest score gaps here read 0.078
+# (padding) and 0.23 (relabelling), against 0.0 and 6.9e-17 for no_asgm.
+# The change that fixes the augmenter flips these marks.
+_AUGMENTER_DEPENDS_ON_IT = pytest.mark.xfail(
+    strict=True, reason="the augmenter's shared (n_max, n_max) rewrite "
+    "depends on node order and padding width (ROADMAP item 2)")
+
+
+@pytest.mark.parametrize("variant,transform", [
+    ("no_asgm", "padding"), ("no_asgm", "relabelling"),
+    pytest.param(None, "padding", marks=_AUGMENTER_DEPENDS_ON_IT),
+    pytest.param(None, "relabelling", marks=_AUGMENTER_DEPENDS_ON_IT)],
+    ids=["no_asgm-padding", "no_asgm-relabelling", "full-padding",
+         "full-relabelling"])
+def test_scores_do_not_depend_on_padding_or_node_order(variant, transform):
+    # LDP features depend on neither n_max nor node order, so the same
+    # graphs built wider or with their nodes relabelled must score the same
+    graphs = separable_graphs(sizes=(4, 21))
+    ldp = FeatureConfig(mode=FeatureMode.LDP)
+    base = build_features(graphs, ldp, name="synthetic")
+    if transform == "padding":
+        changed = build_features(graphs, ldp, name="synthetic",
+                                 n_max=base.n_max + 8)
+    else:
+        changed = build_features(_relabelled(graphs), ldp, name="synthetic")
+    config = fast_config(feature_mode="ldp", variant=variant)
+    want, got = run_cv(config, base), run_cv(config, changed)
+    assert [(r["fold"], r["graph_id"]) for r in got.scores] == \
+        [(r["fold"], r["graph_id"]) for r in want.scores]
+    np.testing.assert_allclose([r["score"] for r in got.scores],
+                               [r["score"] for r in want.scores],
                                rtol=0, atol=1e-12)
 
 

@@ -8,8 +8,8 @@ import pytest
 import gladcf.autodiff as ad
 from gladcf.autodiff import Tensor
 from gladcf.gcn import (GCNLayerParams, gcn_layer, gcn_readout,
-                        init_gcn_layer, masked_mean_pool, normalize_adjacency,
-                        plan_readout, pooled_bias)
+                        init_gcn_layer, linear_readout, masked_mean_pool,
+                        normalize_adjacency, plan_readout)
 
 from util import (assert_grads_close, path_adjacency, random_adjacency,
                   ring_adjacency)
@@ -64,27 +64,34 @@ def test_extra_degree_equals_appended_half_columns():
 
 
 def _readout(layers, x, normalized, mask):
-    return gcn_readout(layers, plan_readout(len(layers), x, normalized, mask))
+    return gcn_readout(layers, plan_readout(x, normalized, mask))
 
 
 def _hidden(layer, x, normalized, mask):
     """The pooled hidden layer on ``x``, ``(B, h)``: propagated and pooled
     as ``plan_readout`` does, ``p · relu((Â·X·W + b) ⊙ m)`` with
     ``p = mᵀÂ/n``."""
-    b, n = mask.shape
-    pool = ad.reshape(masked_mean_pool(normalized, mask), (b, 1, n))
-    return gcn_layer(layer, ad.matmul(normalized, x), mask, pool)
+    pool = masked_mean_pool(normalized, mask).data
+    return gcn_layer(layer, normalized.data @ x, mask, pool)
 
 
 def _node_rows(layer, x, normalized, mask):
     """The hidden layer's per-node rows, ``(B, n, h)``: node ``i``'s row is
     the layer pooled with the one-hot weights of node ``i``."""
     b, n = mask.shape
-    propagated = ad.matmul(normalized, x)
+    propagated = normalized.data @ x
     return np.stack(
         [gcn_layer(layer, propagated, mask,
-                   Tensor(np.broadcast_to(np.eye(n)[i], (b, 1, n)))).data
+                   np.broadcast_to(np.eye(n)[i], (b, 1, n))).data
          for i in range(n)], axis=1)
+
+
+def _pooled_linear(layer, x, normalized, mask):
+    """One linear layer, mean-pooled, as the augmenter's probe reads it:
+    ``linear_readout`` of the pooled propagated features ``p·X``."""
+    pooled = ad.matmul(masked_mean_pool(normalized, mask), x)
+    return linear_readout(layer, ad.reshape(pooled, (mask.shape[0], -1)),
+                          mask)
 
 
 def _per_node_readout(layers, x, normalized, mask):
@@ -116,15 +123,17 @@ def test_forward_hand_oracle():
     per_node = a_hat @ (x @ w) + b
     mask = np.ones((1, 3))
     normalized = normalize_adjacency(a[None], mask)
-    # as a hidden layer, ReLU after, then pooled through Â's rows; as the
-    # last one, mean-pooled
+    # as a hidden layer, ReLU after, then pooled through Â's rows; as a
+    # linear layer, mean-pooled: W and b applied to the mean of Â·X
     rows = np.maximum(per_node, 0.0)
     np.testing.assert_allclose(_node_rows(params, x[None], normalized,
                                           mask)[0], rows, atol=1e-12)
     hidden = _hidden(params, x[None], normalized, mask).data[0]
     np.testing.assert_allclose(hidden, (a_hat @ rows).mean(axis=0),
                                atol=1e-12)
-    got = _readout([params], x[None], normalized, mask).data[0]
+    pooled = masked_mean_pool(Tensor((a_hat @ x)[None]), mask)
+    assert pooled.shape == (1, 1, 2)
+    got = linear_readout(params, ad.reshape(pooled, (1, 2)), mask).data[0]
     np.testing.assert_allclose(got, per_node.mean(axis=0), atol=1e-12)
 
 
@@ -141,7 +150,7 @@ def test_layer_matches_dense_math_in_either_order(in_dim, out_dim):
     mask = np.array([[1.0] * 5, [1.0, 1.0, 1.0, 0.0, 0.0]])
     x = rng.normal(size=(2, 5, in_dim)) * mask[..., None]
     normalized = normalize_adjacency(a, mask)
-    got = _hidden(layer, Tensor(x), normalized, mask).data
+    got = _hidden(layer, x, normalized, mask).data
     norm, w = normalized.data, layer.weight.data
     pool = (mask / mask.sum(axis=-1, keepdims=True))[:, None, :] @ norm
     for product in ((norm @ x) @ w, norm @ (x @ w)):
@@ -149,18 +158,11 @@ def test_layer_matches_dense_math_in_either_order(in_dim, out_dim):
         np.testing.assert_allclose(got, (pool @ rows)[:, 0], rtol=0,
                                    atol=1e-12)
 
-    # gradients through a differentiable soft adjacency, as the augmenter's
-    # probe takes them
-    soft = Tensor(rng.uniform(0.1, 0.9, size=(2, 5, 5)), requires_grad=True)
-    features = Tensor(x, requires_grad=True)
+    # the layer's own gradients, on constant graph terms
     weights = rng.normal(size=(2, out_dim))
-
-    def loss():
-        # the soft Â reaches the layer twice: in Â·X and in the pool
-        out = _hidden(layer, features, normalize_adjacency(soft, mask), mask)
-        return ad.tsum(out * weights)
-
-    assert_grads_close(loss, [layer.weight, layer.bias, soft, features])
+    assert_grads_close(
+        lambda: ad.tsum(_hidden(layer, x, normalized, mask) * weights),
+        [layer.weight, layer.bias])
 
 
 def test_stacked_layers_relu_between_not_after():
@@ -220,10 +222,12 @@ def test_init_bounds_and_determinism():
 
 
 def test_gradients_through_forward_and_adjacency():
-    # The augmenter's structure probe reads a soft adjacency whose padded
-    # rows and columns are not zero. Pooling through Â's rows first must
-    # still give the per-node mean, value and gradients alike, and a graph
-    # with no real nodes must pool to zero.
+    # A constant soft adjacency has padded rows and columns that are not
+    # zero. Pooling through Â's rows first must still give the per-node
+    # mean, value and layer gradients alike, and a graph with no real nodes
+    # must pool to zero. A differentiable Â reaches only the augmenter's
+    # probe, a linear layer read out pooled, whose gradients must reach Â
+    # and X through the normalization and the pool.
     rng = np.random.default_rng(15)
     layers = [init_gcn_layer(2, 4, rng), init_gcn_layer(4, 3, rng)]
     for layer in layers:
@@ -233,24 +237,33 @@ def test_gradients_through_forward_and_adjacency():
     features = Tensor(rng.normal(size=(3, 5, 2)) * mask[..., None],
                       requires_grad=True)
 
-    normalized = normalize_adjacency(soft, mask)
-    assert (normalized.data[1, 3:] != 0).any()  # padded rows
-    assert (normalized.data[1, :, 3:] != 0).any()  # and padded columns
-    got = _readout(layers, features, normalized, mask).data
-    expected = _per_node_readout(layers, features.data, normalized.data, mask)
+    constant = normalize_adjacency(soft.data, mask)
+    assert (constant.data[1, 3:] != 0).any()  # padded rows
+    assert (constant.data[1, :, 3:] != 0).any()  # and padded columns
+    got = _readout(layers, features.data, constant, mask).data
+    expected = _per_node_readout(layers, features.data, constant.data, mask)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(got[2], 0.0)
 
     weights = rng.normal(size=(3, 3))
+    assert_grads_close(
+        lambda: ad.tsum(_readout(layers, features.data, constant, mask)
+                        * weights),
+        [t for layer in layers for t in (layer.weight, layer.bias)])
+
+    probe = init_gcn_layer(2, 3, rng)
+    probe.bias.data[:] = rng.normal(size=3)
+    linear = _pooled_linear(probe, features.data, constant, mask).data
+    np.testing.assert_allclose(
+        linear, _per_node_readout([probe], features.data, constant.data,
+                                  mask), rtol=0, atol=1e-12)
 
     def loss():
-        out = _readout(layers, features, normalize_adjacency(soft, mask),
-                          mask)
+        out = _pooled_linear(probe, features, normalize_adjacency(soft, mask),
+                             mask)
         return ad.tsum(out * weights)
 
-    assert_grads_close(loss, [soft, features, layers[0].weight,
-                              layers[0].bias, layers[1].weight,
-                              layers[1].bias])
+    assert_grads_close(loss, [soft, features, probe.weight, probe.bias])
 
 
 def _degree_case(seed, hidden):
@@ -294,17 +307,17 @@ def test_degree_readout_closed_form_matches_per_node_path(seed):
     # One hidden layer on one constant column reads out in closed form; its
     # values and every gradient must be the per-node path's, ties included.
     layers, degrees, normalized, mask, s = _degree_case(seed, hidden=12)
-    plan = plan_readout(2, degrees, normalized, mask)
+    plan = plan_readout(degrees, normalized, mask)
     assert plan.ramp is not None and plan.inputs is None
-    b, n = mask.shape
-    pool = ad.reshape(masked_mean_pool(normalized, mask), (b, 1, n))
-    assert (pool.data[1, 0, 4:] != 0).any()
+    b = mask.shape[0]
+    pool = masked_mean_pool(normalized, mask).data
+    assert (pool[1, 0, 4:] != 0).any()
 
     def per_node():
         first, last = layers
-        pooled = ad.pooled_bias_mask_relu(Tensor(s[..., None]), first.weight,
+        pooled = ad.pooled_bias_mask_relu(s[..., None], first.weight,
                                           first.bias, mask, pool)
-        return ad.matmul(pooled, last.weight) + pooled_bias(last.bias, mask)
+        return linear_readout(last, pooled, mask)
 
     weights = np.random.default_rng(seed).normal(size=(b, 3))
     results = []
@@ -326,18 +339,26 @@ def test_degree_readout_closed_form_matches_per_node_path(seed):
 
 
 def test_closed_form_needs_one_constant_column_and_one_hidden_layer():
+    # the package builds two-layer stacks only, one hidden layer each; it
+    # reads out in closed form exactly when its input is one column
     layers, degrees, normalized, mask, _ = _degree_case(0, hidden=12)
-    assert plan_readout(2, degrees, normalized, mask).ramp is not None
+    assert plan_readout(degrees, normalized, mask).ramp is not None
     two_columns = np.concatenate([degrees, degrees], axis=-1)
-    assert plan_readout(2, two_columns, normalized, mask).ramp is None
-    assert plan_readout(1, degrees, normalized, mask).ramp is None
-    for depth in (0, 3):  # the package builds one- and two-layer stacks only
+    plan = plan_readout(two_columns, normalized, mask)
+    assert plan.ramp is None
+    for constant in (plan.mask, plan.inputs, plan.pool):
+        assert type(constant) is np.ndarray
+    for depth in (1, 3):
         with pytest.raises(ValueError):
-            plan_readout(depth, degrees, normalized, mask)
+            gcn_readout((layers * 2)[:depth], plan)
+
+
+def test_plan_readout_refuses_a_differentiable_adjacency():
+    _, degrees, normalized, mask, _ = _degree_case(0, hidden=12)
     soft = Tensor(normalized.data, requires_grad=True)
-    assert plan_readout(2, degrees, soft, mask).ramp is None
-    with pytest.raises(ValueError):
-        gcn_readout(layers, plan_readout(1, degrees, normalized, mask))
+    for features in (degrees, np.concatenate([degrees] * 2, axis=-1)):
+        with pytest.raises(ValueError, match="constant"):
+            plan_readout(features, soft, mask)
 
 
 def test_masked_mean_pool():
@@ -345,7 +366,7 @@ def test_masked_mean_pool():
                               [[2.0, 2.0], [0.0, 0.0], [0.0, 0.0]]]))
     mask = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
     got = masked_mean_pool(states, mask).data
-    np.testing.assert_allclose(got, [[2.0, 3.0], [2.0, 2.0]])
+    np.testing.assert_allclose(got, [[[2.0, 3.0]], [[2.0, 2.0]]])
     # an all-padded element pools to zero rather than dividing by zero
     empty = masked_mean_pool(states, np.zeros((2, 3))).data
-    np.testing.assert_array_equal(empty, np.zeros((2, 2)))
+    np.testing.assert_array_equal(empty, np.zeros((2, 1, 2)))
