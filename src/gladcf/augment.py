@@ -17,7 +17,9 @@ Seed graphs are processed in the detector's size-ordered chunks
 ``w`` and planned once (``plan_seeds``): the plan keeps the pool weights of
 the original adjacency. The objective is still the one defined on the
 dataset-wide ``n_max`` padding: the columns cut off past ``w`` enter it as
-two closed-form constants (see ``counterfactual_loss``).
+two closed-form constants, and the rewrite's rows cut off past ``w`` as one
+square-sum node over the logits' rows past ``w`` (see
+``counterfactual_loss``), so the rewrite itself is only ``(B, w, w)``.
 """
 
 from __future__ import annotations
@@ -104,27 +106,26 @@ def init_perturbation_pair(n_max: int, feature_dim: int,
 
 def perturb_structure(pair: PerturbationPair, adjacency: Tensor | Array,
                       sigma: float | None = None):
-    """Rewire adjacency: sigmoid of (edge_logits @ A), thresholded at
-    ``sigma`` when one is given.
+    """Rewire adjacency: ``sigmoid(E[:w, :w] @ A)`` of shape ``(..., w, w)``,
+    thresholded at ``sigma`` when one is given.
 
     ``adjacency`` is a zero-padded ``(w, w)`` matrix or ``(B, w, w)`` stack
     with ``w ≤ n_max``. It stands for the same graphs padded to ``n_max``,
-    whose columns past ``w`` would all hold ``sigmoid(0) = 0.5``.
+    whose rewrite is ``sigmoid(E @ A)`` over all ``n_max`` rows and
+    columns. Its rows past ``w`` are left out here (``counterfactual_loss``
+    takes their square sums from ``E[w:, :w]`` directly), and so are its
+    columns past ``w``, which all hold ``sigmoid(0) = 0.5``. Because A's
+    padded rows are zero, a graph's ``[:n, :n]`` block equals that of the
+    ``n_max``-wide rewrite.
 
-    Without ``sigma``, returns the differentiable ``sigmoid(E[:, :w] @ A)``
-    of shape ``(..., n_max, w)``: all ``n_max`` rows of the ``n_max``-wide
-    rewrite (rows past a graph's ``n`` are not zero), but none of its
-    constant columns past ``w``.
-    With ``sigma``, returns a binary numpy ``(..., w, w)``: ``sigmoid(E[:w,
-    :w] @ A)`` thresholded at sigma (inclusive), symmetrized by elementwise
-    max with the transpose, diagonal zeroed. A graph's ``[:n, :n]`` block
-    equals that of the ``n_max``-wide rewrite, because A's padded rows are
-    zero.
+    Without ``sigma``, returns the differentiable smooth rewrite. With
+    ``sigma``, returns a binary numpy array: the rewrite thresholded at sigma
+    (inclusive), symmetrized by elementwise max with the transpose, diagonal
+    zeroed.
     """
     adjacency_t = adjacency if isinstance(adjacency, Tensor) else Tensor(adjacency)
     width = adjacency_t.shape[-1]
-    rows = pair.edge_logits.shape[0] if sigma is None else width
-    logits = ad.block(pair.edge_logits, rows, width)
+    logits = ad.block(pair.edge_logits, width, width)
     smooth = ad.sigmoid(ad.matmul(logits, adjacency_t))
     if sigma is None:
         return smooth
@@ -215,8 +216,12 @@ def counterfactual_loss(pair: PerturbationPair, probe: GCNLayerParams,
     cut off holds ``sigmoid(0) = 0.5`` in all ``n_max`` rows of the smooth
     adjacency and meets only zeros, so it enters as two constants: ``0.25``
     per cell added to the squared distance, and ``0.5`` per column added to
-    every row's degree in the structure probe. They are the objective's whole
-    dependence on ``n_max``, and both are 0 at ``w = n_max``.
+    every row's degree in the structure probe. Each of the ``n_max − w`` rows
+    cut off meets only the padded adjacency's zero rows, so it enters the
+    squared distance alone: one ``ad.sigmoid_square_sums`` node over
+    ``E[w:, :w]`` gives ``‖S[w:, :w]‖²`` per graph, and no
+    ``(B, n_max, w)`` array is built. These three terms are the objective's
+    whole dependence on ``n_max``, and all are 0 at ``w = n_max``.
     """
     adjacency_stack, original = chunk.adjacency_stack, chunk.original
     n_max = pair.edge_logits.shape[0]
@@ -227,12 +232,11 @@ def counterfactual_loss(pair: PerturbationPair, probe: GCNLayerParams,
     smooth_adj = perturb_structure(pair, adjacency_stack)
     smooth_feats = mask_features(pair, chunk.feature_stack)
     # ‖A − S[:w]‖² + ‖S[w:]‖²: past row w the padded adjacency is all zero
-    top = ad.block(smooth_adj, width, width)
-    below = ad.block(smooth_adj, n_max - width, width, first_row=width)
-    diff = Tensor(adjacency_stack) - top
+    below = ad.block(pair.edge_logits, n_max - width, width, first_row=width)
+    diff = Tensor(adjacency_stack) - smooth_adj
     structure_dist = ad.sqrt(
         ad.tsum(diff * diff, axis=(-2, -1))
-        + ad.tsum(below * below, axis=(-2, -1)) + cut_distance)
+        + ad.sigmoid_square_sums(below, adjacency_stack) + cut_distance)
     gate = ad.sigmoid(pair.mask_logits)
     gate_norm = ad.sqrt(ad.tsum(gate * gate))
     closeness = structure_dist - gate_norm
@@ -240,7 +244,7 @@ def counterfactual_loss(pair: PerturbationPair, probe: GCNLayerParams,
     clamped = bool((original < PROBABILITY_FLOOR).any())
     mask = chunk.node_mask
     structure_pool = masked_mean_pool(normalize_adjacency(
-        top, mask, extra_degree=cut_degree), mask)
+        smooth_adj, mask, extra_degree=cut_degree), mask)
     p_structure = _distribution(probe, structure_pool, chunk.feature_stack,
                                 mask)
     p_features = _distribution(probe, chunk.pool, smooth_feats, mask)

@@ -7,9 +7,11 @@ scalar mean, two gather-style ops and a block slice. Two ops are whole
 pooled GCN hidden layers on constant graph terms, with the weight and bias
 as their only tape parents: one runs the weight as one flat GEMM, then the
 bias, padding mask, ReLU and mean pool, as a single tape node; the other
-sums the activation over sorted scalars in closed form. Everything is
-float64. ``backward()`` runs an iterative topological sweep, so deep tapes
-cannot hit the recursion limit. A node whose inputs all have
+sums the activation over sorted scalars in closed form. One more is the
+augmenter's squared sum of a sigmoid rewrite over the rows a chunk cuts
+off. The sigmoid selects its numerator without a data-dependent branch.
+Everything is float64. ``backward()`` runs an iterative topological sweep,
+so deep tapes cannot hit the recursion limit. A node whose inputs all have
 ``requires_grad=False`` records no tape entry at all, which makes "no grad"
 evaluation free.
 """
@@ -219,17 +221,59 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # -- elementwise nonlinearities -----------------------------------------------
 
 
+def _sigmoid_over(x: Array) -> Array:
+    """``σ(x)`` written over ``x``, which is returned.
+
+    Stable in both tails: exp only ever sees ``−|x|``, so ``e = exp(−|x|)``
+    lies in ``(0, 1]`` (or underflows to 0) and ``max(e, x ≥ 0)`` is 1 where
+    ``x ≥ 0`` and ``e`` elsewhere, NaN included. The numerator needs no
+    data-dependent select, and the values are bit for bit those of
+    ``np.where(x >= 0, 1.0, e) / (1.0 + e)``.
+    """
+    positive = x >= 0
+    e = np.exp(np.negative(np.abs(x, out=x), out=x), out=x)
+    denominator = 1.0 + e
+    np.maximum(e, positive, out=e)
+    e /= denominator
+    return e
+
+
 def sigmoid(t: Tensor) -> Tensor:
     t = _as_tensor(t)
-    x = t.data
-    # Stable in both tails: exp only ever sees a non-positive argument.
-    e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
+    out = _sigmoid_over(t.data.copy())
 
     def backward(g: Array) -> None:
         t._accumulate(g * out * (1.0 - out))
 
     return _node(out, (t,), backward)
+
+
+def sigmoid_square_sums(logits: Tensor, adjacency: Array) -> Tensor:
+    """``Σ σ(L·A_b)²`` over each graph's rows and columns, ``(B,)``.
+
+    ``logits`` is an ``(r, w)`` tensor and ``adjacency`` a constant
+    ``(B, w, w)`` stack; the tape's one parent is ``logits``. The forward
+    pass makes one ``(B, r, w)`` buffer, ``L @ A``, and takes the sigmoid
+    in place. The backward pass forms ``(g·s + g·s)·s·(1 − s)`` in that
+    buffer's shape, in that float order, and makes one product with ``Aᵀ``
+    summed over the stack. These are the
+    float operations of the unfused chain ``matmul``, ``sigmoid``, ``mul``
+    (of the result with itself) and ``tsum`` over the last two axes, so the
+    value is bit-identical to it. ``r = 0`` gives zeros.
+    """
+    logits = _as_tensor(logits)
+    s = _sigmoid_over(logits.data @ adjacency)
+    data = (s * s).sum(axis=(-2, -1))
+
+    def backward(g: Array) -> None:
+        grad = g.reshape(-1, 1, 1) * s
+        grad += grad
+        grad *= s
+        grad *= 1.0 - s
+        logits._accumulate(
+            (grad @ np.swapaxes(adjacency, -1, -2)).sum(axis=0))
+
+    return _node(data, (logits,), backward)
 
 
 def relu(t: Tensor) -> Tensor:

@@ -14,7 +14,7 @@ from gladcf.augment import (AugmentConfig, PerturbationPair, augment_training_se
                             perturb_structure, plan_seeds, select_seeds,
                             train_perturbations)
 from gladcf.errors import ConfigError, SizeError, TrainingDivergedError
-from gladcf.graphs import GraphDataset, Provenance, pad_batch
+from gladcf.graphs import Provenance, pad_batch
 
 from util import assert_grads_close, random_adjacency, random_graph
 
@@ -53,6 +53,19 @@ def test_hard_output_is_binary_symmetric_hollow():
         assert np.isin(hard, (0.0, 1.0)).all()
         np.testing.assert_array_equal(hard, hard.T)
         np.testing.assert_array_equal(np.diag(hard), np.zeros(5))
+
+
+def test_smooth_rewrite_is_as_wide_as_the_chunk():
+    # with or without a threshold, a chunk narrower than n_max gets the
+    # (B, w, w) rewrite from the logits' leading w rows and columns
+    rng = np.random.default_rng(12)
+    pair = _pair(7, 2, seed=13)
+    adj = np.stack([random_adjacency(rng, 4) for _ in range(3)])
+    smooth = perturb_structure(pair, adj)
+    assert smooth.shape == (3, 4, 4)
+    want = ad.sigmoid(Tensor(pair.edge_logits.data[:4, :4] @ adj)).data
+    np.testing.assert_array_equal(smooth.data, want)
+    assert perturb_structure(pair, adj, sigma=0.5).shape == (3, 4, 4)
 
 
 def test_smooth_matches_indicator_in_saturation_limit():

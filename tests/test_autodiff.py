@@ -90,6 +90,68 @@ def test_sigmoid_values_and_stability():
     assert np.isfinite(out).all()
 
 
+def test_sigmoid_equals_the_select_form_bit_for_bit():
+    # max(e, x >= 0) / (1 + e) against np.where(x >= 0, 1, e) / (1 + e):
+    # the tails, both zeros, subnormal-scale inputs, infinities and NaN
+    special = [0.0, -0.0, 1e-300, -1e-300, 1e-17, -1e-17, 800.0, -800.0,
+               np.inf, -np.inf, np.nan]
+    draws = np.random.default_rng(18).normal(scale=10.0, size=100_000)
+    x = np.concatenate([special, draws])
+    e = np.exp(-np.abs(x))
+    want = np.where(x >= 0, 1.0, e) / (1.0 + e)
+    t = Tensor(x.copy(), requires_grad=True)
+    out = ad.sigmoid(t)
+    np.testing.assert_array_equal(t.data, x)   # the input is left alone
+    assert np.array_equal(out.data, want, equal_nan=True)
+    assert np.isnan(out.data[10]) and out.data[8] == 1.0 and out.data[9] == 0.0
+    g = np.random.default_rng(19).normal(size=x.shape)
+    ad.tsum(out * g).backward()
+    assert np.array_equal(t.grad, g * want * (1.0 - want), equal_nan=True)
+
+
+def _cut_rows_chain(logits, adjacency):
+    """``Σ σ(L @ A_b)²`` per graph from separate ops: the reference."""
+    s = ad.sigmoid(ad.matmul(logits, Tensor(adjacency)))
+    return ad.tsum(s * s, axis=(-2, -1))
+
+
+def test_sigmoid_square_sums_matches_unfused_chain():
+    # the rows of a (n_max, n_max) logit matrix past a chunk's width w,
+    # against w columns of a (B, w, w) stack, as counterfactual_loss uses it
+    rng = np.random.default_rng(20)
+    n_max, width, batch = 7, 4, 3
+    edge = leaf(rng, (n_max, n_max))
+    adjacency = (rng.random((batch, width, width)) < 0.5).astype(float)
+    weights = rng.normal(size=batch)
+
+    results = []
+    for build in (ad.sigmoid_square_sums, _cut_rows_chain):
+        edge.zero_grad()
+        out = build(ad.block(edge, n_max - width, width, first_row=width),
+                    adjacency)
+        ad.tsum(out * weights).backward()
+        results.append((out.data, edge.grad))
+    (got, got_grad), (want, want_grad) = results
+    assert got.shape == (batch,)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_allclose(got_grad, want_grad, rtol=0, atol=1e-15)
+    assert not got_grad[:width].any() and not got_grad[:, width:].any()
+    assert got_grad[width:, :width].all()
+    assert_grads_close(
+        lambda: ad.tsum(ad.sigmoid_square_sums(
+            ad.block(edge, n_max - width, width, first_row=width), adjacency)
+            * weights), [edge])
+
+    # a chunk as wide as n_max cuts off no rows
+    full = (rng.random((batch, n_max, n_max)) < 0.5).astype(float)
+    edge.zero_grad()
+    out = ad.sigmoid_square_sums(ad.block(edge, 0, n_max, first_row=n_max),
+                                 full)
+    np.testing.assert_array_equal(out.data, np.zeros(batch))
+    ad.tsum(out * weights).backward()
+    np.testing.assert_array_equal(edge.grad, np.zeros((n_max, n_max)))
+
+
 def test_unary_grads():
     rng = np.random.default_rng(4)
     t = leaf(rng, (4, 3))

@@ -8,7 +8,6 @@ import re
 import numpy as np
 import pytest
 
-import gladcf.autodiff as ad
 import gladcf.detector as detector_module
 import gladcf.gcn as gcn_module
 from gladcf.autodiff import Tensor
@@ -20,8 +19,7 @@ from gladcf.detector import (DetectorConfig, TrainConfig, adaptive_weighting,
                              train_detector, weighted_nll)
 from gladcf.errors import ConfigError, TrainingDivergedError
 from gladcf.gcn import normalize_adjacency
-from gladcf.graphs import (GraphDataset, PaddedBatch, Provenance, make_graph,
-                           pad_batch)
+from gladcf.graphs import PaddedBatch, Provenance, make_graph, pad_batch
 from util import (assert_grads_close, connected_random_graph, random_graph,
                   rewrite_checkpoint, ring_adjacency)
 
