@@ -22,6 +22,11 @@ a line that does not parse, a graph id outside the declared graphs, an
 edge endpoint outside ``1..num_nodes``, an edge whose endpoints lie in
 different graphs. A file is parsed whole before its values are checked, so
 a parse fault is reported before a range fault on an earlier line.
+
+:func:`write_tu_dataset` renders the triple by whole-array passes, with no
+per-line formatting: the edge list is one pass over all adjacencies and
+every value is looked up in a digit table, and the files are byte-identical
+to ``"%d, %d\\n"`` and ``"%d\\n"`` formatting of each line.
 """
 
 from __future__ import annotations
@@ -311,33 +316,75 @@ def build_features(graphs: Sequence[Graph], config: FeatureConfig,
 # -- writing ---------------------------------------------------------------
 
 
+def _render_lines(values: Array) -> Array:
+    """The ASCII text of an ``(m, k)`` table of non-negative integers, one
+    row per line, values joined by ``", "``, as a flat ``uint8`` array.
+
+    Every value is laid out right-aligned in a fixed-width cell; a table
+    lookup per value gives the cell's digits and which of them are shown
+    (no leading zeros), and one boolean mask drops the rest.
+    """
+    top = int(values.max(initial=0))
+    width = len(str(top))
+    numbers = np.arange(top + 1)
+    # one row per number: its digits, then the two separator bytes
+    digits = np.empty((top + 1, width + 2), dtype=np.uint8)
+    shown = np.ones((top + 1, width + 2), dtype=bool)
+    for place in range(width):
+        power = 10 ** (width - 1 - place)
+        digits[:, place] = numbers // power % 10 + ord("0")
+        shown[:, place] = numbers >= power
+    shown[0, width - 1] = True  # zero shows its one digit
+    digits[:, width:] = np.frombuffer(b", ", dtype=np.uint8)
+    cells = digits.take(values, axis=0)
+    visible = shown.take(values, axis=0)
+    # the last value on a line ends it with "\n" instead of ", "
+    cells[:, -1, width] = ord("\n")
+    visible[:, -1, width + 1] = False
+    return cells[visible]
+
+
 def write_tu_dataset(graphs: Sequence[Graph], directory: str | Path,
                      name: str) -> None:
     """Write graphs back out as a TU-format triple (byte-deterministic).
 
     Each undirected edge appears in both orientations, sorted by
-    (source, target); node ids are global and 1-indexed; labels are the
-    stored binary labels.
+    (source, target), one ``"u, v"`` line each; node ids are global and
+    1-indexed; labels are the stored binary labels. Lines end in LF.
+
+    The text is rendered by whole-array passes: the edge list comes from
+    one ``flatnonzero`` over all adjacencies, and the decimal digits from
+    a digit table indexed by value (``_render_lines``). The bytes are the
+    same as ``"%d, %d\\n"`` formatting of each edge and ``"%d\\n"`` of each
+    graph id and label. An empty graph list is a :class:`ConfigError`,
+    because no loadable TU dataset has no graphs.
     """
+    if not graphs:
+        raise ConfigError("cannot write a TU dataset with no graphs")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    sizes = [g.num_nodes for g in graphs]
-    offsets = np.cumsum([0] + sizes)
-    # argwhere lists each graph's edges in (row, col) order and node ids grow
-    # from graph to graph, so the concatenation is already sorted
-    edges = [np.argwhere(g.adjacency) + (base + 1)
-             for g, base in zip(graphs, offsets)]
-    pairs = np.concatenate(edges).ravel().tolist() if edges else []
-    indicator = np.repeat(np.arange(1, len(graphs) + 1), sizes).tolist()
+    sizes = np.array([g.num_nodes for g in graphs], dtype=np.int64)
+    node_base = np.cumsum(sizes) - sizes + 1
+    cell_base = np.cumsum(sizes * sizes) - sizes * sizes
+    # the non-zero cells of all adjacencies, row-major within each graph;
+    # node ids grow from graph to graph, so the list is already sorted
+    cells = np.flatnonzero(np.concatenate(
+        [g.adjacency.reshape(-1) for g in graphs]))
+    starts = np.searchsorted(cells, cell_base)
+    owner = np.repeat(np.arange(len(graphs)),
+                      np.diff(starts, append=len(cells)))
+    rows_cols = np.divmod(cells - cell_base[owner], sizes[owner])
+    edges = np.stack(rows_cols, axis=1) + node_base[owner, None]
+    indicator = np.repeat(np.arange(1, len(graphs) + 1), sizes)
+    labels = np.array([g.label for g in graphs], dtype=np.int64)
     contents = {
-        "A": "%d, %d\n" * (len(pairs) // 2) % tuple(pairs),
-        "graph_indicator": "".join(f"{gid}\n" for gid in indicator),
-        "graph_labels": "".join(f"{g.label}\n" for g in graphs),
+        "A": edges,
+        "graph_indicator": indicator[:, None],
+        "graph_labels": labels[:, None],
     }
-    for suffix, text in contents.items():
-        with open(directory / f"{name}_{suffix}.txt", "w",
-                  encoding="ascii") as fh:
-            fh.write(text)
+    for suffix, values in contents.items():
+        with open(directory / f"{name}_{suffix}.txt", "wb") as fh:
+            fh.write(_render_lines(values))
 
 
 def dataset_stats(graphs: Sequence[Graph]) -> dict:

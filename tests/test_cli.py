@@ -115,6 +115,21 @@ def test_negative_augment_count_is_a_named_runtime_error(data_dir, tmp_path,
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_empty_augment_export_is_a_named_runtime_error(data_dir, tmp_path,
+                                                       capsys, caplog):
+    # zero generated graphs would make a TU export that cannot be loaded
+    caplog.set_level(logging.INFO, logger="gladcf")
+    rc = main(["augment"] + base_args(data_dir) +
+              ["--out-dir", str(tmp_path), "--count", "0"])
+    assert rc == RUNTIME_ERROR
+    errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+    assert [r.getMessage() for r in errors] == [
+        "cannot write a TU dataset with no graphs"]
+    assert all(r.exc_info is None for r in errors)
+    assert "Traceback" not in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.txt"))
+
+
 def test_negative_seed_is_a_named_runtime_error(data_dir, tmp_path, capsys,
                                                caplog):
     caplog.set_level(logging.INFO, logger="gladcf")

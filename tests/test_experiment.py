@@ -3,9 +3,14 @@ cross-validation integrity, determinism (serial and parallel), report and
 CSV artifacts, the beta grid, and histograms."""
 
 import copy
+import functools
 import json
 import logging
+import os
 import re
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -209,21 +214,6 @@ def test_run_cv_is_deterministic():
     assert first.config_hash == second.config_hash
 
 
-def test_run_cv_does_not_depend_on_chunk_size():
-    # Sizes 4-20 span several width cuts, so 128 chunks by width alone and
-    # 3 by count; the chunks, their widths and the order in which chunk
-    # losses are summed differ, and nothing else may.
-    dataset = separable_dataset(sizes=(4, 21))
-    small = run_cv(fast_config(chunk_size=3), dataset)
-    large = run_cv(fast_config(chunk_size=128), dataset)
-    assert small.generated_per_fold == large.generated_per_fold
-    assert [(r["fold"], r["graph_id"]) for r in small.scores] == \
-        [(r["fold"], r["graph_id"]) for r in large.scores]
-    np.testing.assert_allclose([r["score"] for r in small.scores],
-                               [r["score"] for r in large.scores],
-                               rtol=0, atol=1e-12)
-
-
 def _relabelled(graphs, seed=0):
     """The same graphs, the nodes of each one put in a random order."""
     rng = np.random.default_rng(seed)
@@ -243,39 +233,81 @@ _AUGMENTER_DEPENDS_ON_IT = pytest.mark.xfail(
     strict=True, reason="the augmenter's shared (n_max, n_max) rewrite "
     "depends on node order and padding width (ROADMAP item 2)")
 
+# LDP features depend on neither n_max nor node order; sizes 4-20 span
+# several width cuts, so chunk size 128 chunks by width alone and 3 by count.
+# Measured gaps of the passing cases: 3.3e-16 for chunk size, 0.0 for
+# parallel folds and for one against two BLAS threads.
+_HARNESS_GRAPHS = separable_graphs(sizes=(4, 21))
+_LDP = FeatureConfig(mode=FeatureMode.LDP)
+
+
+def _harness_config(variant, **overrides):
+    return fast_config(**{"feature_mode": "ldp", "variant": variant,
+                          "chunk_size": 128, **overrides})
+
+
+@functools.cache
+def _untransformed_run(variant):
+    return run_cv(_harness_config(variant),
+                  build_features(_HARNESS_GRAPHS, _LDP, name="synthetic"))
+
+
+def _spawned_run_cv(config, dataset, threads):
+    """Start ``run_cv`` in a new spawned process whose BLAS runs ``threads``
+    threads; the futures of its thread setting and of its report."""
+    pool = ProcessPoolExecutor(1, mp_context=get_context("spawn"))
+    with mock.patch.dict(os.environ, {"OPENBLAS_NUM_THREADS": str(threads),
+                                      "OMP_NUM_THREADS": str(threads)}):
+        # the worker process starts, and takes the environment, here
+        setting = pool.submit(os.getenv, "OPENBLAS_NUM_THREADS")
+    report = pool.submit(run_cv, config, dataset)
+    pool.shutdown(wait=False)
+    return setting, report
+
+
+def _invariance_runs(variant, transform):
+    """The untransformed and the transformed CV report of one case."""
+    config = _harness_config(variant)
+    base = build_features(_HARNESS_GRAPHS, _LDP, name="synthetic")
+    if transform == "blas_threads":
+        one, two = (_spawned_run_cv(config, base, threads)
+                    for threads in (1, 2))
+        assert [one[0].result(), two[0].result()] == ["1", "2"]
+        return one[1].result(), two[1].result()
+    if transform == "padding":
+        changed = run_cv(config, build_features(
+            _HARNESS_GRAPHS, _LDP, name="synthetic", n_max=base.n_max + 8))
+    elif transform == "relabelling":
+        changed = run_cv(config, build_features(
+            _relabelled(_HARNESS_GRAPHS), _LDP, name="synthetic"))
+    elif transform == "chunk_size":
+        changed = run_cv(_harness_config(variant, chunk_size=3), base)
+    else:
+        changed = run_cv(_harness_config(variant, parallel_folds=2), base)
+    return _untransformed_run(variant), changed
+
 
 @pytest.mark.parametrize("variant,transform", [
     ("no_asgm", "padding"), ("no_asgm", "relabelling"),
     pytest.param(None, "padding", marks=_AUGMENTER_DEPENDS_ON_IT),
-    pytest.param(None, "relabelling", marks=_AUGMENTER_DEPENDS_ON_IT)],
+    pytest.param(None, "relabelling", marks=_AUGMENTER_DEPENDS_ON_IT),
+    (None, "chunk_size"), (None, "parallel_folds"), (None, "blas_threads")],
     ids=["no_asgm-padding", "no_asgm-relabelling", "full-padding",
-         "full-relabelling"])
-def test_scores_do_not_depend_on_padding_or_node_order(variant, transform):
-    # LDP features depend on neither n_max nor node order, so the same
-    # graphs built wider or with their nodes relabelled must score the same
-    graphs = separable_graphs(sizes=(4, 21))
-    ldp = FeatureConfig(mode=FeatureMode.LDP)
-    base = build_features(graphs, ldp, name="synthetic")
-    if transform == "padding":
-        changed = build_features(graphs, ldp, name="synthetic",
-                                 n_max=base.n_max + 8)
-    else:
-        changed = build_features(_relabelled(graphs), ldp, name="synthetic")
-    config = fast_config(feature_mode="ldp", variant=variant)
-    want, got = run_cv(config, base), run_cv(config, changed)
+         "full-relabelling", "full-chunk_size", "full-parallel_folds",
+         "full-blas_threads"])
+def test_scores_do_not_depend_on_run_layout(variant, transform):
+    # one tiny run_cv under each transformation against the untransformed
+    # run: scores agree to 1e-12, and serial and parallel folds exactly
+    want, got = _invariance_runs(variant, transform)
+    assert got.generated_per_fold == want.generated_per_fold
     assert [(r["fold"], r["graph_id"]) for r in got.scores] == \
         [(r["fold"], r["graph_id"]) for r in want.scores]
     np.testing.assert_allclose([r["score"] for r in got.scores],
                                [r["score"] for r in want.scores],
                                rtol=0, atol=1e-12)
-
-
-def test_parallel_folds_match_serial():
-    dataset = separable_dataset()
-    serial = run_cv(fast_config(), dataset)
-    parallel = run_cv(fast_config(parallel_folds=2), dataset)
-    assert parallel.fold_aucs == serial.fold_aucs
-    assert parallel.scores == serial.scores
+    if transform == "parallel_folds":
+        assert got.fold_aucs == want.fold_aucs
+        assert got.scores == want.scores
 
 
 def test_parallel_folds_start_no_more_workers_than_folds(monkeypatch):

@@ -361,6 +361,89 @@ def test_write_golden_bytes(tmp_path):
         assert (tmp_path / f"G_{suffix}.txt").read_bytes() == content
 
 
+def _percent_formatted(graphs):
+    """The TU files as ``%``-formatting of each line writes them: the
+    oracle for ``write_tu_dataset``'s array renderer."""
+    offsets = np.cumsum([0] + [g.num_nodes for g in graphs])
+    edges = [np.argwhere(g.adjacency) + (base + 1)
+             for g, base in zip(graphs, offsets)]
+    pairs = np.concatenate(edges).ravel().tolist()
+    indicator = np.repeat(np.arange(1, len(graphs) + 1),
+                          [g.num_nodes for g in graphs]).tolist()
+    return {
+        "A": "%d, %d\n" * (len(pairs) // 2) % tuple(pairs),
+        "graph_indicator": "".join(f"{gid}\n" for gid in indicator),
+        "graph_labels": "".join(f"{g.label}\n" for g in graphs),
+    }
+
+
+def _graph(adjacency, label):
+    n = len(adjacency)
+    return make_graph(adjacency, np.zeros((n, 0)), label,
+                      Provenance.ORIGINAL_ABNORMAL if label
+                      else Provenance.ORIGINAL_NORMAL)
+
+
+def _digit_crossing_graphs():
+    # 101 rings with chords on 100 nodes: node ids run 1..10100 and graph
+    # ids 1..101, so every width change from one digit to five is written
+    rng = np.random.default_rng(3)
+    graphs = []
+    for i in range(101):
+        ring = np.roll(np.eye(100), 1, axis=1)
+        chords = np.triu(rng.random((100, 100)) < 0.01, k=2)
+        upper = np.triu(np.maximum(ring + ring.T, chords), k=1)
+        graphs.append(_graph(upper + upper.T, i % 2))
+    return graphs
+
+
+def _small_and_edgeless_graphs():
+    # single nodes, edgeless graphs and an empty graph between edged ones
+    return [_graph(np.zeros((1, 1)), 0), _graph(path_adjacency(3), 1),
+            _graph(np.zeros((4, 4)), 1), _graph(np.zeros((0, 0)), 0),
+            _graph(np.zeros((1, 1)), 1), _graph(path_adjacency(12), 0),
+            _graph(np.zeros((2, 2)), 0)]
+
+
+def _edgeless_graphs():
+    return [_graph(np.zeros((n, n)), n % 2) for n in (1, 3, 1, 9, 2)]
+
+
+@pytest.mark.parametrize("build", [
+    _digit_crossing_graphs, _small_and_edgeless_graphs, _edgeless_graphs])
+def test_write_matches_percent_formatting(tmp_path, build):
+    graphs = build()
+    write_tu_dataset(graphs, tmp_path, "O")
+    expected = _percent_formatted(graphs)
+    for suffix, text in expected.items():
+        assert (tmp_path / f"O_{suffix}.txt").read_bytes() == \
+            text.encode("ascii"), suffix
+    assert {0, 1} <= {g.label for g in graphs}
+
+
+def test_write_digit_crossings_are_covered(tmp_path):
+    write_tu_dataset(_digit_crossing_graphs(), tmp_path, "O")
+    ids = {int(v) for line in (tmp_path / "O_A.txt").read_text().split("\n")
+           if line for v in line.split(", ")}
+    assert {9, 10, 99, 100, 999, 1000, 9999, 10000} <= ids
+    graph_ids = (tmp_path / "O_graph_indicator.txt").read_text().split()
+    assert {"9", "10", "99", "100", "101"} <= set(graph_ids)
+
+
+def test_write_without_edges_leaves_an_empty_edge_file(tmp_path):
+    write_tu_dataset(_edgeless_graphs(), tmp_path, "O")
+    assert (tmp_path / "O_A.txt").read_bytes() == b""
+    back = load_tu_dataset(tmp_path, name="O")
+    assert [g.num_nodes for g in back] == [1, 3, 1, 9, 2]
+    assert all(not g.adjacency.any() for g in back)
+
+
+def test_write_rejects_an_empty_graph_list(tmp_path):
+    with pytest.raises(ConfigError, match="no graphs"):
+        write_tu_dataset([], tmp_path / "out", "E")
+    assert not (tmp_path / "out").exists()
+
+
 def test_dataset_stats():
     g1 = make_graph(path_adjacency(3), np.zeros((3, 0)), 0,
                     Provenance.ORIGINAL_NORMAL)
