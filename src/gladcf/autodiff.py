@@ -6,10 +6,10 @@ for every rank), a few activations, whole-tensor and per-axis sums, a
 scalar mean, two gather-style ops and a block slice. Two ops are whole
 pooled GCN hidden layers on constant graph terms, with the weight and bias
 as their only tape parents: one runs the weight as one flat GEMM, then the
-bias, padding mask, ReLU and mean pool, as a single tape node; the other
-sums the activation over sorted scalars in closed form. One more is the
-augmenter's squared sum of a sigmoid rewrite over the rows a chunk cuts
-off. The sigmoid selects its numerator without a data-dependent branch.
+bias, ReLU and mean pool, as a single tape node, with no padding mask
+because the pool weighs padded nodes 0; the other sums the activation over
+sorted scalars in closed form. One more is the augmenter's squared sum of
+a sigmoid rewrite over the rows a chunk cuts off. The sigmoid selects its numerator without a data-dependent branch.
 Everything is float64. ``backward()`` runs an iterative topological sweep,
 so deep tapes cannot hit the recursion limit. A node whose inputs all have
 ``requires_grad=False`` records no tape entry at all, which makes "no grad"
@@ -286,23 +286,22 @@ def relu(t: Tensor) -> Tensor:
     return _node(data, (t,), backward)
 
 
-def pooled_bias_mask_relu(t: Array, weight: Tensor, bias: Tensor,
-                          mask: Array, pool: Array) -> Tensor:
-    """``pool · relu((t·W + b) ⊙ mask)`` as one node, ``(B, h)``.
+def pooled_bias_relu(t: Array, weight: Tensor, bias: Tensor,
+                     pool: Array) -> Tensor:
+    """``pool · relu(t·W + b)`` as one node, ``(B, h)``.
 
     ``t`` is a constant ``(B, n, k)`` array, ``weight`` ``(k, h)``, ``bias``
-    ``(h,)``, ``mask`` a 0/1 ``(B, n)`` array and ``pool`` a constant
-    ``(B, 1, n)`` array; the tape's parents are ``weight`` and ``bias``. The
-    forward pass is one flat ``(B·n, k) @ (k, h)`` GEMM whose output buffer
-    takes the bias, the mask and the ReLU in place, then one batched
-    product with ``pool``. That per-node buffer is kept only while a tape
-    entry holds it. The backward pass makes one per-node array,
-    ``pᵀ ⊙ g ⊙ (hidden > 0)`` (an entry can only be positive where the mask
-    is 1, so that product already applies the mask), and reads the bias and
+    ``(h,)`` and ``pool`` a constant ``(B, 1, n)`` array; the tape's parents
+    are ``weight`` and ``bias``. The forward pass is one flat
+    ``(B·n, k) @ (k, h)`` GEMM whose output buffer takes the bias and the
+    ReLU in place, then one batched product with ``pool``. That per-node
+    buffer is kept only while a tape entry holds it. The backward pass makes
+    one per-node array, ``pᵀ ⊙ g ⊙ (hidden > 0)``, and reads the bias and
     weight gradients off it. These are the float operations of the unfused
     chain ``matmul`` (of ``t`` flattened to ``(B·n, k)``), ``+ bias``,
-    ``⊙ mask``, ``relu``, ``pool @``, in its order, so values and gradients
-    are bit-identical to it.
+    ``relu``, ``pool @``, in its order, so values and gradients are
+    bit-identical to it. A node whose ``t`` row and ``pool`` weight are 0,
+    as at a padded node, adds exactly 0 to the value and to both gradients.
     """
     weight, bias = _as_tensor(weight), _as_tensor(bias)
     b, n, k = t.shape
@@ -310,7 +309,6 @@ def pooled_bias_mask_relu(t: Array, weight: Tensor, bias: Tensor,
     t2 = t.reshape(b * n, k)
     hidden = t2 @ weight.data
     hidden += bias.data
-    hidden *= np.asarray(mask).reshape(-1, 1)
     np.maximum(hidden, 0.0, out=hidden)
     hidden = hidden.reshape(b, n, h)
     data = (pool @ hidden).reshape(b, h)
@@ -360,7 +358,7 @@ def ramp_relu_sum(weight: Tensor, bias: Tensor, sums: RampSums) -> Tensor:
     ``weight`` holds the ``h`` slopes (``(1, h)`` or ``(h,)``), ``bias`` the
     ``h`` offsets, ``sums`` the rows' sorted ``s`` and prefix sums of ``q``
     and ``q·s`` (``ramp_sums``). The predicate ``s·w_j + b_j > 0`` is the
-    one ``pooled_bias_mask_relu`` evaluates on a one-column input, in the
+    one ``pooled_bias_relu`` evaluates on a one-column input, in the
     same float operations, and it is monotone in ``s``: its true entries
     are a suffix of the sorted row for ``w_j ≥ 0`` and a prefix for
     ``w_j < 0``. A bisection over the sorted row finds that boundary for

@@ -2,21 +2,23 @@
 and an imbalance-aware binary objective.
 
 Each branch is a two-layer GCN: one convolves the node features, the other
-the raw degree column. Each branch's last layer is linear, so each branch is
-mean-pooled first and its last weight applied to one row per graph
-(``gcn.gcn_readout``). What the branches read of the graphs alone — ``Â·X``,
-the pool weights ``mᵀÂ/n`` and ``s = Â·d`` — is planned once per chunk
-(``plan_branches``), and the forward pass reads only those plans, so no
-training epoch and no scoring pass touches ``Â`` or the padded batch. The
-feature branch's hidden layer reads ``Â·X`` and is pooled in the same tape
-node, so its per-node activations live only as long as that node's tape
-entry. The degree branch's input is one column, so its pooled hidden layer
-has a closed form in the sorted ``s`` and builds no per-node state at all.
-The two pooled vectors are concatenated, then compressed by a linear
-reducer (``gcn.linear_readout``), then reweighted by a trainable square
-matrix: pool, then reduce, then reweight, which gives the same embedding as
-reducing and reweighting every node row before the pool. A sigmoid head
-turns embeddings into anomaly scores in (0, 1).
+the raw degree column. What the branches read of the graphs alone — the
+pool weights ``mᵀÂ/n``, ``Â·X`` and the sorted ``s = Â·d`` — is one plan
+per chunk (``plan_branches``), and the forward pass reads only that plan,
+so no training epoch and no scoring pass touches ``Â`` or the padded batch.
+Each branch's last layer is linear, so each branch is mean-pooled first
+and its last weight applied to one row per graph (``gcn.linear_readout``).
+The feature branch's hidden layer reads ``Â·X`` and is pooled in the same
+tape node (``gcn.gcn_layer``), so its per-node activations live only as
+long as that node's tape entry. The degree branch's input is one column,
+so its pooled hidden layer has a closed form in the sorted ``s`` and builds
+no per-node state at all. The plan is exactly zero at padded nodes, so
+neither hidden layer needs a padding mask. The two pooled vectors are
+concatenated, then compressed by a linear reducer (``gcn.linear_readout``),
+then reweighted by a trainable square matrix: pool, then reduce, then
+reweight, which gives the same embedding as reducing and reweighting every
+node row before the pool. A sigmoid head turns embeddings into anomaly
+scores in (0, 1).
 
 The loss is a negative log-likelihood with one weight per graph, made once
 per training set (``loss_weights``): the normal, original-abnormal and
@@ -36,8 +38,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError
-from .gcn import (GCNLayerParams, ReadoutPlan, gcn_readout, init_gcn_layer,
-                  linear_readout, normalize_adjacency, plan_readout)
+from .gcn import (GCNLayerParams, gcn_layer, init_gcn_layer, linear_readout,
+                  masked_mean_pool, normalize_adjacency)
 from .graphs import PaddedBatch, Provenance, padded_chunks
 from .optim import fit
 
@@ -161,35 +163,63 @@ def init_detector(feature_dim: int, config: DetectorConfig,
 # -- forward pass ------------------------------------------------------------
 
 
-Plans = tuple[ReadoutPlan | None, ReadoutPlan | None]
+@dataclass(frozen=True)
+class ChunkPlan:
+    """What both branches read of one batch's graphs, made by
+    ``plan_branches``: NumPy constants only. ``pool`` and ``inputs`` are
+    exactly zero at padded nodes, which is why no layer needs a mask."""
+
+    mask: Array                # (B, n)
+    pool: Array                # the pool weights mᵀÂ/n, (B, 1, n)
+    inputs: Array | None       # the feature branch's Â·X, (B, n, F)
+    ramp: ad.RampSums | None   # the degree branch's sorted s = Â·d
 
 
-def plan_branches(params: DetectorParams, batch: PaddedBatch) -> Plans:
-    """Each branch's ``gcn.plan_readout`` for one batch, None where it is off.
+def plan_branches(params: DetectorParams, batch: PaddedBatch) -> ChunkPlan:
+    """The batch's ``ChunkPlan``, a branch's input None where it is off.
 
-    Both branches share one ``normalize_adjacency``, and the degree branch
-    reads the adjacency's row sums; the plans depend on the graphs only,
-    never on parameter values.
+    One ``normalize_adjacency`` and one ``masked_mean_pool`` of its rows
+    serve both branches. The feature branch reads ``Â·X``. The degree
+    branch's input is one column ``d``, the adjacency's row sums, so its
+    pooled hidden unit ``j`` is ``Σᵢ pᵢ·relu(sᵢ·w_j + b_j)`` with
+    ``s = Â·d``, and the plan keeps each graph's ``s`` sorted with prefix
+    sums of ``p`` and ``p·s`` (``autodiff.ramp_sums``). ``pad_batch``
+    zero-fills the padded rows and columns, so ``Â``, and with it ``p``,
+    ``Â·X`` and ``s``, are exactly zero at padded nodes. The plan depends
+    on the graphs only, never on parameter values.
     """
     # degrees first: allocated after normalize_adjacency's temporaries, this
     # small array raised cv_bzr's peak RSS by 6 MB (glibc heap layout)
     degrees = batch.adjacency_stack.sum(axis=-1, keepdims=True)
     normalized = normalize_adjacency(batch.adjacency_stack, batch.node_mask)
-    return tuple(
-        None if layers is None
-        else plan_readout(inputs, normalized, batch.node_mask)
-        for layers, inputs in ((params.feature_branch, batch.feature_stack),
-                               (params.degree_branch, degrees)))
+    pool = masked_mean_pool(normalized, batch.node_mask).data
+    inputs = ramp = None
+    if params.feature_branch is not None:
+        inputs = ad.matmul(normalized, batch.feature_stack).data
+    if params.degree_branch is not None:
+        s = ad.matmul(normalized, degrees).data[..., 0]
+        ramp = ad.ramp_sums(s, pool[:, 0])
+    return ChunkPlan(batch.node_mask, pool, inputs, ramp)
 
 
-def fuse_features(params: DetectorParams, plans: Plans) -> Tensor:
+def fuse_features(params: DetectorParams, plan: ChunkPlan) -> Tensor:
     """Concatenated pooled outputs of the active branches: (B, fused).
 
-    ``plans`` are the batch's ``plan_branches``.
+    Each branch's hidden layer is pooled as it is made, the feature branch's
+    on ``Â·X`` (``gcn.gcn_layer``) and the degree branch's in closed form on
+    the sorted ``s`` (``autodiff.ramp_relu_sum``); its last layer then acts
+    on one row per graph (``linear_readout``). A graph with no real nodes
+    pools to zero.
     """
-    pooled = [gcn_readout(layers, plan) for layers, plan in
-              zip((params.feature_branch, params.degree_branch), plans)
-              if layers is not None]
+    pooled = []
+    if params.feature_branch is not None:
+        first, last = params.feature_branch
+        hidden = gcn_layer(first, plan.inputs, plan.pool)
+        pooled.append(linear_readout(last, hidden, plan.mask))
+    if params.degree_branch is not None:
+        first, last = params.degree_branch
+        hidden = ad.ramp_relu_sum(first.weight, first.bias, plan.ramp)
+        pooled.append(linear_readout(last, hidden, plan.mask))
     if len(pooled) == 1:
         return pooled[0]
     return ad.concat_last(pooled[0], pooled[1])
@@ -219,10 +249,10 @@ def score(params: DetectorParams, embedding: Tensor) -> Tensor:
     return ad.sigmoid(ad.reshape(logits, (logits.shape[0],)))
 
 
-def detector_scores(params: DetectorParams, plans: Plans) -> Tensor:
-    """Scores of the batch that ``plans`` (its ``plan_branches``) describe."""
-    mask = next(plan.mask for plan in plans if plan is not None)
-    embedding = adaptive_weighting(params, fuse_features(params, plans), mask)
+def detector_scores(params: DetectorParams, plan: ChunkPlan) -> Tensor:
+    """Scores of the batch that ``plan`` (its ``plan_branches``) describes."""
+    embedding = adaptive_weighting(params, fuse_features(params, plan),
+                                   plan.mask)
     return score(params, embedding)
 
 
@@ -327,7 +357,7 @@ class TrainConfig:
 
 @dataclass
 class _Chunk:
-    plans: Plans  # the batch's plan_branches, made once
+    plan: ChunkPlan  # the batch's plan_branches, made once
     indices: Array
 
 
@@ -338,7 +368,7 @@ def _plan_chunks(graphs, chunk_size: int,
     A chunk's graphs never change, so the branches' graph-only terms are
     computed here once and every epoch and every scoring pass reuses them.
     """
-    return [_Chunk(plans=plan_branches(params, batch), indices=idx)
+    return [_Chunk(plan=plan_branches(params, batch), indices=idx)
             for idx, batch in padded_chunks(graphs, chunk_size)]
 
 
@@ -367,7 +397,7 @@ def train_detector(graphs, config: DetectorConfig, train_config: TrainConfig,
                        "reduces to its normal term")
 
     def chunk_loss(chunk: _Chunk) -> Tensor:
-        return weighted_nll(detector_scores(params, chunk.plans),
+        return weighted_nll(detector_scores(params, chunk.plan),
                             labels[chunk.indices], weights[chunk.indices])
 
     trace = fit(params.trainables(), train_config.lr, train_config.epochs,
@@ -386,7 +416,7 @@ def predict_scores(params: DetectorParams, graphs,
     frozen = params.detached()
     out = np.zeros(len(graphs))
     for chunk in _plan_chunks(graphs, chunk_size, frozen):
-        out[chunk.indices] = detector_scores(frozen, chunk.plans).data
+        out[chunk.indices] = detector_scores(frozen, chunk.plan).data
     return out
 
 

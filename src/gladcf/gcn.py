@@ -1,25 +1,21 @@
 """Graph convolution with symmetric degree normalization, batch-padded.
 
-Self-loops are added only on real nodes (via the node mask), zero degrees are
-normalized as degree 1, and padded rows stay exactly zero through the hidden
-layer. The package builds one stack shape, two layers (each detector
-branch), and reads it out pooled: the hidden layer and the mean pool are one
-tape node, then the last layer's weight and bias act on one row per graph
-(``linear_readout``). What the readout needs of the graphs alone, ``Â·X``
-and the pool weights, is a set of NumPy constants computed apart from the
-layers (``plan_readout``), so callers with fixed graphs compute it once. A
-hidden layer on a single input column is read out in closed form, with no
-per-node state. The augmenter's probe is one linear convolution,
-mean-pooled: a linear map of its pooled propagated features, so it is a
-``linear_readout`` too. ``normalize_adjacency`` and ``masked_mean_pool``
-also take a differentiable adjacency — the counterfactual generator
-backpropagates through the normalization and the pool.
+The primitives both models share. Self-loops are added only on real nodes
+(via the node mask) and zero degrees are normalized as degree 1, so the
+normalized ``Â`` of a zero-padded stack is zero in every padded row and
+column. A stack's last layer is linear, so it is read out pooled: the
+hidden layer and the mean pool are one tape node (``gcn_layer``), and the
+last weight and bias act on one row per graph (``linear_readout``). The
+augmenter's probe is one linear convolution, mean-pooled: a linear map of
+its pooled propagated features, so it is a ``linear_readout`` too.
+``normalize_adjacency`` and ``masked_mean_pool`` also take a differentiable
+adjacency — the counterfactual generator backpropagates through the
+normalization and the pool.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -74,81 +70,18 @@ def normalize_adjacency(adjacency: Tensor | Array, mask: Array, *,
     return with_loops * row * col
 
 
-def gcn_layer(params: GCNLayerParams, propagated: Array, mask: Array,
+def gcn_layer(params: GCNLayerParams, propagated: Array,
               pool: Array) -> Tensor:
-    """The pooled hidden layer: ``pool · relu((Â·H · W + b) ⊙ m)``, ``(B, h)``.
+    """The pooled hidden layer: ``pool · relu(Â·H · W + b)``, ``(B, h)``.
 
     ``propagated`` is ``Â·H`` and ``pool`` the pool weights ``mᵀÂ/n``, both
-    constants from ``plan_readout``. The layer and the pool are one tape
-    node (``autodiff.pooled_bias_mask_relu``): padded rows are exactly zero
-    before the pool, and the per-node activations live only as long as the
-    tape entry that needs them.
+    constants. Both are exactly zero at padded nodes when ``Â`` comes from
+    ``normalize_adjacency`` of a zero-padded stack, so a padded node's row,
+    ``relu(b)``, weighs 0 and needs no mask. The layer and the pool are one
+    tape node (``autodiff.pooled_bias_relu``): the per-node activations live
+    only as long as the tape entry that needs them.
     """
-    return ad.pooled_bias_mask_relu(propagated, params.weight, params.bias,
-                                    mask, pool)
-
-
-@dataclass(frozen=True)
-class ReadoutPlan:
-    """The graph-only constants a two-layer stack's pooled readout reads,
-    for one batch.
-
-    Made by ``plan_readout``. A caller whose graphs do not change (a
-    detector chunk) makes it once and reads it on every forward, which then
-    never touches ``Â``. A plan holds either ``inputs`` and ``pool`` or, for
-    one input column, only ``ramp``.
-    """
-
-    mask: Array                # (B, n)
-    inputs: Array | None       # Â·X, (B, n, F)
-    pool: Array | None         # the pool weights mᵀÂ/n, (B, 1, n)
-    ramp: ad.RampSums | None   # the closed form of the hidden layer on s = Â·x
-
-
-def plan_readout(features: Array, normalized: Tensor,
-                 mask: Array) -> ReadoutPlan:
-    """Compute what ``gcn_readout`` needs of the graphs.
-
-    ``normalized`` is the output of ``normalize_adjacency``, so that several
-    stacks can share one normalization; a differentiable one raises
-    ``ValueError``, because a plan holds constants only. The pool weights
-    ``p = mᵀÂ / n`` are ``masked_mean_pool`` over the rows of ``Â``, and
-    the hidden layer reads ``Â·X``. For one input column ``x``, the hidden
-    layer's pooled unit ``j`` is ``Σᵢ pᵢ·relu(sᵢ·w_j + b_j)`` with
-    ``s = Â·x`` (padded nodes weigh 0), so the plan keeps only each graph's
-    ``s`` sorted, with prefix sums of ``p`` and ``p·s``
-    (``autodiff.ramp_sums``).
-    """
-    if normalized.requires_grad:
-        raise ValueError("a readout plan reads a constant Â")
-    mask = np.asarray(mask, dtype=np.float64)
-    pool = masked_mean_pool(normalized, mask).data
-    propagated = ad.matmul(normalized, features).data
-    if propagated.shape[-1] == 1:
-        ramp = ad.ramp_sums(propagated[..., 0], pool[:, 0] * mask)
-        return ReadoutPlan(mask, inputs=None, pool=None, ramp=ramp)
-    return ReadoutPlan(mask, inputs=propagated, pool=pool, ramp=None)
-
-
-def gcn_readout(layers: Sequence[GCNLayerParams],
-                plan: ReadoutPlan) -> Tensor:
-    """Mean-pooled output of a two-layer stack, ``(B, out)``.
-
-    The hidden layer and the pool run as one tape node (``gcn_layer`` on
-    the plan's ``Â·X``). The last layer and the mean pool are both linear,
-    so the pool goes first: ``mean_i (Â H W + b)_i = (p · H) · W + b``, and
-    the last weight and bias act on ``B`` rows instead of ``B · n``
-    (``linear_readout``). A plan with a ramp evaluates the hidden layer
-    pooled, in closed form (``autodiff.ramp_relu_sum``), with the same
-    active nodes and gradients as the per-node path and no ``(B, n, ·)``
-    state. A graph with no real nodes pools to zero.
-    """
-    first, last = layers
-    if plan.ramp is not None:
-        pooled = ad.ramp_relu_sum(first.weight, first.bias, plan.ramp)
-    else:
-        pooled = gcn_layer(first, plan.inputs, plan.mask, plan.pool)
-    return linear_readout(last, pooled, plan.mask)
+    return ad.pooled_bias_relu(propagated, params.weight, params.bias, pool)
 
 
 def linear_readout(layer: GCNLayerParams, pooled: Tensor,

@@ -167,32 +167,32 @@ def test_unary_grads():
     assert_grads_close(lambda: ad.tsum(ad.absolute(off_kink)), [off_kink])
 
 
-def _pooled_chain(t, w, b, mask, pool):
-    """``pool @ relu((t @ W + b) ⊙ m)`` from separate ops, with ``t @ W``
-    as one flat ``(B·n, k) @ (k, h)`` product: the reference."""
+def _pooled_chain(t, w, b, pool):
+    """``pool @ relu(t @ W + b)`` from separate ops, with ``t @ W`` as one
+    flat ``(B·n, k) @ (k, h)`` product: the reference."""
     batch, n, k = t.shape
     flat = ad.matmul(t.reshape(batch * n, k), w)
-    hidden = ad.relu((ad.reshape(flat, (batch, n, w.shape[1])) + b)
-                     * Tensor(mask[..., None]))
+    hidden = ad.relu(ad.reshape(flat, (batch, n, w.shape[1])) + b)
     return ad.reshape(ad.matmul(pool, hidden), (batch, w.shape[1]))
 
 
 def test_pooled_hidden_layer_matches_unfused_chain():
     # graph 0 is full, graph 1 has 2 real nodes padded to 4 and graph 2 is
-    # empty; the soft pool weighs padded nodes too, which the mask cancels
+    # empty; as a plan made from a zero-padded Â has them, the propagated
+    # rows and the pool weights are zero at padded nodes
     rng = np.random.default_rng(16)
     mask = np.array([[1.0] * 4, [1.0, 1.0, 0.0, 0.0], [0.0] * 4])
-    t = rng.normal(size=(3, 4, 3))
+    t = rng.normal(size=(3, 4, 3)) * mask[..., None]
     w = leaf(rng, (3, 5))
     b = leaf(rng, (5,))
-    pool = rng.uniform(0.1, 0.9, size=(3, 1, 4))
+    pool = rng.uniform(0.1, 0.9, size=(3, 1, 4)) * mask[:, None, :]
     weights = rng.normal(size=(3, 5))
 
     results = []
-    for build in (ad.pooled_bias_mask_relu, _pooled_chain):
+    for build in (ad.pooled_bias_relu, _pooled_chain):
         for x in (w, b):
             x.zero_grad()
-        out = build(t, w, b, mask, pool)
+        out = build(t, w, b, pool)
         ad.tsum(out * weights).backward()
         results.append((out.data, [x.grad for x in (w, b)]))
     (got, got_grads), (want, want_grads) = results
@@ -200,18 +200,25 @@ def test_pooled_hidden_layer_matches_unfused_chain():
     np.testing.assert_array_equal(got, want)
     for g_got, g_want in zip(got_grads, want_grads):
         np.testing.assert_array_equal(g_got, g_want)
-    # the ReLU both passes and clips some real entries
-    pre = (t @ w.data + b.data) * mask[..., None]
-    assert (pre > 0).any() and (pre < 0).any()
+    # the ReLU both passes and clips some real entries, and passes relu(b)
+    # at some padded node, which its zero pool weight must cancel
+    pre = t @ w.data + b.data
+    real = mask.astype(bool)
+    assert (pre[real] > 0).any() and (pre[real] < 0).any()
+    assert (pre[~real] > 0).any()
     np.testing.assert_array_equal(got[2], 0.0)   # the empty graph
+    # the padded nodes add nothing: the layer equals its real rows' sum
+    for g, m in enumerate(real):
+        np.testing.assert_allclose(
+            got[g], pool[g, 0, m] @ np.maximum(pre[g, m], 0.0), rtol=0,
+            atol=1e-12)
     assert_grads_close(
-        lambda: ad.tsum(ad.pooled_bias_mask_relu(t, w, b, mask, pool)
-                        * weights), [w, b])
+        lambda: ad.tsum(ad.pooled_bias_relu(t, w, b, pool) * weights),
+        [w, b])
 
     # a chunk whose graphs have no nodes at all pools to zero
     w.zero_grad()
-    out = ad.pooled_bias_mask_relu(np.zeros((2, 0, 3)), w, b,
-                                   np.zeros((2, 0)), np.zeros((2, 1, 0)))
+    out = ad.pooled_bias_relu(np.zeros((2, 0, 3)), w, b, np.zeros((2, 1, 0)))
     np.testing.assert_array_equal(out.data, np.zeros((2, 5)))
     ad.tsum(out).backward()
     np.testing.assert_array_equal(w.grad, 0.0)
@@ -221,14 +228,12 @@ def test_pooled_hidden_layer_tapes_only_its_weight_and_bias():
     # the graph terms are constants, so the weight and the bias are the
     # node's only parents, and a frozen layer records no tape entry
     rng = np.random.default_rng(17)
-    mask = np.ones((2, 3))
     t, pool = rng.normal(size=(2, 3, 4)), rng.uniform(size=(2, 1, 3))
     w, b = leaf(rng, (4, 2)), leaf(rng, (2,))
-    out = ad.pooled_bias_mask_relu(t, w, b, mask, pool)
+    out = ad.pooled_bias_relu(t, w, b, pool)
     assert len(out._parents) == 2
     assert out._parents[0] is w and out._parents[1] is b
-    frozen = ad.pooled_bias_mask_relu(t, Tensor(w.data), Tensor(b.data),
-                                      mask, pool)
+    frozen = ad.pooled_bias_relu(t, Tensor(w.data), Tensor(b.data), pool)
     assert frozen._backward is None and frozen._parents == ()
     np.testing.assert_array_equal(frozen.data, out.data)
 

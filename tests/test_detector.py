@@ -19,7 +19,9 @@ from gladcf.detector import (DetectorConfig, TrainConfig, adaptive_weighting,
                              train_detector, weighted_nll)
 from gladcf.errors import ConfigError, TrainingDivergedError
 from gladcf.gcn import normalize_adjacency
-from gladcf.graphs import PaddedBatch, Provenance, make_graph, pad_batch
+from gladcf.graphs import (PaddedBatch, Provenance, make_graph, pad_batch,
+                           padded_chunks)
+from gladcf.tu import FeatureConfig, FeatureMode, build_features
 from util import (assert_grads_close, connected_random_graph, random_graph,
                   rewrite_checkpoint, ring_adjacency)
 
@@ -279,6 +281,64 @@ def test_scores_do_not_depend_on_padding_width():
     np.testing.assert_allclose(wide, tight, rtol=0, atol=1e-12)
 
 
+def _mixed_graphs(rng, h):
+    """Graphs of mixed sizes with an isolated node and a zero-node graph."""
+    isolated = make_graph(np.zeros((1, 1)), rng.random((1, h)), 0, N)
+    empty = make_graph(np.zeros((0, 0)), np.zeros((0, h)), 0, N)
+    return [random_graph(rng, n, h) for n in (3, 7, 4, 9, 2, 6)] + [
+        isolated, empty]
+
+
+def test_plans_are_zero_at_padded_nodes():
+    # Neither hidden layer masks padded nodes; what replaces the mask is
+    # that the plan's pool weights and Â·X rows are exactly zero there, in
+    # size-bucketed chunks and in a batch padded past its largest graph.
+    rng = np.random.default_rng(23)
+    graphs = _mixed_graphs(rng, 5)
+    params = init_detector(5, TOY, rng)
+    n = max(g.num_nodes for g in graphs)
+    batches = [batch for _, batch in padded_chunks(graphs, 3)]
+    batches.append(pad_batch(graphs, n + 7))
+    assert 0 in {batch.node_mask.shape[1] for batch in batches}
+    padded_nodes = 0
+    for batch in batches:
+        plan = plan_branches(params, batch)
+        padded = batch.node_mask == 0
+        padded_nodes += int(padded.sum())
+        np.testing.assert_array_equal(plan.pool[:, 0][padded], 0.0)
+        np.testing.assert_array_equal(plan.inputs[padded], 0.0)
+        for constant in (plan.mask, plan.pool, plan.inputs,
+                         *plan.ramp):
+            assert type(constant) is np.ndarray
+    assert padded_nodes > 7 * len(graphs)
+
+
+def test_one_column_features_score_as_the_per_node_reference():
+    # degree_binning with one bin gives every node the feature 1, so the
+    # feature branch reads a one-column Â·X through the GEMM node
+    rng = np.random.default_rng(24)
+    graphs = build_features(_mixed_graphs(rng, 3), FeatureConfig(
+        mode=FeatureMode.DEGREE_BINNING, num_bins=1)).graphs
+    params = init_detector(1, TOY, rng)
+    _random_biases(params, rng)
+    batch = pad_batch(graphs, max(g.num_nodes for g in graphs) + 3)
+    plan = plan_branches(params, batch)
+    assert plan.inputs.shape[-1] == 1
+    got = detector_scores(params, plan).data
+
+    # per node: branches, reducer, reweighting; then the mean over real
+    # nodes, zero for the empty graph
+    mask = batch.node_mask
+    z = _per_node_states(params, batch)
+    reduced = z @ params.reducer.weight.data + params.reducer.bias.data
+    rows = reduced @ params.adaptive_weight.data * mask[..., None]
+    embedding = rows.sum(axis=1) / np.maximum(mask.sum(axis=1), 1.0)[:, None]
+    logits = (np.maximum(embedding, 0.0) @ params.head_weight.data
+              + params.head_bias.data)[:, 0]
+    np.testing.assert_allclose(got, 1.0 / (1.0 + np.exp(-logits)), rtol=0,
+                               atol=1e-12)
+
+
 def test_empty_graph_gets_zero_embedding():
     rng = np.random.default_rng(18)
     empty = make_graph(np.zeros((0, 0)), np.zeros((0, 5)), 0, N)
@@ -365,6 +425,7 @@ def test_training_epochs_reuse_the_planned_graph_terms(monkeypatch):
 
     monkeypatch.setattr(detector_module, "_plan_chunks", plan_then_flag)
     for module, name in ((detector_module, "normalize_adjacency"),
+                         (detector_module, "masked_mean_pool"),
                          (gcn_module, "normalize_adjacency"),
                          (gcn_module, "masked_mean_pool")):
         monkeypatch.setattr(module, name, counted(getattr(module, name)))

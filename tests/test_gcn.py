@@ -7,9 +7,8 @@ import pytest
 
 import gladcf.autodiff as ad
 from gladcf.autodiff import Tensor
-from gladcf.gcn import (GCNLayerParams, gcn_layer, gcn_readout,
-                        init_gcn_layer, linear_readout, masked_mean_pool,
-                        normalize_adjacency, plan_readout)
+from gladcf.gcn import (GCNLayerParams, gcn_layer, init_gcn_layer,
+                        linear_readout, masked_mean_pool, normalize_adjacency)
 
 from util import (assert_grads_close, path_adjacency, random_adjacency,
                   ring_adjacency)
@@ -64,24 +63,27 @@ def test_extra_degree_equals_appended_half_columns():
 
 
 def _readout(layers, x, normalized, mask):
-    return gcn_readout(layers, plan_readout(x, normalized, mask))
+    """A two-layer stack read out pooled, from the primitives, as the
+    detector's feature branch reads it: the hidden layer pooled through
+    ``Â``'s rows, then the last layer on one row per graph."""
+    first, last = layers
+    return linear_readout(last, _hidden(first, x, normalized, mask), mask)
 
 
 def _hidden(layer, x, normalized, mask):
-    """The pooled hidden layer on ``x``, ``(B, h)``: propagated and pooled
-    as ``plan_readout`` does, ``p · relu((Â·X·W + b) ⊙ m)`` with
-    ``p = mᵀÂ/n``."""
+    """The pooled hidden layer on ``x``, ``(B, h)``:
+    ``p · relu(Â·X·W + b)`` with ``p = mᵀÂ/n``."""
     pool = masked_mean_pool(normalized, mask).data
-    return gcn_layer(layer, normalized.data @ x, mask, pool)
+    return gcn_layer(layer, normalized.data @ x, pool)
 
 
-def _node_rows(layer, x, normalized, mask):
+def _node_rows(layer, x, normalized):
     """The hidden layer's per-node rows, ``(B, n, h)``: node ``i``'s row is
     the layer pooled with the one-hot weights of node ``i``."""
-    b, n = mask.shape
+    b, n = normalized.shape[:2]
     propagated = normalized.data @ x
     return np.stack(
-        [gcn_layer(layer, propagated, mask,
+        [gcn_layer(layer, propagated,
                    np.broadcast_to(np.eye(n)[i], (b, 1, n))).data
          for i in range(n)], axis=1)
 
@@ -126,8 +128,8 @@ def test_forward_hand_oracle():
     # as a hidden layer, ReLU after, then pooled through Â's rows; as a
     # linear layer, mean-pooled: W and b applied to the mean of Â·X
     rows = np.maximum(per_node, 0.0)
-    np.testing.assert_allclose(_node_rows(params, x[None], normalized,
-                                          mask)[0], rows, atol=1e-12)
+    np.testing.assert_allclose(_node_rows(params, x[None], normalized)[0],
+                               rows, atol=1e-12)
     hidden = _hidden(params, x[None], normalized, mask).data[0]
     np.testing.assert_allclose(hidden, (a_hat @ rows).mean(axis=0),
                                atol=1e-12)
@@ -185,14 +187,21 @@ def test_stacked_layers_relu_between_not_after():
 def test_padded_rows_zero_through_layers():
     rng = np.random.default_rng(1)
     layers = [init_gcn_layer(2, 3, rng), init_gcn_layer(3, 2, rng)]
+    layers[0].bias.data[:] = np.abs(rng.normal(size=3)) + 0.1
     a = np.zeros((1, 5, 5))
     a[0, :3, :3] = path_adjacency(3)
     x = np.zeros((1, 5, 2))
     x[0, :3] = rng.normal(size=(3, 2))
     mask = np.array([[1.0, 1.0, 1.0, 0.0, 0.0]])
     normalized = normalize_adjacency(a, mask)
-    h = _node_rows(layers[0], x, normalized, mask)
-    assert np.all(h[0, 3:, :] == 0.0)
+    # no mask in the hidden layer: a padded node's row is relu(b) > 0, and
+    # the pool weights and the propagated rows are exactly zero there
+    h = _node_rows(layers[0], x, normalized)
+    np.testing.assert_array_equal(h[0, 3:], np.broadcast_to(
+        layers[0].bias.data, (2, 3)))
+    np.testing.assert_array_equal(
+        masked_mean_pool(normalized, mask).data[0, 0, 3:], 0.0)
+    np.testing.assert_array_equal((normalized.data @ x)[0, 3:], 0.0)
     # the padding changes nothing the readout sees
     tight = _readout(layers, x[:, :3], normalize_adjacency(
         a[:, :3, :3], mask[:, :3]), mask[:, :3]).data
@@ -207,7 +216,7 @@ def test_equivalent_nodes_get_equal_rows():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])[None]
     x = np.array([[0.3, -0.7], [0.3, -0.7]])[None]
     mask = np.ones((1, 2))
-    out = _node_rows(layer, x, normalize_adjacency(a, mask), mask)[0]
+    out = _node_rows(layer, x, normalize_adjacency(a, mask))[0]
     assert (out > 0).any()  # not equal merely because the ReLU zeroed both
     np.testing.assert_allclose(out[0], out[1], atol=1e-12)
 
@@ -222,12 +231,12 @@ def test_init_bounds_and_determinism():
 
 
 def test_gradients_through_forward_and_adjacency():
-    # A constant soft adjacency has padded rows and columns that are not
-    # zero. Pooling through Â's rows first must still give the per-node
-    # mean, value and layer gradients alike, and a graph with no real nodes
-    # must pool to zero. A differentiable Â reaches only the augmenter's
-    # probe, a linear layer read out pooled, whose gradients must reach Â
-    # and X through the normalization and the pool.
+    # A constant soft adjacency, zero-padded as pad_batch pads: pooling
+    # through Â's rows first must give the per-node mean, value and layer
+    # gradients alike, and a graph with no real nodes must pool to zero. A
+    # differentiable Â reaches only the augmenter's probe, a linear layer
+    # read out pooled, whose gradients must reach Â and X through the
+    # normalization and the pool, here with padded cells that are not zero.
     rng = np.random.default_rng(15)
     layers = [init_gcn_layer(2, 4, rng), init_gcn_layer(4, 3, rng)]
     for layer in layers:
@@ -237,9 +246,10 @@ def test_gradients_through_forward_and_adjacency():
     features = Tensor(rng.normal(size=(3, 5, 2)) * mask[..., None],
                       requires_grad=True)
 
-    constant = normalize_adjacency(soft.data, mask)
-    assert (constant.data[1, 3:] != 0).any()  # padded rows
-    assert (constant.data[1, :, 3:] != 0).any()  # and padded columns
+    assert (soft.data[1, 3:] != 0).any()  # padded rows
+    assert (soft.data[1, :, 3:] != 0).any()  # and padded columns
+    constant = normalize_adjacency(
+        soft.data * mask[:, :, None] * mask[:, None, :], mask)
     got = _readout(layers, features.data, constant, mask).data
     expected = _per_node_readout(layers, features.data, constant.data, mask)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
@@ -269,11 +279,11 @@ def test_gradients_through_forward_and_adjacency():
 def _degree_case(seed, hidden):
     """A degree-branch stack on four graphs, with kinks placed on nodes.
 
-    Graph 0 is a ring (every ``s`` tied), graph 1 a path padded from 4 to 7
-    nodes whose constant soft adjacency has non-zero padded cells, graph 2
-    is empty and graph 3 random. Units 0–3 put their kink exactly on a real
-    node's ``s`` (``b_j = −fl(s·w_j)``), two rising and two falling; units
-    4–6 are flat with a positive, a negative and a zero bias.
+    Graph 0 is a ring (every ``s`` tied), graph 1 a path zero-padded from 4
+    to 7 nodes, graph 2 is empty and graph 3 random. Units 0–3 put their
+    kink exactly on a real node's ``s`` (``b_j = −fl(s·w_j)``), two rising
+    and two falling; units 4–6 are flat with a positive, a negative and a
+    zero bias.
     """
     rng = np.random.default_rng(seed)
     b, n = 4, 7
@@ -283,7 +293,6 @@ def _degree_case(seed, hidden):
     a[1, :4, :4], mask[1, :4] = path_adjacency(4), 1.0
     a[3], mask[3] = random_adjacency(rng, n, 0.5), 1.0
     degrees = a.sum(axis=-1, keepdims=True)
-    a[1, 4:, :] = a[1, :, 4:] = 0.3  # padded cells the mask must cancel
     normalized = normalize_adjacency(a, mask)
     s = (normalized.data @ degrees)[..., 0]
 
@@ -299,33 +308,34 @@ def _degree_case(seed, hidden):
     w[4:7] = 0.0
     bias[4:7] = [0.7, -0.7, 0.0]
     layers[1].bias.data[:] = rng.normal(size=3)
-    return layers, degrees, normalized, mask, s
+    return layers, normalized, mask, s
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_degree_readout_closed_form_matches_per_node_path(seed):
     # One hidden layer on one constant column reads out in closed form; its
     # values and every gradient must be the per-node path's, ties included.
-    layers, degrees, normalized, mask, s = _degree_case(seed, hidden=12)
-    plan = plan_readout(degrees, normalized, mask)
-    assert plan.ramp is not None and plan.inputs is None
+    layers, normalized, mask, s = _degree_case(seed, hidden=12)
     b = mask.shape[0]
     pool = masked_mean_pool(normalized, mask).data
-    assert (pool[1, 0, 4:] != 0).any()
+    np.testing.assert_array_equal(pool[1, 0, 4:], 0.0)  # padded nodes
+    ramp = ad.ramp_sums(s, pool[:, 0])
+    first, last = layers
 
     def per_node():
-        first, last = layers
-        pooled = ad.pooled_bias_mask_relu(s[..., None], first.weight,
-                                          first.bias, mask, pool)
-        return linear_readout(last, pooled, mask)
+        return ad.pooled_bias_relu(s[..., None], first.weight, first.bias,
+                                   pool)
+
+    def closed_form():
+        return ad.ramp_relu_sum(first.weight, first.bias, ramp)
 
     weights = np.random.default_rng(seed).normal(size=(b, 3))
     results = []
-    for build in (per_node, lambda: gcn_readout(layers, plan)):
+    for hidden in (per_node, closed_form):
         for layer in layers:
             layer.weight.zero_grad()
             layer.bias.zero_grad()
-        out = build()
+        out = linear_readout(last, hidden(), mask)
         ad.tsum(out * weights).backward()
         results.append((out.data, [t.grad for layer in layers
                                    for t in (layer.weight, layer.bias)]))
@@ -336,29 +346,6 @@ def test_degree_readout_closed_form_matches_per_node_path(seed):
         np.testing.assert_allclose(g_got, g_want, rtol=0, atol=1e-12)
     # the kinked units are partly active, so their gradients are not trivial
     assert (want_grads[1][:4] != 0).all()
-
-
-def test_closed_form_needs_one_constant_column_and_one_hidden_layer():
-    # the package builds two-layer stacks only, one hidden layer each; it
-    # reads out in closed form exactly when its input is one column
-    layers, degrees, normalized, mask, _ = _degree_case(0, hidden=12)
-    assert plan_readout(degrees, normalized, mask).ramp is not None
-    two_columns = np.concatenate([degrees, degrees], axis=-1)
-    plan = plan_readout(two_columns, normalized, mask)
-    assert plan.ramp is None
-    for constant in (plan.mask, plan.inputs, plan.pool):
-        assert type(constant) is np.ndarray
-    for depth in (1, 3):
-        with pytest.raises(ValueError):
-            gcn_readout((layers * 2)[:depth], plan)
-
-
-def test_plan_readout_refuses_a_differentiable_adjacency():
-    _, degrees, normalized, mask, _ = _degree_case(0, hidden=12)
-    soft = Tensor(normalized.data, requires_grad=True)
-    for features in (degrees, np.concatenate([degrees] * 2, axis=-1)):
-        with pytest.raises(ValueError, match="constant"):
-            plan_readout(features, soft, mask)
 
 
 def test_masked_mean_pool():
