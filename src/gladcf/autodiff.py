@@ -5,13 +5,17 @@ elementwise arithmetic, matmul with numpy's stacked broadcasting (one path
 for every rank), a few activations, whole-tensor and per-axis sums, a
 scalar mean, two gather-style ops and a block slice. Two ops are whole
 pooled GCN hidden layers on constant graph terms, with the weight and bias
-as their only tape parents: one runs the weight as one flat GEMM, then the
-bias, ReLU and mean pool, as a single tape node, with no padding mask
-because the pool weighs padded nodes 0; the other sums the activation over
-sorted scalars in closed form. One more is the augmenter's squared sum of
-a sigmoid rewrite over the rows a chunk cuts off. The sigmoid selects its numerator without a data-dependent branch.
-Everything is float64. ``backward()`` runs an iterative topological sweep,
-so deep tapes cannot hit the recursion limit. A node whose inputs all have
+as their only tape parents: one is a single tape node that streams the
+chunk in cache-sized blocks of whole graphs, each one flat GEMM, then the
+bias, ReLU and mean pool, and keeps only a one-byte ReLU mask per unit for
+the backward pass; its values are bit-equal to the unfused chain and its
+gradients are sums of block partials. It needs no padding mask because the
+pool weighs padded nodes 0. The other sums the activation over sorted
+scalars in closed form. One more is the augmenter's squared sum of a
+sigmoid rewrite over the rows a chunk cuts off. The sigmoid selects its
+numerator without a data-dependent branch. Everything is float64.
+``backward()`` runs an iterative topological sweep, so deep tapes cannot
+hit the recursion limit. A node whose inputs all have
 ``requires_grad=False`` records no tape entry at all, which makes "no grad"
 evaluation free.
 """
@@ -23,6 +27,10 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 Array = np.ndarray
+
+# Rows of one pooled_bias_relu block: 512 rows of h = 256 float64 units are
+# 1 MB, so a block's activations stay inside a 2 MB per-core L2 cache.
+ROWS = 512
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
@@ -292,36 +300,60 @@ def pooled_bias_relu(t: Array, weight: Tensor, bias: Tensor,
 
     ``t`` is a constant ``(B, n, k)`` array, ``weight`` ``(k, h)``, ``bias``
     ``(h,)`` and ``pool`` a constant ``(B, 1, n)`` array; the tape's parents
-    are ``weight`` and ``bias``. The forward pass is one flat
-    ``(B·n, k) @ (k, h)`` GEMM whose output buffer takes the bias and the
-    ReLU in place, then one batched product with ``pool``. That per-node
-    buffer is kept only while a tape entry holds it. The backward pass makes
-    one per-node array, ``pᵀ ⊙ g ⊙ (hidden > 0)``, and reads the bias and
-    weight gradients off it. These are the float operations of the unfused
-    chain ``matmul`` (of ``t`` flattened to ``(B·n, k)``), ``+ bias``,
-    ``relu``, ``pool @``, in its order, so values and gradients are
-    bit-identical to it. A node whose ``t`` row and ``pool`` weight are 0,
-    as at a padded node, adds exactly 0 to the value and to both gradients.
+    are ``weight`` and ``bias``. The chunk is streamed in blocks of
+    ``max(1, ROWS // n)`` whole graphs. Per block, the forward pass is one
+    flat ``(rows, k) @ (k, h)`` GEMM into one block buffer, reused from
+    block to block, which takes the bias and the ReLU in place, then one
+    batched product with the block's ``pool`` rows. GEMM rows are
+    independent and the pool is per graph, so the values are bit-identical
+    to the unfused chain ``matmul`` (of ``t`` flattened to ``(B·n, k)``),
+    ``+ bias``, ``relu``, ``pool @``, whatever the block size. When a tape
+    entry is made, the forward pass also keeps the ReLU's ``> 0`` test as
+    one ``(B, n, h)`` bool array, one byte per unit, and no float
+    activation outlives its block. The backward pass walks the same blocks,
+    forms ``pᵀ ⊙ g ⊙ (hidden > 0)`` per block, and adds its bias sum and
+    its ``t_blockᵀ @ grad`` to one ``(h,)`` and one ``(k, h)`` sum, so the
+    gradients are sums of block partials and match the unfused chain's up
+    to rounding. A node whose ``t`` row and ``pool`` weight are 0, as at a
+    padded node, adds exactly 0 to the value and to both gradients.
     """
     weight, bias = _as_tensor(weight), _as_tensor(bias)
     b, n, k = t.shape
     h = weight.shape[1]
-    t2 = t.reshape(b * n, k)
-    hidden = t2 @ weight.data
-    hidden += bias.data
-    np.maximum(hidden, 0.0, out=hidden)
-    hidden = hidden.reshape(b, n, h)
-    data = (pool @ hidden).reshape(b, h)
+    step = max(1, ROWS // max(n, 1))
+    blocks = [slice(lo, min(lo + step, b)) for lo in range(0, b, step)]
+    taped = weight.requires_grad or bias.requires_grad
+    active = np.empty((b, n, h), dtype=bool) if taped else None
+    out = np.empty((b, 1, h))
+    hidden = np.empty((min(step, b), n, h))  # one block, reused
+    for rows in blocks:
+        block = hidden[:rows.stop - rows.start]
+        np.matmul(t[rows].reshape(-1, k), weight.data,
+                  out=block.reshape(-1, h))
+        block += bias.data
+        np.maximum(block, 0.0, out=block)
+        if taped:
+            np.greater(block, 0.0, out=active[rows])
+        np.matmul(pool[rows], block, out=out[rows])
 
     def backward(g: Array) -> None:
-        grad = np.swapaxes(pool, -1, -2) * g.reshape(b, 1, h)
-        grad *= hidden > 0
+        g = g.reshape(b, 1, h)
+        grad_b, grad_w = np.zeros(h), np.zeros((k, h))
+        grad = np.empty((min(step, b), n, h))  # one block, reused
+        for rows in blocks:
+            block = np.multiply(np.swapaxes(pool[rows], -1, -2), g[rows],
+                                out=grad[:rows.stop - rows.start])
+            block *= active[rows]
+            if bias.requires_grad:
+                grad_b += block.sum(axis=(0, 1))
+            if weight.requires_grad:
+                grad_w += t[rows].reshape(-1, k).T @ block.reshape(-1, h)
         if bias.requires_grad:
-            bias._accumulate(grad.sum(axis=(0, 1)))
+            bias._accumulate(grad_b)
         if weight.requires_grad:
-            weight._accumulate(t2.T @ grad.reshape(b * n, h))
+            weight._accumulate(grad_w)
 
-    return _node(data, (weight, bias), backward)
+    return _node(out.reshape(b, h), (weight, bias), backward)
 
 
 class RampSums(NamedTuple):

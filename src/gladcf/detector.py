@@ -9,16 +9,17 @@ so no training epoch and no scoring pass touches ``Â`` or the padded batch.
 Each branch's last layer is linear, so each branch is mean-pooled first
 and its last weight applied to one row per graph (``gcn.linear_readout``).
 The feature branch's hidden layer reads ``Â·X`` and is pooled in the same
-tape node (``gcn.gcn_layer``), so its per-node activations live only as
-long as that node's tape entry. The degree branch's input is one column,
-so its pooled hidden layer has a closed form in the sorted ``s`` and builds
-no per-node state at all. The plan is exactly zero at padded nodes, so
-neither hidden layer needs a padding mask. The two pooled vectors are
-concatenated, then compressed by a linear reducer (``gcn.linear_readout``),
-then reweighted by a trainable square matrix: pool, then reduce, then
-reweight, which gives the same embedding as reducing and reweighting every
-node row before the pool. A sigmoid head turns embeddings into anomaly
-scores in (0, 1).
+tape node (``gcn.gcn_layer``), which runs in cache-sized blocks of whole
+graphs: no per-node float activation outlives its block, and the tape
+keeps one byte per hidden unit, the ReLU mask. The degree branch's input
+is one column, so its pooled hidden layer has a closed form in the sorted
+``s`` and builds no per-node state at all. The plan is exactly zero at
+padded nodes, so neither hidden layer needs a padding mask. The two pooled
+vectors are concatenated, then compressed by a linear reducer
+(``gcn.linear_readout``), then reweighted by a trainable square matrix:
+pool, then reduce, then reweight, which gives the same embedding as
+reducing and reweighting every node row before the pool. A sigmoid head
+turns embeddings into anomaly scores in (0, 1).
 
 The loss is a negative log-likelihood with one weight per graph, made once
 per training set (``loss_weights``): the normal, original-abnormal and
@@ -189,7 +190,7 @@ def plan_branches(params: DetectorParams, batch: PaddedBatch) -> ChunkPlan:
     on the graphs only, never on parameter values.
     """
     # degrees first: allocated after normalize_adjacency's temporaries, this
-    # small array raised cv_bzr's peak RSS by 6 MB (glibc heap layout)
+    # small array raises cv_bzr's peak RSS by 3 MB (glibc heap layout)
     degrees = batch.adjacency_stack.sum(axis=-1, keepdims=True)
     normalized = normalize_adjacency(batch.adjacency_stack, batch.node_mask)
     pool = masked_mean_pool(normalized, batch.node_mask).data

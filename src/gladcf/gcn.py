@@ -78,8 +78,9 @@ def gcn_layer(params: GCNLayerParams, propagated: Array,
     constants. Both are exactly zero at padded nodes when ``Â`` comes from
     ``normalize_adjacency`` of a zero-padded stack, so a padded node's row,
     ``relu(b)``, weighs 0 and needs no mask. The layer and the pool are one
-    tape node (``autodiff.pooled_bias_relu``): the per-node activations live
-    only as long as the tape entry that needs them.
+    tape node (``autodiff.pooled_bias_relu``) that runs in blocks of whole
+    graphs: a block's float activations live only while that block is
+    computed, and the tape entry keeps one byte per unit, the ReLU mask.
     """
     return ad.pooled_bias_relu(propagated, params.weight, params.bias, pool)
 

@@ -7,6 +7,7 @@ relative error < 1e-4), plus forward-value checks against plain numpy.
 from __future__ import annotations
 
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -236,6 +237,87 @@ def test_pooled_hidden_layer_tapes_only_its_weight_and_bias():
     frozen = ad.pooled_bias_relu(t, Tensor(w.data), Tensor(b.data), pool)
     assert frozen._backward is None and frozen._parents == ()
     np.testing.assert_array_equal(frozen.data, out.data)
+
+
+def test_pooled_hidden_layer_does_not_depend_on_its_blocks(monkeypatch):
+    # five graphs padded to n = 6: full, partly padded, empty, and so on.
+    # ROWS = 4 makes every graph wider than one block, 6 gives one graph
+    # per block, 12 two graphs (which do not divide 5) and 30 one block
+    rng = np.random.default_rng(18)
+    mask = np.array([[1.0] * 6, [1.0] * 3 + [0.0] * 3, [0.0] * 6,
+                     [1.0] * 5 + [0.0], [1.0] * 2 + [0.0] * 4])
+    t = rng.normal(size=(5, 6, 3)) * mask[..., None]
+    pool = rng.uniform(0.1, 0.9, size=(5, 1, 6)) * mask[:, None, :]
+    w, b = leaf(rng, (3, 7)), leaf(rng, (7,))
+    weights = rng.normal(size=(5, 7))
+
+    results = {}
+    for rows in (4, 6, 12, 30):
+        monkeypatch.setattr(ad, "ROWS", rows)
+        w.zero_grad()
+        b.zero_grad()
+        out = ad.pooled_bias_relu(t, w, b, pool)
+        ad.tsum(out * weights).backward()
+        results[rows] = out.data, w.grad, b.grad
+    value, grad_w, grad_b = results[30]
+    pre = t @ w.data + b.data
+    assert (pre > 0).any() and (pre < 0).any()
+    np.testing.assert_array_equal(value[2], 0.0)  # the empty graph
+    for got, got_w, got_b in results.values():
+        np.testing.assert_array_equal(got, value)
+        np.testing.assert_allclose(got_w, grad_w, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got_b, grad_b, rtol=0, atol=1e-12)
+    monkeypatch.setattr(ad, "ROWS", 4)
+    assert_grads_close(
+        lambda: ad.tsum(ad.pooled_bias_relu(t, w, b, pool) * weights),
+        [w, b])
+
+
+def _traced_peak(call):
+    """``call()`` and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_frozen_pooled_hidden_layer_keeps_no_mask(monkeypatch):
+    # the tape keeps one byte per unit; a call with a frozen weight and
+    # bias, as in predict_scores, keeps nothing past one block
+    monkeypatch.setattr(ad, "ROWS", 32)  # one graph per block
+    rng = np.random.default_rng(19)
+    batch, n, k, h = 64, 32, 3, 256
+    t, pool = rng.normal(size=(batch, n, k)), rng.uniform(size=(batch, 1, n))
+    w, b = rng.normal(size=(k, h)), rng.normal(size=h)
+    peaks = {}
+    for taped in (False, True):
+        weight = Tensor(w, requires_grad=taped)
+        bias = Tensor(b, requires_grad=taped)
+        out, peaks[taped] = _traced_peak(
+            lambda: ad.pooled_bias_relu(t, weight, bias, pool))
+        assert (out._backward is not None) == taped
+        assert len(out._parents) == 2 * taped
+    mask_bytes = batch * n * h
+    assert peaks[False] < mask_bytes <= peaks[True]
+
+
+def test_pooled_hidden_layer_allocates_no_per_node_float_buffer():
+    # a BZR-sized chunk: a taped forward and backward stay below half of
+    # one float64 (B·n, h) buffer, 7.5 MB
+    rng = np.random.default_rng(20)
+    batch, n, k, h = 128, 57, 57, 256
+    t, pool = rng.normal(size=(batch, n, k)), rng.uniform(size=(batch, 1, n))
+    w, b = leaf(rng, (k, h)), leaf(rng, (h,))
+    weights = rng.normal(size=(batch, h))
+
+    def step():
+        ad.tsum(ad.pooled_bias_relu(t, w, b, pool) * weights).backward()
+
+    _, peak = _traced_peak(step)
+    assert w.grad.shape == (k, h) and b.grad.shape == (h,)
+    assert peak < batch * n * h * 8 / 2
 
 
 def test_clamp_blocks_gradient_outside_range():
