@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,6 +115,19 @@ MALFORMED = [
 def test_malformed_file_names_its_line(tmp_path, suffix, content, message):
     _triangle_plus_edge(tmp_path)
     (tmp_path / f"TOY_{suffix}.txt").write_bytes(content.encode("latin-1"))
+    with pytest.raises(TuFormatError, match=re.escape(f"TOY_{message}")):
+        load_tu_dataset(tmp_path, name="TOY")
+
+
+@pytest.mark.parametrize("content,message", [
+    ("1, 2\n3, 4\n1, 99\n", "A.txt:2: edge (3, 4) crosses graphs 1 and 2"),
+    ("1, 2\n1, 99\n3, 4\n", "A.txt:2: node id 99 out of range 1..5"),
+    ("4, 5\n\n3, 99\n3, 4\n", "A.txt:3: node id 99 out of range 1..5"),
+])
+def test_edge_file_names_its_first_faulty_line(tmp_path, content, message):
+    # the first faulty line wins, whichever fault it has
+    _triangle_plus_edge(tmp_path)
+    (tmp_path / "TOY_A.txt").write_text(content)
     with pytest.raises(TuFormatError, match=re.escape(f"TOY_{message}")):
         load_tu_dataset(tmp_path, name="TOY")
 
@@ -398,9 +412,9 @@ def _digit_crossing_graphs():
 
 
 def _small_and_edgeless_graphs():
-    # single nodes, edgeless graphs and an empty graph between edged ones
+    # single nodes and edgeless graphs between edged ones
     return [_graph(np.zeros((1, 1)), 0), _graph(path_adjacency(3), 1),
-            _graph(np.zeros((4, 4)), 1), _graph(np.zeros((0, 0)), 0),
+            _graph(np.zeros((4, 4)), 1),
             _graph(np.zeros((1, 1)), 1), _graph(path_adjacency(12), 0),
             _graph(np.zeros((2, 2)), 0)]
 
@@ -442,6 +456,57 @@ def test_write_rejects_an_empty_graph_list(tmp_path):
     with pytest.raises(ConfigError, match="no graphs"):
         write_tu_dataset([], tmp_path / "out", "E")
     assert not (tmp_path / "out").exists()
+
+
+def test_write_rejects_a_graph_without_nodes(tmp_path):
+    # the loader rejects a graph with no nodes, so it is never written
+    for graphs, index in (([_graph(np.zeros((0, 0)), 0),
+                            _graph(path_adjacency(2), 1)], 0),
+                          ([_graph(path_adjacency(2), 1),
+                            _graph(np.zeros((0, 0)), 0)], 1)):
+        with pytest.raises(ConfigError, match=f"graph {index}: it has no"):
+            write_tu_dataset(graphs, tmp_path / "out", "E")
+    assert not (tmp_path / "out").exists()
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_memory_is_bounded_by_the_file(tmp_path):
+    # 200k edge lines over 100 graphs of 10 nodes, most of them repeated
+    # edges, so the graphs are small beside the text. Here the load peaks
+    # at 3.9 times the file's size: its int64 table, plus one block.
+    # Parsing whole files from a list of lines peaked at 18 times.
+    rng = np.random.default_rng(7)
+    graphs, nodes, lines = 100, 10, 2000
+    owner = np.repeat(np.arange(graphs), lines)
+    edges = rng.integers(1, nodes + 1, size=(graphs * lines, 2))
+    np.savetxt(tmp_path / "M_A.txt", edges + owner[:, None] * nodes,
+               fmt="%d", delimiter=", ")
+    np.savetxt(tmp_path / "M_graph_indicator.txt",
+               np.repeat(np.arange(1, graphs + 1), nodes), fmt="%d")
+    np.savetxt(tmp_path / "M_graph_labels.txt", np.ones(graphs), fmt="%d")
+    size = (tmp_path / "M_A.txt").stat().st_size
+    peak = _traced_peak(lambda: load_tu_dataset(tmp_path, name="M"))
+    assert peak < 6 * size
+
+
+def test_write_memory_does_not_grow_with_the_adjacencies(tmp_path):
+    # 64 rings of 256 nodes: 33.6 MB of adjacencies. The edge file is
+    # rendered in blocks of at most 2**17 cells, so the peak (1.4 MB here)
+    # stays below four float64 blocks, 4 MiB; one concatenation of all
+    # the adjacencies peaked at 33.8 MB.
+    ring = np.roll(np.eye(256), 1, axis=1)
+    graphs = [_graph(ring + ring.T, i % 2) for i in range(64)]
+    assert sum(g.adjacency.nbytes for g in graphs) >= 32 << 20
+    peak = _traced_peak(lambda: write_tu_dataset(graphs, tmp_path, "W"))
+    assert peak < 4 << 20
 
 
 def test_dataset_stats():
