@@ -35,7 +35,8 @@ from .autodiff import Tensor
 from .errors import ConfigError, SizeError
 from .gcn import (GCNLayerParams, init_gcn_layer, linear_readout,
                   masked_mean_pool, normalize_adjacency)
-from .graphs import Graph, Provenance, make_graph, padded_chunks
+from .graphs import (CHUNK_SIZE, Graph, Provenance, make_graph,
+                     padded_chunks)
 from .optim import fit
 
 logger = logging.getLogger(__name__)
@@ -67,7 +68,7 @@ class AugmentConfig:
     lr: float = 0.01
     sigma: float = 0.5
     tau: float = 0.5
-    chunk_size: int = 128
+    chunk_size: int = CHUNK_SIZE
 
     def __post_init__(self):
         if self.epochs < 1:

@@ -35,8 +35,8 @@ from .errors import ConfigError, GladcfError
 from .experiment import (DEFAULT_BETA_SWEEP, ROLE_AUGMENT, VARIANTS,
                          EvalReport, ExperimentConfig, compute_auc,
                          config_hash, export_score_histogram, fold_rng,
-                         load_dataset, load_report, run_cv, write_csv,
-                         write_report, write_scores_csv)
+                         load_dataset, load_report, read_utf8, run_cv,
+                         write_csv, write_report, write_scores_csv)
 from .graphs import GraphDataset, stratified_kfold
 from .tu import dataset_stats, write_tu_dataset
 
@@ -90,7 +90,7 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
 
 def _parse_config_file(path: str) -> dict:
     values: dict[str, object] = {}
-    for lineno, raw in enumerate(Path(path).read_text("utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_utf8(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -228,23 +228,14 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _stored_config(saved: dict) -> dict:
-    """The ``ExperimentConfig`` fields of a report's ``config``, each of its
-    ``_CONFIG_FIELDS`` type: a float field also takes an integer, and
-    ``None`` stands only where the field's default is ``None``."""
+    """The ``ExperimentConfig`` fields of a report's ``config``; each field
+    without a default must be there."""
     stored = {}
     for field in dataclasses.fields(ExperimentConfig):
-        if field.name not in saved:
-            if field.default is dataclasses.MISSING:
-                raise ConfigError(f"report config has no {field.name!r}")
-            continue
-        value = saved[field.name]
-        typ = _CONFIG_FIELDS[field.name][0]
-        allowed = (int, float) if typ is float else typ
-        if not (value is None and field.default is None) and (
-                isinstance(value, bool) or not isinstance(value, allowed)):
-            raise ConfigError(f"report config {field.name!r} must be of type "
-                              f"{typ.__name__}, got {value!r}")
-        stored[field.name] = value
+        if field.name in saved:
+            stored[field.name] = saved[field.name]
+        elif field.default is dataclasses.MISSING:
+            raise ConfigError(f"report config has no {field.name!r}")
     return stored
 
 
@@ -256,7 +247,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     stored = _stored_config(report.config)
     if getattr(args, "data_dir", None):
         stored["data_dir"] = args.data_dir
-    config = ExperimentConfig(**stored)
+    try:
+        config = ExperimentConfig(**stored)
+    except ConfigError as exc:
+        raise ConfigError(f"report {exc}") from None
     dataset = load_dataset(config)
     splits = stratified_kfold(dataset, config.folds, config.seed)
     if len(report.fold_aucs) != len(splits):

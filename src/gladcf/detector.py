@@ -32,6 +32,8 @@ from __future__ import annotations
 import json
 import logging
 import math
+import zipfile
+import zlib
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -41,7 +43,7 @@ from .autodiff import Tensor
 from .errors import ConfigError
 from .gcn import (GCNLayerParams, gcn_layer, init_gcn_layer, linear_readout,
                   masked_mean_pool, normalize_adjacency)
-from .graphs import PaddedBatch, Provenance, padded_chunks
+from .graphs import CHUNK_SIZE, PaddedBatch, Provenance, padded_chunks
 from .optim import fit
 
 logger = logging.getLogger(__name__)
@@ -342,7 +344,7 @@ class TrainConfig:
     epochs: int = 100
     lr: float = 0.001
     beta: float = 1.2
-    chunk_size: int = 128
+    chunk_size: int = CHUNK_SIZE
     include_normal_term: bool = True
     include_abnormal_term: bool = True
 
@@ -407,7 +409,7 @@ def train_detector(graphs, config: DetectorConfig, train_config: TrainConfig,
 
 
 def predict_scores(params: DetectorParams, graphs,
-                   chunk_size: int = 128) -> Array:
+                   chunk_size: int = TrainConfig.chunk_size) -> Array:
     """Scores for a list of graphs, in input order, without building a tape.
 
     Scoring runs on a detached view, so the caller's parameters are only
@@ -442,8 +444,14 @@ def load_checkpoint(path) -> tuple[DetectorParams, dict]:
     """The parameters and ``extra`` of a ``save_checkpoint`` archive, which
     must hold exactly the arrays that ``init_detector`` builds for its
     config, in the same shapes; anything else is a ``ConfigError``."""
-    with np.load(path) as archive:
-        arrays = {name: archive[name] for name in archive.files}
+    try:
+        archive = np.load(path)
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise ValueError("it holds one array, not an npz archive")
+        with archive:
+            arrays = {name: archive[name] for name in archive.files}
+    except (EOFError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
+        raise ConfigError(f"checkpoint {path} is unreadable: {exc}") from None
     try:
         meta = json.loads(bytes(arrays.pop("meta_json")).decode("utf-8"))
         version, saved, extra = (meta["format_version"], meta["config"],

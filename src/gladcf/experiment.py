@@ -14,6 +14,7 @@ import logging
 import os
 import re
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
@@ -47,32 +48,50 @@ _LR_DEFAULTS = {"aids": 0.0001, "nci1": 0.0001}
 
 DEFAULT_BETA_SWEEP = tuple(round(0.2 + 0.2 * i, 1) for i in range(11))
 
+# the values each annotated field type takes: a float field also takes an
+# integer, and a bool is never a number
+_ACCEPTED = {str: (str,), int: (int, np.integer),
+             float: (int, float, np.integer, np.floating)}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     dataset: str
     data_dir: str | None = None
-    feature_mode: str = "identity"
-    num_bins: int = 10
+    feature_mode: str = FeatureConfig.mode.value
+    num_bins: int = FeatureConfig.num_bins
     anomaly_label: int = 1
     folds: int = 5
     seed: int = 0
     beta: float | None = None
     lr: float | None = None
-    epochs: int = 100
-    cf_lr: float = 0.01
-    cf_epochs: int = 100
-    sigma: float = 0.5
-    tau: float = 0.5
-    hidden1: int = 256
-    hidden2: int = 128
-    reduce_dim: int = 64
+    epochs: int = TrainConfig.epochs
+    cf_lr: float = AugmentConfig.lr
+    cf_epochs: int = AugmentConfig.epochs
+    sigma: float = AugmentConfig.sigma
+    tau: float = AugmentConfig.tau
+    hidden1: int = DetectorConfig.hidden1
+    hidden2: int = DetectorConfig.hidden2
+    reduce_dim: int = DetectorConfig.reduce_dim
     threshold: float = 0.5
     variant: str | None = None
-    chunk_size: int = 128
+    chunk_size: int = TrainConfig.chunk_size
     parallel_folds: int = 1
 
     def __post_init__(self):
+        # each value is of its annotated type; None stands only where the
+        # default is None, whose annotation is ``T | None``
+        hints = typing.get_type_hints(ExperimentConfig)
+        for field in fields(self):
+            value, typ = getattr(self, field.name), hints[field.name]
+            if field.default is None:
+                if value is None:
+                    continue
+                typ = typing.get_args(typ)[0]
+            if isinstance(value, bool) or not isinstance(value,
+                                                         _ACCEPTED[typ]):
+                raise ConfigError(f"config {field.name!r} must be of type "
+                                  f"{typ.__name__}, got {value!r}")
         if self.variant is not None and self.variant not in VARIANTS:
             raise ConfigError(
                 f"unknown variant {self.variant!r}; choose from {VARIANTS}")
@@ -466,8 +485,25 @@ def write_report(report: EvalReport, path: str | Path) -> None:
                     encoding="utf-8")
 
 
+def read_utf8(path: str | Path) -> str:
+    """The text of a UTF-8 file; a byte that does not decode is a
+    ``ConfigError`` naming its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}:{line}: expected UTF-8 text, got byte "
+                          f"0x{data[exc.start]:02x}") from None
+
+
 def load_report(path: str | Path) -> EvalReport:
-    return EvalReport.from_dict(json.loads(Path(path).read_text("utf-8")))
+    try:
+        payload = json.loads(read_utf8(path))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: not valid JSON: "
+                          f"{exc.msg}") from None
+    return EvalReport.from_dict(payload)
 
 
 def write_csv(path: str | Path, columns: list[str], rows: list[dict]) -> None:

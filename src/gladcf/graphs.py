@@ -20,6 +20,8 @@ Array = np.ndarray
 
 # Widest over narrowest graph in a chunk: each graph keeps ≥ 64 % real cells.
 WIDTH_RATIO = 1.25
+# Default most graphs per chunk, in both models.
+CHUNK_SIZE = 128
 
 
 class Provenance(enum.Enum):

@@ -15,12 +15,13 @@ Every file is ASCII text of comma-separated decimal integers that fit in
 int64, one record per line, with optional spaces or tabs around each value.
 Lines may end in LF, CRLF or CR; blank and whitespace-only lines are skipped.
 Each file is read and parsed in blocks of whole lines of at most
-``BLOCK_BYTES``: NumPy finds the line breaks and the blank lines on the
-block's bytes, and one ``np.loadtxt`` call parses the lines kept, so
-Python-only integer spellings such as ``1_000`` are rejected. No Python
-string per line is made. Loading 320 graphs whose edge file has 234,630
-lines (2.5 MB) peaks at 10.4 MB in ``tracemalloc``, 4.2 MB of it the
-adjacencies; parsing each file whole peaked at 40.5 MB.
+``BLOCK_BYTES``: Python's text layer splits the lines, NumPy finds the
+blank lines and any non-ASCII byte on the block's bytes, and one
+``np.loadtxt`` call parses the lines kept, so Python-only integer
+spellings such as ``1_000`` are rejected. No Python string per line is
+made. Loading 320 graphs whose edge file has 234,630 lines (2.5 MB) peaks
+at 10.4 MB in ``tracemalloc``, 4.2 MB of it the adjacencies; parsing each
+file whole peaked at 40.5 MB.
 
 Bad input raises :class:`~gladcf.errors.TuFormatError` naming the file
 and, for a fault on one line, the first such line by its number in the
@@ -76,53 +77,44 @@ class FeatureConfig:
 # lines of at most this size (a longer line is a block of its own).
 BLOCK_BYTES = 1 << 18
 
-_LF, _CR = 10, 13
+_LF = 10
 # the bytes ``str.strip`` removes from ASCII text; a line of nothing else is
 # blank
 _SPACE = np.zeros(256, dtype=bool)
 _SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
 
 
-def _line_ends(buf: Array) -> tuple[Array, Array]:
-    """Masks over ``uint8`` text: the byte that ends each line (LF, CR, or
-    the LF of a CRLF pair), and the CR of each CRLF pair."""
-    lf, cr = buf == _LF, buf == _CR
-    paired = np.append(cr[:-1] & lf[1:], False)
-    return (lf | cr) & ~paired, paired
-
-
 def _whole_line_blocks(fh) -> Iterator[Array]:
-    """The bytes of binary file ``fh`` as ``uint8`` blocks of whole lines:
-    as many as fit in ``BLOCK_BYTES``, or one line longer than that. A
-    CRLF pair is never cut, and an LF ends the file if no break does."""
-    data, more = b"", True
-    while True:
-        if more and len(data) < BLOCK_BYTES:
-            chunk = fh.read(BLOCK_BYTES - len(data))
-            data, more = data + chunk, bool(chunk)
-        buf = np.frombuffer(data, dtype=np.uint8)
-        ends = _line_ends(buf)[0]
-        if more and len(buf):
-            ends[-1] = buf[-1] == _LF  # a last CR may be half of a CRLF
-        stops = np.flatnonzero(ends)
-        if len(stops):
-            fits = stops[stops < BLOCK_BYTES]
-            cut = int(fits[-1] if len(fits) else stops[0]) + 1
-            yield buf[:cut]
-            data = data[cut:]
-        elif more:
-            # a line longer than a block is read on in doubling steps
-            chunk = fh.read(len(data))
-            data, more = data + chunk, bool(chunk)
+    """The text of binary file ``fh`` as ``uint8`` blocks of whole lines:
+    as many as fit in ``BLOCK_BYTES``, or one line longer than that.
+
+    Python's text layer splits the lines: LF, CRLF and CR each end one and
+    are read as LF, and an LF ends the file if no break does. A non-ASCII
+    byte keeps its value.
+    """
+    text = io.TextIOWrapper(fh, encoding="ascii", errors="surrogateescape",
+                            newline=None)
+    data, more = "", True
+    while data or more:
+        cut = data.rfind("\n", 0, BLOCK_BYTES) + 1 or data.find("\n") + 1
+        if more and (len(data) < BLOCK_BYTES or not cut):
+            # fill the block; a line longer than a block is read on in
+            # doubling steps, and a short read is the end of the file
+            size = (BLOCK_BYTES - len(data) if len(data) < BLOCK_BYTES
+                    else len(data))
+            chunk = text.read(size)
+            data, more = data + chunk, len(chunk) == size
+            if data and not more and not data.endswith("\n"):
+                data += "\n"
         else:
-            if data:
-                yield np.frombuffer(data + b"\n", dtype=np.uint8)
-            return
+            yield np.frombuffer(data[:cut].encode("ascii", "surrogateescape"),
+                                dtype=np.uint8)
+            data = data[cut:]
 
 
 def _line_blocks(path: Path) -> Iterator[tuple[Array, Array]]:
-    """The file in blocks of whole lines, as text-mode reading splits them
-    (LF, CRLF and CR each end a line), with blank lines dropped.
+    """The file in blocks of whole lines (``_whole_line_blocks``), with
+    blank lines dropped.
 
     Per block, yields the kept lines as one ``uint8`` array, each line
     ended by LF, and the file line number (1-based) of each kept line.
@@ -131,7 +123,7 @@ def _line_blocks(path: Path) -> Iterator[tuple[Array, Array]]:
     lineno = 1
     with open(path, "rb") as fh:
         for block in _whole_line_blocks(fh):
-            ends, paired = _line_ends(block)
+            ends = block == _LF
             high = np.flatnonzero(block >= 0x80)
             if len(high):
                 at = int(high[0])
@@ -142,9 +134,8 @@ def _line_blocks(path: Path) -> Iterator[tuple[Array, Array]]:
             starts = np.concatenate([[0], stops[:-1] + 1])
             kept = np.logical_or.reduceat(~_SPACE[block], starts)
             if kept.any():
-                text = block[np.repeat(kept, stops - starts + 1) & ~paired]
-                text[text == _CR] = _LF
-                yield text, lineno + np.flatnonzero(kept)
+                yield (block[np.repeat(kept, stops - starts + 1)],
+                       lineno + np.flatnonzero(kept))
             lineno += len(stops)
 
 

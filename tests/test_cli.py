@@ -190,6 +190,19 @@ def test_config_file_rejects_garbage(tmp_path):
         build_config(args)
 
 
+def test_non_utf8_config_file_is_a_named_runtime_error(tmp_path, capsys,
+                                                      caplog):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"dataset=TOY\nfolds=3 # \xff\n")
+    caplog.set_level(logging.INFO, logger="gladcf")
+    assert main(["ingest", "--config", str(bad)]) == RUNTIME_ERROR
+    errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+    assert [r.getMessage() for r in errors] == [
+        f"{bad}:2: expected UTF-8 text, got byte 0xff"]
+    assert all(r.exc_info is None for r in errors)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_env_var_supplies_data_dir(data_dir, monkeypatch, capsys):
     monkeypatch.setenv("GLADCF_DATA_DIR", str(data_dir))
     assert main(["ingest", "--dataset", "TOY"]) == 0
@@ -364,6 +377,27 @@ def test_eval_rejects_a_malformed_report(trained_run, data_dir, tmp_path,
     for case, (tampered, message) in enumerate(cases):
         assert_eval_rejects(tampered, message, trained_run, data_dir,
                             tmp_path / f"run{case}", capsys, caplog)
+
+
+def test_eval_names_where_a_truncated_report_ends(trained_run, data_dir,
+                                                 tmp_path, capsys, caplog):
+    copy = tmp_path / "run"
+    shutil.copytree(trained_run, copy)
+    report = copy / "report.json"
+    report.write_text('{\n  "dataset": "TOY",\n  "config": {', "utf-8")
+    errors = eval_errors(copy, data_dir, capsys, caplog)
+    assert len(errors) == 1, errors
+    assert errors[0].startswith(f"{report}:3:14: not valid JSON: "), errors
+
+
+def test_eval_rejects_a_corrupt_checkpoint(trained_run, data_dir, tmp_path,
+                                           capsys, caplog):
+    copy = tmp_path / "run"
+    shutil.copytree(trained_run, copy)
+    checkpoint = copy / "fold1" / "detector.npz"
+    checkpoint.write_bytes(b"")
+    assert eval_errors(copy, data_dir, capsys, caplog) == [
+        f"checkpoint {checkpoint} is unreadable: No data left in file"]
 
 
 def test_eval_reads_an_integer_float_and_a_null_default(trained_run,

@@ -723,3 +723,31 @@ def test_malformed_checkpoint_is_rejected(edit, message, tmp_path):
     rewrite_checkpoint(path, edit)
     with pytest.raises(ConfigError, match=re.escape(message)):
         load_checkpoint(path)
+
+
+def _write_object_array(path):
+    np.savez(path, meta_json=np.array([{"format_version": 2}], dtype=object))
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:100])
+
+
+def _write_one_array(path):
+    with open(path, "wb") as fh:
+        np.save(fh, np.zeros(3))
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (lambda path: path.write_bytes(b"not a checkpoint\n"), "pickled"),
+    (lambda path: path.write_bytes(b""), "No data left in file"),
+    (_write_object_array, "Object arrays cannot be loaded"),
+    (_truncate, "File is not a zip file"),
+    (_write_one_array, "not an npz archive"),
+], ids=["not_a_zip", "empty", "object_array", "truncated", "one_array"])
+def test_corrupt_checkpoint_is_a_named_error(corrupt, message, tmp_path):
+    path = _saved_checkpoint(tmp_path)
+    corrupt(path)
+    with pytest.raises(ConfigError, match=rf"checkpoint {re.escape(str(path))}"
+                       rf" is unreadable: .*{message}"):
+        load_checkpoint(path)

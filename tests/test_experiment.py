@@ -149,6 +149,26 @@ def test_config_validation():
             ExperimentConfig(dataset="X", **{field: value})
 
 
+@pytest.mark.parametrize("field,value,typ", [
+    ("epochs", 2.5, "int"), ("epochs", True, "int"), ("seed", 1.5, "int"),
+    ("hidden1", 3.0, "int"), ("chunk_size", 2.0, "int"),
+    ("folds", "5", "int"), ("sigma", "0.5", "float"), ("sigma", True, "float"),
+    ("sigma", None, "float"), ("dataset", 3, "str"),
+    ("variant", np.float64(1.0), "str"),
+])
+def test_config_fields_take_only_their_type(field, value, typ):
+    with pytest.raises(ConfigError, match=re.escape(
+            f"config {field!r} must be of type {typ}, got {value!r}")):
+        ExperimentConfig(**{"dataset": "X", field: value})
+
+
+def test_config_takes_numpy_integers_and_integer_floats():
+    config = ExperimentConfig(dataset="X", seed=np.int64(3),
+                              epochs=np.int32(2), sigma=1, beta=np.float32(1),
+                              lr=None)
+    assert (config.seed, config.epochs, config.sigma) == (3, 2, 1)
+
+
 def test_variant_shapes_detector_and_loss():
     base = fast_config()
     assert base.detector_config().use_feature_branch

@@ -42,14 +42,16 @@ def smallest_blocks(monkeypatch):
 
 
 def test_every_line_is_a_block_and_crlf_pairs_stay_whole(monkeypatch):
+    # every break (LF, CRLF or CR) is read as one LF
     text = b"1, 2\r\n\r\n \t\r3, 4\r\r\n5, 6"
     blocks = [bytes(b) for b in tu._whole_line_blocks(io.BytesIO(text))]
-    assert blocks == [b"1, 2\r\n", b"\r\n", b" \t\r", b"3, 4\r", b"\r\n",
+    assert blocks == [b"1, 2\n", b"\n", b" \t\n", b"3, 4\n", b"\n",
                       b"5, 6\n"]
-    # at 8 bytes, the CR that ends the second window is held back
+    # at 8 bytes, a block holds the most whole lines that fit, the last
+    # line too once the end of the file has ended it
     monkeypatch.setattr(tu, "BLOCK_BYTES", 8)
     blocks = [bytes(b) for b in tu._whole_line_blocks(io.BytesIO(text))]
-    assert blocks == [b"1, 2\r\n\r\n", b" \t\r", b"3, 4\r\r\n", b"5, 6\n"]
+    assert blocks == [b"1, 2\n\n", b" \t\n3, 4\n", b"\n5, 6\n"]
 
 
 # (edge file, expected message) on the TOY set, each fault behind blank,
