@@ -179,16 +179,16 @@ def plan_seeds(probe: GCNLayerParams, adjacency_stack: Array,
     return SeedChunk(adjacency_stack=adjacency_stack,
                      feature_stack=feature_stack, node_mask=node_mask,
                      pool=pool, original=_distribution(
-                         probe, pool, feature_stack, node_mask).data)
+                         probe, pool, feature_stack).data)
 
 
 def _distribution(probe: GCNLayerParams, pool: Tensor | Array,
-                  features: Tensor | Array, mask: Array) -> Tensor:
+                  features: Tensor | Array) -> Tensor:
     """Two-way class distribution per graph: the softmax of the probe's
     ``linear_readout`` of ``p·X``, with ``pool`` the weights ``p = mᵀÂ/n``."""
     pooled = ad.reshape(ad.matmul(pool, features),
-                        (len(mask), features.shape[-1]))
-    return ad.softmax_last(linear_readout(probe, pooled, mask))
+                        (pool.shape[0], features.shape[-1]))
+    return ad.softmax_last(linear_readout(probe, pooled))
 
 
 def _kl_rows(p: Array, q: Tensor) -> Tensor:
@@ -246,9 +246,8 @@ def counterfactual_loss(pair: PerturbationPair, probe: GCNLayerParams,
     mask = chunk.node_mask
     structure_pool = masked_mean_pool(normalize_adjacency(
         smooth_adj, mask, extra_degree=cut_degree), mask)
-    p_structure = _distribution(probe, structure_pool, chunk.feature_stack,
-                                mask)
-    p_features = _distribution(probe, chunk.pool, smooth_feats, mask)
+    p_structure = _distribution(probe, structure_pool, chunk.feature_stack)
+    p_features = _distribution(probe, chunk.pool, smooth_feats)
     clamped = clamped or bool((p_structure.data < PROBABILITY_FLOOR).any())
     clamped = clamped or bool((p_features.data < PROBABILITY_FLOOR).any())
     divergence = _kl_rows(original, p_structure) + \

@@ -34,9 +34,10 @@ from .detector import load_checkpoint, predict_scores
 from .errors import ConfigError, GladcfError
 from .experiment import (DEFAULT_BETA_SWEEP, ROLE_AUGMENT, VARIANTS,
                          EvalReport, ExperimentConfig, compute_auc,
-                         config_hash, export_score_histogram, fold_rng,
-                         load_dataset, load_report, read_utf8, run_cv,
-                         write_csv, write_report, write_scores_csv)
+                         config_field_types, config_hash,
+                         export_score_histogram, fold_rng, load_dataset,
+                         load_report, read_utf8, run_cv, write_csv,
+                         write_report, write_scores_csv)
 from .graphs import GraphDataset, stratified_kfold
 from .tu import dataset_stats, write_tu_dataset
 
@@ -46,33 +47,33 @@ USAGE_ERROR = 1
 RUNTIME_ERROR = 2
 VERIFY_TOLERANCE = 1e-9  # largest stored-vs-recomputed gap `eval` accepts
 
-# flag name -> (python type, help text); this one table drives both the
-# argparse options and the config-file parser so they cannot drift apart
-_CONFIG_FIELDS: dict[str, tuple[type, str]] = {
-    "dataset": (str, "dataset name (directory under the data dir)"),
-    "data_dir": (str, "directory holding TU datasets "
-                 "(default: $GLADCF_DATA_DIR)"),
-    "feature_mode": (str, "identity | degree_binning | ldp"),
-    "num_bins": (int, "bin count for degree_binning features"),
-    "anomaly_label": (int, "raw label treated as anomalous"),
-    "folds": (int, "number of cross-validation folds"),
-    "seed": (int, "master seed; folds derive their own streams"),
-    "beta": (float, "weight on the generated-anomaly loss term"),
-    "lr": (float, "detector learning rate"),
-    "epochs": (int, "detector training epochs"),
-    "cf_lr": (float, "counterfactual generator learning rate"),
-    "cf_epochs": (int, "counterfactual generator epochs"),
-    "sigma": (float, "structure threshold for hard perturbations"),
-    "tau": (float, "feature-mask threshold for hard perturbations"),
-    "hidden1": (int, "first hidden width of each branch"),
-    "hidden2": (int, "second hidden width of each branch"),
-    "reduce_dim": (int, "embedding width after the linear reducer"),
-    "threshold": (float, "decision threshold on scores"),
-    "variant": (str, f"ablation variant: one of {', '.join(VARIANTS)}"),
-    "chunk_size": (int, "at most N graphs per padded chunk, in both models; "
-                        "a chunk also ends where a graph is wider than 5/4 "
-                        "of its narrowest"),
-    "parallel_folds": (int, "worker processes for folds (1 = serial)"),
+# flag name -> help text; this one table drives both the argparse options
+# and the config-file parser, with each option's type taken from its
+# ExperimentConfig annotation
+_CONFIG_FIELDS: dict[str, str] = {
+    "dataset": "dataset name (directory under the data dir)",
+    "data_dir": "directory holding TU datasets (default: $GLADCF_DATA_DIR)",
+    "feature_mode": "identity | degree_binning | ldp",
+    "num_bins": "bin count for degree_binning features",
+    "anomaly_label": "raw label treated as anomalous",
+    "folds": "number of cross-validation folds",
+    "seed": "master seed; folds derive their own streams",
+    "beta": "weight on the generated-anomaly loss term",
+    "lr": "detector learning rate",
+    "epochs": "detector training epochs",
+    "cf_lr": "counterfactual generator learning rate",
+    "cf_epochs": "counterfactual generator epochs",
+    "sigma": "structure threshold for hard perturbations",
+    "tau": "feature-mask threshold for hard perturbations",
+    "hidden1": "first hidden width of each branch",
+    "hidden2": "second hidden width of each branch",
+    "reduce_dim": "embedding width after the linear reducer",
+    "threshold": "decision threshold on scores",
+    "variant": f"ablation variant: one of {', '.join(VARIANTS)}",
+    "chunk_size": "at most N graphs per padded chunk, in both models; a "
+                  "chunk also ends where a graph is wider than 5/4 of its "
+                  "narrowest",
+    "parallel_folds": "worker processes for folds (1 = serial)",
 }
 
 
@@ -83,13 +84,15 @@ def _flag(name: str) -> str:
 def _add_config_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE",
                         help="key=value file supplying any of the options below")
-    for name, (typ, help_text) in _CONFIG_FIELDS.items():
-        parser.add_argument(_flag(name), dest=name, type=typ, default=None,
-                            help=help_text)
+    types = config_field_types()
+    for name, help_text in _CONFIG_FIELDS.items():
+        parser.add_argument(_flag(name), dest=name, type=types[name],
+                            default=None, help=help_text)
 
 
 def _parse_config_file(path: str) -> dict:
     values: dict[str, object] = {}
+    types = config_field_types()
     for lineno, raw in enumerate(read_utf8(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -100,9 +103,8 @@ def _parse_config_file(path: str) -> dict:
         key = key.strip().replace("-", "_")
         if key not in _CONFIG_FIELDS:
             raise ConfigError(f"{path}:{lineno}: unknown option {key!r}")
-        typ = _CONFIG_FIELDS[key][0]
         try:
-            values[key] = typ(value.strip())
+            values[key] = types[key](value.strip())
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}")
     return values
@@ -447,10 +449,7 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except GladcfError as exc:
-        logger.error("%s", exc)
-        return RUNTIME_ERROR
-    except FileNotFoundError as exc:
+    except (GladcfError, OSError) as exc:
         logger.error("%s", exc)
         return RUNTIME_ERROR
     except Exception:

@@ -172,7 +172,6 @@ class ChunkPlan:
     ``plan_branches``: NumPy constants only. ``pool`` and ``inputs`` are
     exactly zero at padded nodes, which is why no layer needs a mask."""
 
-    mask: Array                # (B, n)
     pool: Array                # the pool weights mᵀÂ/n, (B, 1, n)
     inputs: Array | None       # the feature branch's Â·X, (B, n, F)
     ramp: ad.RampSums | None   # the degree branch's sorted s = Â·d
@@ -202,7 +201,7 @@ def plan_branches(params: DetectorParams, batch: PaddedBatch) -> ChunkPlan:
     if params.degree_branch is not None:
         s = ad.matmul(normalized, degrees).data[..., 0]
         ramp = ad.ramp_sums(s, pool[:, 0])
-    return ChunkPlan(batch.node_mask, pool, inputs, ramp)
+    return ChunkPlan(pool, inputs, ramp)
 
 
 def fuse_features(params: DetectorParams, plan: ChunkPlan) -> Tensor:
@@ -211,35 +210,32 @@ def fuse_features(params: DetectorParams, plan: ChunkPlan) -> Tensor:
     Each branch's hidden layer is pooled as it is made, the feature branch's
     on ``Â·X`` (``gcn.gcn_layer``) and the degree branch's in closed form on
     the sorted ``s`` (``autodiff.ramp_relu_sum``); its last layer then acts
-    on one row per graph (``linear_readout``). A graph with no real nodes
-    pools to zero.
+    on one row per graph (``linear_readout``).
     """
     pooled = []
     if params.feature_branch is not None:
         first, last = params.feature_branch
         hidden = gcn_layer(first, plan.inputs, plan.pool)
-        pooled.append(linear_readout(last, hidden, plan.mask))
+        pooled.append(linear_readout(last, hidden))
     if params.degree_branch is not None:
         first, last = params.degree_branch
         hidden = ad.ramp_relu_sum(first.weight, first.bias, plan.ramp)
-        pooled.append(linear_readout(last, hidden, plan.mask))
+        pooled.append(linear_readout(last, hidden))
     if len(pooled) == 1:
         return pooled[0]
     return ad.concat_last(pooled[0], pooled[1])
 
 
-def adaptive_weighting(params: DetectorParams, fused: Tensor,
-                       mask: Array) -> Tensor:
+def adaptive_weighting(params: DetectorParams, fused: Tensor) -> Tensor:
     """Reduce and reweight pooled branch outputs into (B, r) embeddings.
 
     The reducer and the square reweighting matrix are linear maps applied to
     every node row alike, so applying them to the pooled vector gives the
     mean of their per-node outputs, independent of node order. The reducer
-    is a ``linear_readout``, whose bias joins only graphs with real nodes,
-    so an empty graph keeps a zero embedding. With adaptive weighting off,
-    the reweighting matrix is bypassed.
+    is a ``linear_readout``. With adaptive weighting off, the reweighting
+    matrix is bypassed.
     """
-    reduced = linear_readout(params.reducer, fused, mask)
+    reduced = linear_readout(params.reducer, fused)
     if params.config.use_adaptive_weighting:
         reduced = ad.matmul(reduced, params.adaptive_weight)
     return reduced
@@ -254,8 +250,7 @@ def score(params: DetectorParams, embedding: Tensor) -> Tensor:
 
 def detector_scores(params: DetectorParams, plan: ChunkPlan) -> Tensor:
     """Scores of the batch that ``plan`` (its ``plan_branches``) describes."""
-    embedding = adaptive_weighting(params, fuse_features(params, plan),
-                                   plan.mask)
+    embedding = adaptive_weighting(params, fuse_features(params, plan))
     return score(params, embedding)
 
 

@@ -7,10 +7,11 @@ column. A stack's last layer is linear, so it is read out pooled: the
 hidden layer and the mean pool are one tape node (``gcn_layer``), and the
 last weight and bias act on one row per graph (``linear_readout``). The
 augmenter's probe is one linear convolution, mean-pooled: a linear map of
-its pooled propagated features, so it is a ``linear_readout`` too.
-``normalize_adjacency`` and ``masked_mean_pool`` also take a differentiable
-adjacency — the counterfactual generator backpropagates through the
-normalization and the pool.
+its pooled propagated features, so it is a ``linear_readout`` too. Every
+``graphs.Graph`` has a node, so no pool divides by zero and no readout
+takes a mask. ``normalize_adjacency`` and ``masked_mean_pool`` also take
+a differentiable adjacency — the counterfactual generator backpropagates
+through the normalization and the pool.
 """
 
 from __future__ import annotations
@@ -85,26 +86,19 @@ def gcn_layer(params: GCNLayerParams, propagated: Array,
     return ad.pooled_bias_relu(propagated, params.weight, params.bias, pool)
 
 
-def linear_readout(layer: GCNLayerParams, pooled: Tensor,
-                   mask: Array) -> Tensor:
-    """``pooled · W + b`` for pooled rows ``(B, F)``, ``(B, out)``.
-
-    The mean over real nodes of a linear layer applied to every node row:
-    the bias joins only graphs with real nodes, so an empty graph reads out
-    zero, as ``masked_mean_pool`` pools it.
+def linear_readout(layer: GCNLayerParams, pooled: Tensor) -> Tensor:
+    """``pooled · W + b`` for pooled rows ``(B, F)``, ``(B, out)``: the mean
+    over a graph's nodes of a linear layer applied to every node row.
     """
-    nonempty = (np.asarray(mask).sum(axis=-1) > 0).astype(np.float64)
-    return ad.matmul(pooled, layer.weight) + layer.bias * nonempty[:, None]
+    return ad.matmul(pooled, layer.weight) + layer.bias
 
 
 def masked_mean_pool(node_states: Tensor, mask: Array) -> Tensor:
     """Average real-node rows of a ``(B, n, F)`` tensor into ``(B, 1, F)``.
 
     One batched product of each graph's row ``m / n`` with its states, so
-    no masked copy of the states is made. A batch element with no real
-    nodes pools to zero.
+    no masked copy of the states is made. Every graph has a real node.
     """
     mask = np.asarray(mask, dtype=np.float64)
-    counts = mask.sum(axis=-1)
-    scale = np.where(counts > 0, 1.0 / np.maximum(counts, 1.0), 0.0)
+    scale = 1.0 / mask.sum(axis=-1)
     return ad.matmul((mask * scale[:, None])[:, None, :], node_states)

@@ -53,10 +53,11 @@ def _checked_features(node_features: Array, n: int) -> Array:
 class Graph:
     """One undirected graph with binary adjacency and dense node features.
 
-    Invariants (checked): adjacency is square, binary, symmetric, with a zero
-    diagonal; ``node_features`` has one finite row per node (zero columns are
-    allowed before features are built). ``degrees`` is not an argument: it is
-    derived from the adjacency row sums.
+    Invariants (checked): at least one node; adjacency is square, binary,
+    symmetric, with a zero diagonal; ``node_features`` has one finite row
+    per node (zero columns are allowed before features are built).
+    ``degrees`` is not an argument: it is derived from the adjacency row
+    sums.
     """
 
     adjacency: Array
@@ -71,11 +72,13 @@ class Graph:
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise SizeError(f"adjacency must be square, got {adj.shape}")
         n = adj.shape[0]
+        if n == 0:
+            raise SizeError("a graph needs at least one node")
         if not ((adj == 0.0) | (adj == 1.0)).all():
             raise ConfigError("adjacency entries must be 0 or 1")
         if not np.array_equal(adj, adj.T):
             raise ConfigError("adjacency must be symmetric")
-        if n and np.trace(adj) != 0:
+        if np.trace(adj) != 0:
             raise ConfigError("adjacency diagonal must be zero")
         feats = _checked_features(self.node_features, n)
         if self.label not in (0, 1):

@@ -388,8 +388,7 @@ def build_features(graphs: Sequence[Graph], config: FeatureConfig,
     if config.mode is FeatureMode.IDENTITY:
         built = [_identity_features(g, n_max) for g in graphs]
     elif config.mode is FeatureMode.DEGREE_BINNING:
-        max_degree = max(float(g.degrees.max()) if g.num_nodes else 0.0
-                         for g in graphs)
+        max_degree = max(float(g.degrees.max()) for g in graphs)
         built = []
         for g in graphs:
             bins = _degree_bin_index(g.degrees, max_degree, config.num_bins)
@@ -475,15 +474,12 @@ def write_tu_dataset(graphs: Sequence[Graph], directory: str | Path,
     64 graphs of 256 nodes, 33.6 MB of adjacencies, write at a
     ``tracemalloc`` peak of 1.4 MB. The bytes are the same as
     ``"%d, %d\\n"`` formatting of each edge and ``"%d\\n"`` of each graph
-    id and label. An empty graph list, or a graph with no nodes, is a
-    :class:`ConfigError`, because no loadable TU dataset has either.
+    id and label. An empty graph list is a :class:`ConfigError`, because
+    no loadable TU dataset has one.
     """
     if not graphs:
         raise ConfigError("cannot write a TU dataset with no graphs")
     sizes = np.array([g.num_nodes for g in graphs], dtype=np.int64)
-    if not sizes.all():
-        raise ConfigError(f"cannot write graph {int(np.argmin(sizes))}: "
-                          f"it has no nodes")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     node_base = np.cumsum(sizes) - sizes + 1

@@ -220,8 +220,7 @@ def test_probe_is_frozen_and_seeded():
     chunk = plan_seeds(probe_a, np.zeros((2, 4, 4)),
                        np.random.random((2, 4, 3)), np.ones((2, 4)))
     np.testing.assert_allclose(chunk.original.sum(axis=-1), 1.0)
-    dist = augment._distribution(probe_a, chunk.pool, chunk.feature_stack,
-                                 chunk.node_mask)
+    dist = augment._distribution(probe_a, chunk.pool, chunk.feature_stack)
     np.testing.assert_array_equal(dist.data, chunk.original)
     assert dist._backward is None  # nothing trainable in the tape
 

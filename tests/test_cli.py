@@ -6,12 +6,13 @@ import dataclasses
 import json
 import logging
 import shutil
+import typing
 
 import numpy as np
 import pytest
 
-from gladcf.cli import (_CONFIG_FIELDS, RUNTIME_ERROR, build_config,
-                        build_parser, main)
+from gladcf.cli import (_CONFIG_FIELDS, RUNTIME_ERROR, _parse_config_file,
+                        build_config, build_parser, main)
 from gladcf.errors import ConfigError
 from gladcf.experiment import ExperimentConfig, load_report
 from gladcf.graphs import Provenance, make_graph
@@ -174,6 +175,28 @@ def test_config_flags_are_exactly_the_config_fields():
     # build_config passes every merged option straight to ExperimentConfig
     assert set(_CONFIG_FIELDS) == {
         f.name for f in dataclasses.fields(ExperimentConfig)}
+
+
+def test_config_options_take_their_fields_annotated_types(tmp_path):
+    # each option's type is stated once, by its ExperimentConfig annotation
+    # (``T`` for a ``T | None`` field), for the flags and the file alike
+    hints = typing.get_type_hints(ExperimentConfig)
+    expected = {}
+    for field in dataclasses.fields(ExperimentConfig):
+        expected[field.name] = hints[field.name]
+        if field.default is None:
+            expected[field.name], none = typing.get_args(hints[field.name])
+            assert none is type(None)
+    subparsers = next(a for a in build_parser()._actions
+                      if a.dest == "command")
+    for command, parser in subparsers.choices.items():
+        types = {a.dest: a.type for a in parser._actions
+                 if a.dest in expected}
+        assert types == expected, command
+    config = tmp_path / "all.cfg"
+    config.write_text("".join(f"{name}=1\n" for name in expected))
+    values = _parse_config_file(str(config))
+    assert {name: type(v) for name, v in values.items()} == expected
 
 
 def test_config_file_rejects_garbage(tmp_path):
@@ -398,6 +421,19 @@ def test_eval_rejects_a_corrupt_checkpoint(trained_run, data_dir, tmp_path,
     checkpoint.write_bytes(b"")
     assert eval_errors(copy, data_dir, capsys, caplog) == [
         f"checkpoint {checkpoint} is unreadable: No data left in file"]
+
+
+@pytest.mark.parametrize("member", ["report.json", "fold0/detector.npz"])
+def test_eval_names_a_run_file_that_is_a_directory(member, trained_run,
+                                                   data_dir, tmp_path,
+                                                   capsys, caplog):
+    copy = tmp_path / "run"
+    shutil.copytree(trained_run, copy)
+    path = copy / member
+    path.unlink()
+    path.mkdir()
+    errors = eval_errors(copy, data_dir, capsys, caplog)
+    assert len(errors) == 1 and str(path) in errors[0], errors
 
 
 def test_eval_reads_an_integer_float_and_a_null_default(trained_run,

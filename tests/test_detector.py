@@ -242,7 +242,7 @@ def test_adaptive_weighting_matches_numpy_replay():
     _random_biases(params, rng)
     graphs, batch = _toy_batch(rng)
     fused = fuse_features(params, plan_branches(params, batch))
-    got = adaptive_weighting(params, fused, batch.node_mask).data
+    got = adaptive_weighting(params, fused).data
 
     # per node: rows sorted by L1 norm, reduced, reweighted; then pooled
     z = _per_node_states(params, batch)
@@ -263,7 +263,7 @@ def test_adaptive_weighting_bypass():
     _random_biases(params, rng)
     graphs, batch = _toy_batch(rng)
     fused = fuse_features(params, plan_branches(params, batch))
-    got = adaptive_weighting(params, fused, batch.node_mask).data
+    got = adaptive_weighting(params, fused).data
     z = _per_node_states(params, batch)
     reduced = z @ params.reducer.weight.data + params.reducer.bias.data
     np.testing.assert_allclose(got, _masked_mean(reduced, batch.node_mask),
@@ -282,11 +282,12 @@ def test_scores_do_not_depend_on_padding_width():
 
 
 def _mixed_graphs(rng, h):
-    """Graphs of mixed sizes with an isolated node and a zero-node graph."""
+    """Graphs of mixed sizes with two one-node graphs, one of them with
+    all-zero features."""
     isolated = make_graph(np.zeros((1, 1)), rng.random((1, h)), 0, N)
-    empty = make_graph(np.zeros((0, 0)), np.zeros((0, h)), 0, N)
+    blank = make_graph(np.zeros((1, 1)), np.zeros((1, h)), 0, N)
     return [random_graph(rng, n, h) for n in (3, 7, 4, 9, 2, 6)] + [
-        isolated, empty]
+        isolated, blank]
 
 
 def test_plans_are_zero_at_padded_nodes():
@@ -299,7 +300,7 @@ def test_plans_are_zero_at_padded_nodes():
     n = max(g.num_nodes for g in graphs)
     batches = [batch for _, batch in padded_chunks(graphs, 3)]
     batches.append(pad_batch(graphs, n + 7))
-    assert 0 in {batch.node_mask.shape[1] for batch in batches}
+    assert 1 in {batch.node_mask.shape[1] for batch in batches}
     padded_nodes = 0
     for batch in batches:
         plan = plan_branches(params, batch)
@@ -307,8 +308,7 @@ def test_plans_are_zero_at_padded_nodes():
         padded_nodes += int(padded.sum())
         np.testing.assert_array_equal(plan.pool[:, 0][padded], 0.0)
         np.testing.assert_array_equal(plan.inputs[padded], 0.0)
-        for constant in (plan.mask, plan.pool, plan.inputs,
-                         *plan.ramp):
+        for constant in (plan.pool, plan.inputs, *plan.ramp):
             assert type(constant) is np.ndarray
     assert padded_nodes > 7 * len(graphs)
 
@@ -327,7 +327,7 @@ def test_one_column_features_score_as_the_per_node_reference():
     got = detector_scores(params, plan).data
 
     # per node: branches, reducer, reweighting; then the mean over real
-    # nodes, zero for the empty graph
+    # nodes
     mask = batch.node_mask
     z = _per_node_states(params, batch)
     reduced = z @ params.reducer.weight.data + params.reducer.bias.data
@@ -336,27 +336,6 @@ def test_one_column_features_score_as_the_per_node_reference():
     logits = (np.maximum(embedding, 0.0) @ params.head_weight.data
               + params.head_bias.data)[:, 0]
     np.testing.assert_allclose(got, 1.0 / (1.0 + np.exp(-logits)), rtol=0,
-                               atol=1e-12)
-
-
-def test_empty_graph_gets_zero_embedding():
-    rng = np.random.default_rng(18)
-    empty = make_graph(np.zeros((0, 0)), np.zeros((0, 5)), 0, N)
-    graphs = [random_graph(rng, 4, 5), empty, random_graph(rng, 3, 5)]
-    params = init_detector(5, TOY, rng)
-    _random_biases(params, rng)
-
-    def embed(members):
-        batch = pad_batch(members, 4)
-        return adaptive_weighting(
-            params, fuse_features(params, plan_branches(params, batch)),
-            batch.node_mask).data
-
-    embedding = embed(graphs)
-    np.testing.assert_array_equal(embedding[1], 0.0)
-    # and it leaves its batch mates alone
-    np.testing.assert_allclose(embedding[[0, 2]],
-                               embed([graphs[0], graphs[2]]), rtol=0,
                                atol=1e-12)
 
 
@@ -461,7 +440,7 @@ def test_planned_chunks_hold_no_padded_batch():
               for i, n in enumerate((4, 6, 5, 7, 6, 5, 4))]
     params = init_detector(3, TOY, rng)
     chunks = detector_module._plan_chunks(graphs, 3, params)
-    mask_shapes = set()
+    pool_shapes = set()
     seen, stack = set(), list(chunks)
     while stack:
         item = stack.pop()
@@ -479,10 +458,10 @@ def test_planned_chunks_hold_no_padded_batch():
         elif dataclasses.is_dataclass(item):
             stack.extend(getattr(item, f.name)
                          for f in dataclasses.fields(item))
-            if hasattr(item, "mask"):
-                mask_shapes.add(item.mask.shape)
-    # the walk reached every chunk's plans: one mask shape per chunk width
-    assert mask_shapes == {(3, 5), (3, 6), (1, 7)}
+            if hasattr(item, "pool"):
+                pool_shapes.add(item.pool.shape)
+    # the walk reached every chunk's plans: one pool shape per chunk width
+    assert pool_shapes == {(3, 1, 5), (3, 1, 6), (1, 1, 7)}
 
 
 def test_scores_are_probabilities():

@@ -67,7 +67,7 @@ def _readout(layers, x, normalized, mask):
     detector's feature branch reads it: the hidden layer pooled through
     ``Â``'s rows, then the last layer on one row per graph."""
     first, last = layers
-    return linear_readout(last, _hidden(first, x, normalized, mask), mask)
+    return linear_readout(last, _hidden(first, x, normalized, mask))
 
 
 def _hidden(layer, x, normalized, mask):
@@ -92,8 +92,7 @@ def _pooled_linear(layer, x, normalized, mask):
     """One linear layer, mean-pooled, as the augmenter's probe reads it:
     ``linear_readout`` of the pooled propagated features ``p·X``."""
     pooled = ad.matmul(masked_mean_pool(normalized, mask), x)
-    return linear_readout(layer, ad.reshape(pooled, (mask.shape[0], -1)),
-                          mask)
+    return linear_readout(layer, ad.reshape(pooled, (mask.shape[0], -1)))
 
 
 def _per_node_readout(layers, x, normalized, mask):
@@ -135,7 +134,7 @@ def test_forward_hand_oracle():
                                atol=1e-12)
     pooled = masked_mean_pool(Tensor((a_hat @ x)[None]), mask)
     assert pooled.shape == (1, 1, 2)
-    got = linear_readout(params, ad.reshape(pooled, (1, 2)), mask).data[0]
+    got = linear_readout(params, ad.reshape(pooled, (1, 2))).data[0]
     np.testing.assert_allclose(got, per_node.mean(axis=0), atol=1e-12)
 
 
@@ -233,15 +232,15 @@ def test_init_bounds_and_determinism():
 def test_gradients_through_forward_and_adjacency():
     # A constant soft adjacency, zero-padded as pad_batch pads: pooling
     # through Â's rows first must give the per-node mean, value and layer
-    # gradients alike, and a graph with no real nodes must pool to zero. A
-    # differentiable Â reaches only the augmenter's probe, a linear layer
-    # read out pooled, whose gradients must reach Â and X through the
-    # normalization and the pool, here with padded cells that are not zero.
+    # gradients alike, for a one-node graph too. A differentiable Â reaches
+    # only the augmenter's probe, a linear layer read out pooled, whose
+    # gradients must reach Â and X through the normalization and the pool,
+    # here with padded cells that are not zero.
     rng = np.random.default_rng(15)
     layers = [init_gcn_layer(2, 4, rng), init_gcn_layer(4, 3, rng)]
     for layer in layers:
         layer.bias.data[:] = rng.normal(size=layer.out_dim)
-    mask = np.array([[1.0] * 5, [1.0] * 3 + [0.0] * 2, [0.0] * 5])
+    mask = np.array([[1.0] * 5, [1.0] * 3 + [0.0] * 2, [1.0] + [0.0] * 4])
     soft = Tensor(rng.uniform(0.1, 0.9, size=(3, 5, 5)), requires_grad=True)
     features = Tensor(rng.normal(size=(3, 5, 2)) * mask[..., None],
                       requires_grad=True)
@@ -253,7 +252,6 @@ def test_gradients_through_forward_and_adjacency():
     got = _readout(layers, features.data, constant, mask).data
     expected = _per_node_readout(layers, features.data, constant.data, mask)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
-    np.testing.assert_array_equal(got[2], 0.0)
 
     weights = rng.normal(size=(3, 3))
     assert_grads_close(
@@ -280,10 +278,10 @@ def _degree_case(seed, hidden):
     """A degree-branch stack on four graphs, with kinks placed on nodes.
 
     Graph 0 is a ring (every ``s`` tied), graph 1 a path zero-padded from 4
-    to 7 nodes, graph 2 is empty and graph 3 random. Units 0–3 put their
-    kink exactly on a real node's ``s`` (``b_j = −fl(s·w_j)``), two rising
-    and two falling; units 4–6 are flat with a positive, a negative and a
-    zero bias.
+    to 7 nodes, graph 2 one isolated node and graph 3 random. Units 0–3 put
+    their kink exactly on a real node's ``s`` (``b_j = −fl(s·w_j)``), two
+    rising and two falling; units 4–6 are flat with a positive, a negative
+    and a zero bias.
     """
     rng = np.random.default_rng(seed)
     b, n = 4, 7
@@ -291,6 +289,7 @@ def _degree_case(seed, hidden):
     mask = np.zeros((b, n))
     a[0], mask[0] = ring_adjacency(n), 1.0
     a[1, :4, :4], mask[1, :4] = path_adjacency(4), 1.0
+    mask[2, 0] = 1.0
     a[3], mask[3] = random_adjacency(rng, n, 0.5), 1.0
     degrees = a.sum(axis=-1, keepdims=True)
     normalized = normalize_adjacency(a, mask)
@@ -335,13 +334,12 @@ def test_degree_readout_closed_form_matches_per_node_path(seed):
         for layer in layers:
             layer.weight.zero_grad()
             layer.bias.zero_grad()
-        out = linear_readout(last, hidden(), mask)
+        out = linear_readout(last, hidden())
         ad.tsum(out * weights).backward()
         results.append((out.data, [t.grad for layer in layers
                                    for t in (layer.weight, layer.bias)]))
     (want, want_grads), (got, got_grads) = results
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-    np.testing.assert_array_equal(got[2], 0.0)  # the empty graph
     for g_got, g_want in zip(got_grads, want_grads):
         np.testing.assert_allclose(g_got, g_want, rtol=0, atol=1e-12)
     # the kinked units are partly active, so their gradients are not trivial
@@ -354,6 +352,3 @@ def test_masked_mean_pool():
     mask = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
     got = masked_mean_pool(states, mask).data
     np.testing.assert_allclose(got, [[[2.0, 3.0]], [[2.0, 2.0]]])
-    # an all-padded element pools to zero rather than dividing by zero
-    empty = masked_mean_pool(states, np.zeros((2, 3))).data
-    np.testing.assert_array_equal(empty, np.zeros((2, 1, 2)))

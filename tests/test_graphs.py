@@ -47,6 +47,15 @@ def test_graph_validation():
                        Provenance.ORIGINAL_NORMAL)
 
 
+def test_a_graph_needs_at_least_one_node():
+    # no TU file holds a graph with no nodes, so no Graph is one, and no
+    # readout has an empty graph to score
+    for build in (Graph, make_graph):
+        with pytest.raises(SizeError, match="at least one node"):
+            build(np.zeros((0, 0)), np.zeros((0, 3)), 0,
+                  Provenance.ORIGINAL_NORMAL)
+
+
 def test_graph_derives_its_degrees_from_the_adjacency():
     adjacency = path_adjacency(4)
     features = np.arange(8.0).reshape(4, 2)
@@ -224,7 +233,7 @@ def test_size_chunks_order_by_size_then_index():
 def test_size_chunks_cut_only_at_the_cap_or_a_width_jump():
     rng = np.random.default_rng(7)
     for _ in range(200):
-        sizes = rng.integers(0, 60, size=int(rng.integers(1, 40))).tolist()
+        sizes = rng.integers(1, 60, size=int(rng.integers(1, 40))).tolist()
         chunk_size = int(rng.integers(1, 12))
         graphs = [make_graph(np.zeros((n, n)), np.zeros((n, 1)), 0,
                              Provenance.ORIGINAL_NORMAL) for n in sizes]

@@ -47,3 +47,35 @@ def test_only_numpy_and_the_standard_library_are_imported():
                 continue
             stray.append(f"{path.name}: {module} in {function or 'module'}")
     assert stray == []
+
+
+def _unread_parameters(tree):
+    """``function(parameter)`` for each parameter that its function, nested
+    functions included, never reads; ``self``, ``cls`` and ``_``-prefixed
+    names are exempt."""
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        args = node.args
+        names = [a.arg for a in (*args.posonlyargs, *args.args,
+                                 *args.kwonlyargs, args.vararg, args.kwarg)
+                 if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for statement in body for n in ast.walk(statement)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread.extend(f"{getattr(node, 'name', 'lambda')}({name})"
+                      for name in names
+                      if name not in read and name not in ("self", "cls")
+                      and not name.startswith("_"))
+    return unread
+
+
+def test_every_parameter_is_read():
+    # a parameter left behind when its use goes (a mask no readout needs
+    # any more) would still be threaded through every caller
+    unread = [f"{path.name}: {where}" for path in sorted(SOURCE.glob("*.py"))
+              for where in _unread_parameters(
+                  ast.parse(path.read_text("utf-8")))]
+    assert unread == []

@@ -458,17 +458,6 @@ def test_write_rejects_an_empty_graph_list(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_write_rejects_a_graph_without_nodes(tmp_path):
-    # the loader rejects a graph with no nodes, so it is never written
-    for graphs, index in (([_graph(np.zeros((0, 0)), 0),
-                            _graph(path_adjacency(2), 1)], 0),
-                          ([_graph(path_adjacency(2), 1),
-                            _graph(np.zeros((0, 0)), 0)], 1)):
-        with pytest.raises(ConfigError, match=f"graph {index}: it has no"):
-            write_tu_dataset(graphs, tmp_path / "out", "E")
-    assert not (tmp_path / "out").exists()
-
-
 def _traced_peak(call):
     tracemalloc.start()
     try:
