@@ -19,7 +19,11 @@ the original adjacency. The objective is still the one defined on the
 dataset-wide ``n_max`` padding: the columns cut off past ``w`` enter it as
 two closed-form constants, and the rewrite's rows cut off past ``w`` as one
 square-sum node over the logits' rows past ``w`` (see
-``counterfactual_loss``), so the rewrite itself is only ``(B, w, w)``.
+``counterfactual_loss``), so the rewrite itself is only ``(B, w, w)``. Each
+epoch's structure view is three tape nodes on that rewrite: the rewrite
+``σ(E·A)`` itself, its squared distance from the original adjacency, and
+the closed-form pool weights ``mᵀŜ/n`` of its normalization, ``Ŝ``; no
+normalized ``(B, w, w)`` array is built.
 """
 
 from __future__ import annotations
@@ -105,29 +109,29 @@ def init_perturbation_pair(n_max: int, feature_dim: int,
 # -- the two rewrite operations ---------------------------------------------
 
 
-def perturb_structure(pair: PerturbationPair, adjacency: Tensor | Array,
+def perturb_structure(pair: PerturbationPair, adjacency: Array,
                       sigma: float | None = None):
     """Rewire adjacency: ``sigmoid(E[:w, :w] @ A)`` of shape ``(..., w, w)``,
     thresholded at ``sigma`` when one is given.
 
-    ``adjacency`` is a zero-padded ``(w, w)`` matrix or ``(B, w, w)`` stack
-    with ``w ≤ n_max``. It stands for the same graphs padded to ``n_max``,
-    whose rewrite is ``sigmoid(E @ A)`` over all ``n_max`` rows and
-    columns. Its rows past ``w`` are left out here (``counterfactual_loss``
-    takes their square sums from ``E[w:, :w]`` directly), and so are its
-    columns past ``w``, which all hold ``sigmoid(0) = 0.5``. Because A's
-    padded rows are zero, a graph's ``[:n, :n]`` block equals that of the
-    ``n_max``-wide rewrite.
+    ``adjacency`` is a constant zero-padded ``(w, w)`` matrix or
+    ``(B, w, w)`` stack with ``w ≤ n_max``. It stands for the same graphs
+    padded to ``n_max``, whose rewrite is ``sigmoid(E @ A)`` over all
+    ``n_max`` rows and columns. Its rows past ``w`` are left out here
+    (``counterfactual_loss`` takes their square sums from ``E[w:, :w]``
+    directly), and so are its columns past ``w``, which all hold
+    ``sigmoid(0) = 0.5``. Because A's padded rows are zero, a graph's
+    ``[:n, :n]`` block equals that of the ``n_max``-wide rewrite.
 
-    Without ``sigma``, returns the differentiable smooth rewrite. With
-    ``sigma``, returns a binary numpy array: the rewrite thresholded at sigma
+    Without ``sigma``, returns the differentiable smooth rewrite, one tape
+    node (``autodiff.sigmoid_matmul``) on the logits' block. With ``sigma``,
+    returns a binary numpy array: the rewrite thresholded at sigma
     (inclusive), symmetrized by elementwise max with the transpose, diagonal
     zeroed.
     """
-    adjacency_t = adjacency if isinstance(adjacency, Tensor) else Tensor(adjacency)
-    width = adjacency_t.shape[-1]
-    logits = ad.block(pair.edge_logits, width, width)
-    smooth = ad.sigmoid(ad.matmul(logits, adjacency_t))
+    width = adjacency.shape[-1]
+    smooth = ad.sigmoid_matmul(ad.block(pair.edge_logits, width, width),
+                               adjacency)
     if sigma is None:
         return smooth
     binary = (smooth.data >= sigma).astype(np.float64)
@@ -210,19 +214,23 @@ def counterfactual_loss(pair: PerturbationPair, probe: GCNLayerParams,
     two KL divergence terms between the probe's distribution on the original
     graph and on each perturbed view. ``chunk`` is the seeds' ``plan_seeds``;
     the feature view reads its planned pool weights, so only the
-    smooth-rewired adjacency is normalized and pooled here.
+    smooth-rewired adjacency ``S`` is normalized and pooled here. The
+    distance ``‖A − S‖²`` is one ``ad.square_distance`` node, and the pool
+    weights of ``S``'s normalization are one ``ad.normalized_pool`` node,
+    computed in closed form with no normalized ``(B, w, w)`` array.
 
     The stacks may be padded to any width ``w ≤ n_max``; the value is that of
     the same graphs padded to ``n_max``. Each of the ``n_max − w`` columns
     cut off holds ``sigmoid(0) = 0.5`` in all ``n_max`` rows of the smooth
     adjacency and meets only zeros, so it enters as two constants: ``0.25``
     per cell added to the squared distance, and ``0.5`` per column added to
-    every row's degree in the structure probe. Each of the ``n_max − w`` rows
-    cut off meets only the padded adjacency's zero rows, so it enters the
-    squared distance alone: one ``ad.sigmoid_square_sums`` node over
-    ``E[w:, :w]`` gives ``‖S[w:, :w]‖²`` per graph, and no
-    ``(B, n_max, w)`` array is built. These three terms are the objective's
-    whole dependence on ``n_max``, and all are 0 at ``w = n_max``.
+    every row's degree in the structure probe (``normalized_pool``'s
+    ``extra_degree``). Each of the ``n_max − w`` rows cut off meets only the
+    padded adjacency's zero rows, so it enters the squared distance alone:
+    one ``ad.sigmoid_square_sums`` node over ``E[w:, :w]`` gives
+    ``‖S[w:, :w]‖²`` per graph, and no ``(B, n_max, w)`` array is built.
+    These three terms are the objective's whole dependence on ``n_max``,
+    and all are 0 at ``w = n_max``.
     """
     adjacency_stack, original = chunk.adjacency_stack, chunk.original
     n_max = pair.edge_logits.shape[0]
@@ -234,18 +242,16 @@ def counterfactual_loss(pair: PerturbationPair, probe: GCNLayerParams,
     smooth_feats = mask_features(pair, chunk.feature_stack)
     # ‖A − S[:w]‖² + ‖S[w:]‖²: past row w the padded adjacency is all zero
     below = ad.block(pair.edge_logits, n_max - width, width, first_row=width)
-    diff = Tensor(adjacency_stack) - smooth_adj
     structure_dist = ad.sqrt(
-        ad.tsum(diff * diff, axis=(-2, -1))
+        ad.square_distance(smooth_adj, adjacency_stack)
         + ad.sigmoid_square_sums(below, adjacency_stack) + cut_distance)
     gate = ad.sigmoid(pair.mask_logits)
     gate_norm = ad.sqrt(ad.tsum(gate * gate))
     closeness = structure_dist - gate_norm
 
     clamped = bool((original < PROBABILITY_FLOOR).any())
-    mask = chunk.node_mask
-    structure_pool = masked_mean_pool(normalize_adjacency(
-        smooth_adj, mask, extra_degree=cut_degree), mask)
+    structure_pool = ad.normalized_pool(smooth_adj, chunk.node_mask,
+                                        extra_degree=cut_degree)
     p_structure = _distribution(probe, structure_pool, chunk.feature_stack)
     p_features = _distribution(probe, chunk.pool, smooth_feats)
     clamped = clamped or bool((p_structure.data < PROBABILITY_FLOOR).any())

@@ -11,9 +11,12 @@ bias, ReLU and mean pool, and keeps only a one-byte ReLU mask per unit for
 the backward pass; its values are bit-equal to the unfused chain and its
 gradients are sums of block partials. It needs no padding mask because the
 pool weighs padded nodes 0. The other sums the activation over sorted
-scalars in closed form. One more is the augmenter's squared sum of a
-sigmoid rewrite over the rows a chunk cuts off. The sigmoid selects its
-numerator without a data-dependent branch. Everything is float64.
+scalars in closed form. Four more serve the augmenter: its sigmoid
+rewrite of a constant adjacency stack, the squared sum of that rewrite over
+the rows a chunk cuts off, the rewrite's squared distance from the original
+adjacency, and the rewrite's normalized pool weights in closed form, with
+no normalized ``(B, w, w)`` array. The sigmoid selects its numerator
+without a data-dependent branch. Everything is float64.
 ``backward()`` runs an iterative topological sweep, so deep tapes cannot
 hit the recursion limit. A node whose inputs all have
 ``requires_grad=False`` records no tape entry at all, which makes "no grad"
@@ -251,9 +254,34 @@ def sigmoid(t: Tensor) -> Tensor:
     out = _sigmoid_over(t.data.copy())
 
     def backward(g: Array) -> None:
-        t._accumulate(g * out * (1.0 - out))
+        grad = g * out
+        grad *= 1.0 - out
+        t._accumulate(grad)
 
     return _node(out, (t,), backward)
+
+
+def sigmoid_matmul(logits: Tensor, adjacency: Array) -> Tensor:
+    """``σ(L @ A)`` for ``(r, w)`` logits and a constant ``(w, w)`` matrix
+    or ``(B, w, w)`` stack; the tape's one parent is ``logits``.
+
+    The forward pass takes the sigmoid in place in the product's buffer,
+    and that buffer is the only array the node keeps. The backward pass
+    forms ``g·s·(1 − s)`` in one new array and makes one product with
+    ``Aᵀ``, summed over the stack. These are the float operations of the
+    unfused chain ``matmul``, ``sigmoid``, so the value and the gradient
+    are bit-identical to it.
+    """
+    logits = _as_tensor(logits)
+    s = _sigmoid_over(logits.data @ adjacency)
+
+    def backward(g: Array) -> None:
+        grad = g * s
+        grad *= 1.0 - s
+        logits._accumulate(_unbroadcast(
+            grad @ np.swapaxes(adjacency, -1, -2), logits.shape))
+
+    return _node(s, (logits,), backward)
 
 
 def sigmoid_square_sums(logits: Tensor, adjacency: Array) -> Tensor:
@@ -282,6 +310,77 @@ def sigmoid_square_sums(logits: Tensor, adjacency: Array) -> Tensor:
             (grad @ np.swapaxes(adjacency, -1, -2)).sum(axis=0))
 
     return _node(data, (logits,), backward)
+
+
+def square_distance(s: Tensor, a: Array) -> Tensor:
+    """``Σ (A − S)²`` per graph of ``(B, w, w)`` stacks, ``(B,)``.
+
+    ``a`` is a constant; the tape's one parent is ``s``. The node keeps
+    ``A − S`` and its backward pass writes ``g·(A − S)·(−2)`` into one new
+    array. These are the float operations of the unfused chain ``sub``,
+    ``mul`` (of the difference with itself) and ``tsum`` over the last two
+    axes, whose gradient is ``−(g·(A − S) + g·(A − S))``, so the value and
+    the gradient are bit-identical to it.
+    """
+    s = _as_tensor(s)
+    diff = a - s.data
+    data = (diff * diff).sum(axis=(-2, -1))
+
+    def backward(g: Array) -> None:
+        grad = g.reshape(-1, 1, 1) * diff
+        grad *= -2.0
+        s._accumulate(grad)
+
+    return _node(data, (s,), backward)
+
+
+def normalized_pool(s: Tensor, mask: Array,
+                    extra_degree: float = 0.0) -> Tensor:
+    """The pool weights ``mᵀŜ/n`` of a differentiable stack, ``(B, 1, w)``.
+
+    ``s`` is a ``(B, w, w)`` tensor and ``mask`` the ``(B, w)`` 0/1 node
+    mask; ``n`` counts its ones. ``Ŝ = D^-1/2 (S + diag m) D^-1/2`` is
+    ``gcn.normalize_adjacency``'s, with degrees ``d = rowsum(S) + m + c``
+    for ``c = extra_degree`` (the row mass of columns cut off the stack) and
+    a non-positive degree read as 1. With ``r = d^-1/2`` and ``u = m ⊙ r``,
+    the weights are ``(r / n) ⊙ q`` for ``q = uᵀS + u``: one row-sum pass
+    and one batched mat-vec, and no normalized ``(B, w, w)`` array. For an
+    output gradient ``g`` and ``v = g ⊙ r / n``, the backward pass takes one
+    mat-vec ``S·v``, the degree gradient ``δd = ((g/n) ⊙ q + m ⊙ (S·v + v))
+    ⊙ (−½ d^-3/2)`` (0 where ``d ≤ 0``) and writes ``u ⊗ v + δd·1ᵀ`` as the
+    one ``(B, w, w)`` gradient. Values and gradients match the chain
+    ``masked_mean_pool(normalize_adjacency(S, m))`` up to the grouping of
+    float sums.
+    """
+    s = _as_tensor(s)
+    mask = np.asarray(mask, dtype=np.float64)
+    scale = 1.0 / mask.sum(axis=-1, keepdims=True)  # 1/n, (B, 1)
+    degrees = s.data.sum(axis=-1)
+    degrees += mask
+    degrees += extra_degree
+    positive = degrees > 0
+    degrees[~positive] = 1.0
+    r = degrees ** -0.5
+    u = mask * r
+    q = (u[:, None, :] @ s.data)[:, 0]
+    q += u
+    data = (r * scale) * q
+
+    def backward(g: Array) -> None:
+        g = g.reshape(q.shape) * scale
+        v = g * r
+        dr = g * q
+        back = (s.data @ v[:, :, None])[:, :, 0]
+        back += v
+        back *= mask
+        dr += back
+        dr *= -0.5 * degrees ** -1.5
+        dr *= positive
+        grad = u[:, :, None] * v[:, None, :]
+        grad += dr[:, :, None]
+        s._accumulate(grad)
+
+    return _node(data[:, None, :], (s,), backward)
 
 
 def relu(t: Tensor) -> Tensor:

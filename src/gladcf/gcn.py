@@ -10,8 +10,10 @@ augmenter's probe is one linear convolution, mean-pooled: a linear map of
 its pooled propagated features, so it is a ``linear_readout`` too. Every
 ``graphs.Graph`` has a node, so no pool divides by zero and no readout
 takes a mask. ``normalize_adjacency`` and ``masked_mean_pool`` also take
-a differentiable adjacency — the counterfactual generator backpropagates
-through the normalization and the pool.
+a differentiable adjacency, but the counterfactual generator does not pass
+them one: it takes its differentiable rewrite's pool weights, under the
+same normalization, from one closed-form tape node,
+``autodiff.normalized_pool``.
 """
 
 from __future__ import annotations
@@ -47,22 +49,18 @@ def init_gcn_layer(in_dim: int, out_dim: int,
                           bias=Tensor(np.zeros(out_dim), requires_grad=True))
 
 
-def normalize_adjacency(adjacency: Tensor | Array, mask: Array, *,
-                        extra_degree: float = 0.0) -> Tensor:
+def normalize_adjacency(adjacency: Tensor | Array, mask: Array) -> Tensor:
     """Symmetrically normalized adjacency with masked self-loops.
 
     Computes ``D^{-1/2} (A + I·mask) D^{-1/2}`` where the self-loop diagonal
     carries 1 only for real nodes and zero degrees are treated as 1. Accepts a
     single ``(n, n)`` matrix with mask ``(n,)`` or a stack ``(B, n, n)`` with
-    mask ``(B, n)``. ``extra_degree`` is added to every row's degree: the row
-    mass of columns cut off the matrix, which meet only zero features.
+    mask ``(B, n)``.
     """
     adjacency = adjacency if isinstance(adjacency, Tensor) else Tensor(adjacency)
     mask = np.asarray(mask, dtype=np.float64)
     with_loops = ad.add_diagonal(adjacency, mask)
     degrees = ad.tsum(with_loops, axis=-1)
-    if extra_degree:
-        degrees = degrees + extra_degree
     inv_sqrt = ad.power(ad.safe_nonzero(degrees), -0.5)
     # (..., n) as a column and as a row, for one matrix or a stack alike
     shape = inv_sqrt.shape

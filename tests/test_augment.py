@@ -14,9 +14,10 @@ from gladcf.augment import (AugmentConfig, PerturbationPair, augment_training_se
                             perturb_structure, plan_seeds, select_seeds,
                             train_perturbations)
 from gladcf.errors import ConfigError, SizeError, TrainingDivergedError
-from gladcf.graphs import Provenance, pad_batch
+from gladcf.graphs import Provenance, make_graph, pad_batch
 
-from util import assert_grads_close, random_adjacency, random_graph
+from util import (assert_grads_close, random_adjacency, random_graph,
+                  traced_peak)
 
 
 def _pair(n, h, seed=0, scale=1.0):
@@ -123,7 +124,7 @@ def _numpy_probe(weight, bias, feats, adj, mask):
     a_hat = a * scale[:, :, None] * scale[:, None, :]
     h = a_hat @ (feats @ weight) + bias
     h = h * mask[:, :, None]
-    counts = np.maximum(mask.sum(axis=1), 1.0)
+    counts = mask.sum(axis=1)
     pooled = (h * mask[:, :, None]).sum(axis=1) / counts[:, None]
     e = np.exp(pooled - pooled.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
@@ -187,6 +188,31 @@ def test_loss_gradients_match_finite_differences():
         return value
 
     assert_grads_close(loss, pair.trainables())
+
+
+def test_loss_tape_holds_no_normalized_rewrite():
+    # a BZR-sized chunk with identity features: the structure view's
+    # rewrite, distance and pool are one node each, so a taped forward and
+    # backward stay well below the 54 MB the unfused ops peak at
+    rng = np.random.default_rng(30)
+    batch, n_max = 128, 57
+    sizes = rng.integers(10, n_max + 1, size=batch)
+    sizes[0] = n_max
+    graphs = [make_graph(random_adjacency(rng, n, p=0.1), np.eye(n_max)[:n],
+                         0, Provenance.ORIGINAL_NORMAL) for n in sizes]
+    seeds = pad_batch(graphs, n_max)
+    probe = make_probe(n_max, rng)
+    pair = init_perturbation_pair(n_max, n_max, rng)
+    chunk = plan_seeds(probe, seeds.adjacency_stack, seeds.feature_stack,
+                       seeds.node_mask)
+
+    def step():
+        loss, _ = counterfactual_loss(pair, probe, chunk)
+        loss.backward()
+
+    _, peak = traced_peak(step)
+    assert pair.edge_logits.grad.shape == (n_max, n_max)
+    assert peak < 35e6
 
 
 def test_loss_at_own_width_equals_loss_at_n_max():
@@ -290,11 +316,12 @@ def test_train_perturbations_chunking_matches_single_batch():
 
 def test_augmenter_epochs_reuse_the_planned_seed_terms(monkeypatch):
     # The original adjacency's normalization and pool weights are planned
-    # once per chunk; after that, each epoch normalizes and pools only the
-    # smooth-rewired adjacency, once per chunk.
+    # once per chunk; after that, each epoch takes only the smooth-rewired
+    # adjacency's pool weights, one normalized_pool node per chunk.
     rng = np.random.default_rng(28)
     seeds = [random_graph(rng, n, 3) for n in (3, 5, 4, 6, 5, 3)]
-    calls = {"normalize_adjacency": 0, "masked_mean_pool": 0}
+    calls = {"normalize_adjacency": 0, "masked_mean_pool": 0,
+             "normalized_pool": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -302,17 +329,19 @@ def test_augmenter_epochs_reuse_the_planned_seed_terms(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(augment, name,
-                            counted(name, getattr(augment, name)))
+    for module, name in ((augment, "normalize_adjacency"),
+                         (augment, "masked_mean_pool"),
+                         (ad, "normalized_pool")):
+        monkeypatch.setattr(module, name,
+                            counted(name, getattr(module, name)))
     # sizes 3, 3 | 4, 5, 5 | 6: the cap of 4 never binds, but 4 > 5/4 of 3
     # and 6 > 5/4 of 4 each start a chunk
     epochs, chunks = 3, 3
     train_perturbations(seeds, 7, AugmentConfig(epochs=epochs, chunk_size=4),
                         np.random.default_rng(0))
-    per_chunk = 1 + epochs  # the plan, then one per epoch
-    assert calls == {"normalize_adjacency": chunks * per_chunk,
-                     "masked_mean_pool": chunks * per_chunk}
+    assert calls == {"normalize_adjacency": chunks,
+                     "masked_mean_pool": chunks,
+                     "normalized_pool": chunks * epochs}
 
 
 def test_seed_wider_than_n_max_is_rejected():

@@ -7,7 +7,6 @@ relative error < 1e-4), plus forward-value checks against plain numpy.
 from __future__ import annotations
 
 import ast
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +14,9 @@ import pytest
 
 import gladcf.autodiff as ad
 from gladcf.autodiff import Tensor
+from gladcf.gcn import masked_mean_pool, normalize_adjacency
 
-from util import assert_grads_close, leaf
+from util import assert_grads_close, leaf, traced_peak
 
 
 def test_add_mul_broadcast_values():
@@ -110,6 +110,27 @@ def test_sigmoid_equals_the_select_form_bit_for_bit():
     assert np.array_equal(t.grad, g * want * (1.0 - want), equal_nan=True)
 
 
+def test_sigmoid_matmul_is_the_unfused_chain_bit_for_bit():
+    # a block of (n_max, n_max) logits against a (B, w, w) stack and
+    # against one (w, w) matrix, as perturb_structure uses it
+    rng = np.random.default_rng(23)
+    edge = leaf(rng, (6, 6), scale=3.0)
+    stack = (rng.random((3, 4, 4)) < 0.5).astype(float)
+    for adjacency in (stack, stack[0]):
+        weights = rng.normal(size=adjacency.shape)
+        results = []
+        for build in (ad.sigmoid_matmul,
+                      lambda l, a: ad.sigmoid(ad.matmul(l, Tensor(a)))):
+            edge.zero_grad()
+            out = build(ad.block(edge, 4, 4), adjacency)
+            ad.tsum(out * weights).backward()
+            results.append((out.data, edge.grad))
+        (got, got_grad), (want, want_grad) = results
+        assert got.shape == adjacency.shape
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got_grad, want_grad)
+
+
 def _cut_rows_chain(logits, adjacency):
     """``Σ σ(L @ A_b)²`` per graph from separate ops: the reference."""
     s = ad.sigmoid(ad.matmul(logits, Tensor(adjacency)))
@@ -151,6 +172,73 @@ def test_sigmoid_square_sums_matches_unfused_chain():
     np.testing.assert_array_equal(out.data, np.zeros(batch))
     ad.tsum(out * weights).backward()
     np.testing.assert_array_equal(edge.grad, np.zeros((n_max, n_max)))
+
+
+def _pool_stack(rng):
+    """A soft ``(3, 5, 5)`` stack and its node mask: one full graph, one of
+    3 nodes with nonzero padded rows and columns, as a smooth rewrite has,
+    and one of a single node whose padded rows and columns are 0, so its
+    padded degrees are 0 when no degree is added."""
+    s = rng.uniform(0.05, 0.95, size=(3, 5, 5))
+    mask = np.array([[1.0] * 5, [1.0] * 3 + [0.0] * 2, [1.0] + [0.0] * 4])
+    s[2] *= mask[2][:, None] * mask[2][None, :]
+    return s, mask
+
+
+def _pool_chain(s, mask, extra_degree):
+    """``masked_mean_pool(normalize_adjacency(S, m))`` from separate ops,
+    with ``extra_degree`` added to every degree: the reference."""
+    with_loops = ad.add_diagonal(s, mask)
+    degrees = ad.tsum(with_loops, axis=-1) + extra_degree
+    inv_sqrt = ad.power(ad.safe_nonzero(degrees), -0.5)
+    b, w = mask.shape
+    normalized = (with_loops * ad.reshape(inv_sqrt, (b, w, 1))
+                  * ad.reshape(inv_sqrt, (b, 1, w)))
+    return masked_mean_pool(normalized, mask)
+
+
+def test_normalized_pool_matches_unfused_chain():
+    rng = np.random.default_rng(21)
+    stack, mask = _pool_stack(rng)
+    weights = rng.normal(size=(3, 1, 5))
+    np.testing.assert_array_equal(
+        _pool_chain(stack, mask, 0.0).data,
+        masked_mean_pool(normalize_adjacency(stack, mask), mask).data)
+    for extra in (0.0, 2.5):
+        results = []
+        for build in (
+                lambda s: ad.normalized_pool(s, mask, extra_degree=extra),
+                lambda s: _pool_chain(s, mask, extra)):
+            s = Tensor(stack, requires_grad=True)
+            out = build(s)
+            ad.tsum(out * weights).backward()
+            results.append((out.data, s.grad))
+        (got, got_grad), (want, want_grad) = results
+        assert got.shape == (3, 1, 5)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(got_grad, want_grad, rtol=0, atol=1e-12)
+        s = Tensor(stack, requires_grad=True)
+        assert_grads_close(lambda: ad.tsum(
+            ad.normalized_pool(s, mask, extra_degree=extra) * weights), [s])
+
+
+def test_square_distance_is_the_unfused_chain_bit_for_bit():
+    rng = np.random.default_rng(22)
+    adjacency = (rng.random((3, 4, 4)) < 0.5).astype(float)
+    stack = rng.uniform(size=(3, 4, 4))
+    weights = rng.normal(size=3)
+    results = []
+    for build in (lambda s: ad.square_distance(s, adjacency),
+                  lambda s: ad.tsum((Tensor(adjacency) - s)
+                                    * (Tensor(adjacency) - s), axis=(-2, -1))):
+        s = Tensor(stack, requires_grad=True)
+        out = build(s)
+        ad.tsum(out * weights).backward()
+        results.append((out.data, s.grad))
+    (got, got_grad), (want, want_grad) = results
+    assert got.shape == (3,)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got_grad, want_grad)
 
 
 def test_unary_grads():
@@ -273,16 +361,6 @@ def test_pooled_hidden_layer_does_not_depend_on_its_blocks(monkeypatch):
         [w, b])
 
 
-def _traced_peak(call):
-    """``call()`` and the peak bytes traced while it ran."""
-    tracemalloc.start()
-    try:
-        result = call()
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_frozen_pooled_hidden_layer_keeps_no_mask(monkeypatch):
     # the tape keeps one byte per unit; a call with a frozen weight and
     # bias, as in predict_scores, keeps nothing past one block
@@ -295,7 +373,7 @@ def test_frozen_pooled_hidden_layer_keeps_no_mask(monkeypatch):
     for taped in (False, True):
         weight = Tensor(w, requires_grad=taped)
         bias = Tensor(b, requires_grad=taped)
-        out, peaks[taped] = _traced_peak(
+        out, peaks[taped] = traced_peak(
             lambda: ad.pooled_bias_relu(t, weight, bias, pool))
         assert (out._backward is not None) == taped
         assert len(out._parents) == 2 * taped
@@ -315,7 +393,7 @@ def test_pooled_hidden_layer_allocates_no_per_node_float_buffer():
     def step():
         ad.tsum(ad.pooled_bias_relu(t, w, b, pool) * weights).backward()
 
-    _, peak = _traced_peak(step)
+    _, peak = traced_peak(step)
     assert w.grad.shape == (k, h) and b.grad.shape == (h,)
     assert peak < batch * n * h * 8 / 2
 

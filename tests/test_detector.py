@@ -332,7 +332,7 @@ def test_one_column_features_score_as_the_per_node_reference():
     z = _per_node_states(params, batch)
     reduced = z @ params.reducer.weight.data + params.reducer.bias.data
     rows = reduced @ params.adaptive_weight.data * mask[..., None]
-    embedding = rows.sum(axis=1) / np.maximum(mask.sum(axis=1), 1.0)[:, None]
+    embedding = rows.sum(axis=1) / mask.sum(axis=1)[:, None]
     logits = (np.maximum(embedding, 0.0) @ params.head_weight.data
               + params.head_bias.data)[:, 0]
     np.testing.assert_allclose(got, 1.0 / (1.0 + np.exp(-logits)), rtol=0,

@@ -46,7 +46,8 @@ def test_normalization_padded_rows_stay_zero():
 
 def test_extra_degree_equals_appended_half_columns():
     # Raising every row's degree by c is normalizing with 2c extra columns of
-    # 0.5 (and zero rows, not real nodes) appended, then cropping them off.
+    # 0.5 (and zero rows, not real nodes) appended: the pool weights of the
+    # first n columns and their gradients are those of the wide stack's.
     rng = np.random.default_rng(12)
     b, n, c = 3, 5, 1.5
     soft = rng.random((b, n, n))
@@ -57,9 +58,17 @@ def test_extra_degree_equals_appended_half_columns():
     wide[:, :n, :n] = soft
     wide[:, :n, n:] = 0.5
     wide_mask = np.concatenate([mask, np.zeros((b, extra))], axis=1)
-    expected = normalize_adjacency(wide, wide_mask).data[:, :n, :n]
-    got = normalize_adjacency(soft, mask, extra_degree=c).data
-    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
+    weights = rng.normal(size=(b, 1, n))
+
+    narrow_t = Tensor(soft, requires_grad=True)
+    wide_t = Tensor(wide, requires_grad=True)
+    got = ad.normalized_pool(narrow_t, mask, extra_degree=c)
+    expected = ad.block(ad.normalized_pool(wide_t, wide_mask), 1, n)
+    np.testing.assert_allclose(got.data, expected.data, rtol=0, atol=1e-15)
+    ad.tsum(got * weights).backward()
+    ad.tsum(expected * weights).backward()
+    np.testing.assert_allclose(narrow_t.grad, wide_t.grad[:, :n, :n],
+                               rtol=0, atol=1e-14)
 
 
 def _readout(layers, x, normalized, mask):
@@ -107,8 +116,7 @@ def _per_node_readout(layers, x, normalized, mask):
             h = np.maximum(h, 0.0)
         h = normalized @ h @ layer.weight.data + layer.bias.data
         h = h * mask[..., None]
-    counts = mask.sum(axis=-1, keepdims=True)
-    return h.sum(axis=1) / np.maximum(counts, 1.0)
+    return h.sum(axis=1) / mask.sum(axis=-1, keepdims=True)
 
 
 def test_forward_hand_oracle():

@@ -1,9 +1,10 @@
-"""Shared helpers for the test suite: finite differences, graph builders
-and a checkpoint rewriter."""
+"""Shared helpers for the test suite: finite differences, a traced-memory
+peak, graph builders and a checkpoint rewriter."""
 
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 
@@ -54,6 +55,16 @@ def assert_grads_close(loss_builder, params, tol=1e-4, step=1e-5):
                                  params, step=step)
     for a, n in zip(analytic, numeric):
         assert max_rel_err(a, n) < tol, f"gradient mismatch: {max_rel_err(a, n)}"
+
+
+def traced_peak(call):
+    """``call()`` and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def leaf(rng, shape, scale=1.0):
