@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from gladcf.graphs import Provenance, make_graph
 from gladcf.tu import (FeatureConfig, FeatureMode, build_features,
                        dataset_stats, load_tu_dataset, write_tu_dataset)
 
-from util import path_adjacency, random_adjacency, write_tu
+from util import path_adjacency, random_adjacency, traced_peak, write_tu
 
 
 def _triangle_plus_edge(tmp_path, labels=(1, 2)):
@@ -458,15 +457,6 @@ def test_write_rejects_an_empty_graph_list(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def _traced_peak(call):
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_load_memory_is_bounded_by_the_file(tmp_path):
     # 200k edge lines over 100 graphs of 10 nodes, most of them repeated
     # edges, so the graphs are small beside the text. Here the load peaks
@@ -482,7 +472,7 @@ def test_load_memory_is_bounded_by_the_file(tmp_path):
                np.repeat(np.arange(1, graphs + 1), nodes), fmt="%d")
     np.savetxt(tmp_path / "M_graph_labels.txt", np.ones(graphs), fmt="%d")
     size = (tmp_path / "M_A.txt").stat().st_size
-    peak = _traced_peak(lambda: load_tu_dataset(tmp_path, name="M"))
+    _, peak = traced_peak(lambda: load_tu_dataset(tmp_path, name="M"))
     assert peak < 6 * size
 
 
@@ -494,7 +484,7 @@ def test_write_memory_does_not_grow_with_the_adjacencies(tmp_path):
     ring = np.roll(np.eye(256), 1, axis=1)
     graphs = [_graph(ring + ring.T, i % 2) for i in range(64)]
     assert sum(g.adjacency.nbytes for g in graphs) >= 32 << 20
-    peak = _traced_peak(lambda: write_tu_dataset(graphs, tmp_path, "W"))
+    _, peak = traced_peak(lambda: write_tu_dataset(graphs, tmp_path, "W"))
     assert peak < 4 << 20
 
 
