@@ -15,15 +15,16 @@ during training; the hard thresholds ``sigma`` and ``tau`` live in
 Seed graphs are processed in the detector's size-ordered chunks
 (``graphs.padded_chunks``), each padded only to its own largest node count
 ``w`` and planned once (``plan_seeds``): the plan keeps the pool weights of
-the original adjacency. The objective is still the one defined on the
-dataset-wide ``n_max`` padding: the columns cut off past ``w`` enter it as
-two closed-form constants, and the rewrite's rows cut off past ``w`` as one
-square-sum node over the logits' rows past ``w`` (see
-``counterfactual_loss``), so the rewrite itself is only ``(B, w, w)``. Each
-epoch's structure view is three tape nodes on that rewrite: the rewrite
-``σ(E·A)`` itself, its squared distance from the original adjacency, and
-the closed-form pool weights ``mᵀŜ/n`` of its normalization, ``Ŝ``; no
-normalized ``(B, w, w)`` array is built.
+the original adjacency, from the same closed-form node that pools the
+rewrite (``autodiff.normalized_pool``). The objective is still the one
+defined on the dataset-wide ``n_max`` padding: the columns cut off past
+``w`` enter it as two closed-form constants, and the rewrite's rows cut off
+past ``w`` as their own sigmoid rewrite and its squared distance from 0
+(see ``counterfactual_loss``), so the rewrite itself is only
+``(B, w, w)``. Each epoch's structure view is three tape nodes on that
+rewrite: the rewrite ``σ(E·A)`` itself, its squared distance from the
+original adjacency, and the closed-form pool weights ``mᵀŜ/n`` of its
+normalization, ``Ŝ``; no normalized ``(B, w, w)`` array is built.
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, SizeError
-from .gcn import (GCNLayerParams, init_gcn_layer, linear_readout,
-                  masked_mean_pool, normalize_adjacency)
+from .gcn import GCNLayerParams, init_gcn_layer, linear_readout
 from .graphs import (CHUNK_SIZE, Graph, Provenance, make_graph,
                      padded_chunks)
 from .optim import fit
@@ -118,8 +118,8 @@ def perturb_structure(pair: PerturbationPair, adjacency: Array,
     ``(B, w, w)`` stack with ``w ≤ n_max``. It stands for the same graphs
     padded to ``n_max``, whose rewrite is ``sigmoid(E @ A)`` over all
     ``n_max`` rows and columns. Its rows past ``w`` are left out here
-    (``counterfactual_loss`` takes their square sums from ``E[w:, :w]``
-    directly), and so are its columns past ``w``, which all hold
+    (``counterfactual_loss`` rewrites them from ``E[w:, :w]`` on their
+    own), and so are its columns past ``w``, which all hold
     ``sigmoid(0) = 0.5``. Because A's padded rows are zero, a graph's
     ``[:n, :n]`` block equals that of the ``n_max``-wide rewrite.
 
@@ -164,8 +164,8 @@ def mask_features(pair: PerturbationPair, features: Tensor | Array,
 @dataclass(frozen=True)
 class SeedChunk:
     """A padded chunk of seed graphs, the pool weights ``mᵀÂ/n`` of their
-    original adjacency and the probe's class distribution on them,
-    ``(B, 2)``, made once.
+    original adjacency (``autodiff.normalized_pool`` of the constant stack)
+    and the probe's class distribution on them, ``(B, 2)``, made once.
     """
 
     adjacency_stack: Array  # (B, w, w)
@@ -177,9 +177,12 @@ class SeedChunk:
 
 def plan_seeds(probe: GCNLayerParams, adjacency_stack: Array,
                feature_stack: Array, node_mask: Array) -> SeedChunk:
-    """Plan one padded chunk of seed graphs for ``counterfactual_loss``."""
-    pool = masked_mean_pool(normalize_adjacency(adjacency_stack, node_mask),
-                            node_mask).data
+    """Plan one padded chunk of seed graphs for ``counterfactual_loss``.
+
+    The pool weights come from ``ad.normalized_pool``, the node the loss
+    pools the rewrite with, so no normalized ``(B, w, w)`` array is built.
+    """
+    pool = ad.normalized_pool(adjacency_stack, node_mask).data
     return SeedChunk(adjacency_stack=adjacency_stack,
                      feature_stack=feature_stack, node_mask=node_mask,
                      pool=pool, original=_distribution(
@@ -227,8 +230,9 @@ def counterfactual_loss(pair: PerturbationPair, probe: GCNLayerParams,
     every row's degree in the structure probe (``normalized_pool``'s
     ``extra_degree``). Each of the ``n_max − w`` rows cut off meets only the
     padded adjacency's zero rows, so it enters the squared distance alone:
-    one ``ad.sigmoid_square_sums`` node over ``E[w:, :w]`` gives
-    ``‖S[w:, :w]‖²`` per graph, and no ``(B, n_max, w)`` array is built.
+    the same two nodes, ``ad.sigmoid_matmul`` over ``E[w:, :w]`` and
+    ``ad.square_distance`` from 0, give ``‖S[w:, :w]‖²`` per graph as a
+    ``(B, n_max − w, w)`` rewrite, and no ``(B, n_max, w)`` array is built.
     These three terms are the objective's whole dependence on ``n_max``,
     and all are 0 at ``w = n_max``.
     """
@@ -244,7 +248,8 @@ def counterfactual_loss(pair: PerturbationPair, probe: GCNLayerParams,
     below = ad.block(pair.edge_logits, n_max - width, width, first_row=width)
     structure_dist = ad.sqrt(
         ad.square_distance(smooth_adj, adjacency_stack)
-        + ad.sigmoid_square_sums(below, adjacency_stack) + cut_distance)
+        + ad.square_distance(ad.sigmoid_matmul(below, adjacency_stack), 0.0)
+        + cut_distance)
     gate = ad.sigmoid(pair.mask_logits)
     gate_norm = ad.sqrt(ad.tsum(gate * gate))
     closeness = structure_dist - gate_norm

@@ -11,11 +11,11 @@ bias, ReLU and mean pool, and keeps only a one-byte ReLU mask per unit for
 the backward pass; its values are bit-equal to the unfused chain and its
 gradients are sums of block partials. It needs no padding mask because the
 pool weighs padded nodes 0. The other sums the activation over sorted
-scalars in closed form. Four more serve the augmenter: its sigmoid
-rewrite of a constant adjacency stack, the squared sum of that rewrite over
-the rows a chunk cuts off, the rewrite's squared distance from the original
-adjacency, and the rewrite's normalized pool weights in closed form, with
-no normalized ``(B, w, w)`` array. The sigmoid selects its numerator
+scalars in closed form. Three more serve the augmenter: its sigmoid
+rewrite of a constant adjacency stack, the squared distance of a stack
+from a constant (the original adjacency, or 0 for the rows a chunk cuts
+off), and the normalized pool weights of a stack in closed form, with no
+normalized ``(B, w, w)`` array. The sigmoid selects its numerator
 without a data-dependent branch. Everything is float64.
 ``backward()`` runs an iterative topological sweep, so deep tapes cannot
 hit the recursion limit. A node whose inputs all have
@@ -284,50 +284,25 @@ def sigmoid_matmul(logits: Tensor, adjacency: Array) -> Tensor:
     return _node(s, (logits,), backward)
 
 
-def sigmoid_square_sums(logits: Tensor, adjacency: Array) -> Tensor:
-    """``Σ σ(L·A_b)²`` over each graph's rows and columns, ``(B,)``.
+def square_distance(s: Tensor, a: Array | float) -> Tensor:
+    """``Σ (A − S)²`` per graph of ``(B, r, w)`` stacks, ``(B,)``.
 
-    ``logits`` is an ``(r, w)`` tensor and ``adjacency`` a constant
-    ``(B, w, w)`` stack; the tape's one parent is ``logits``. The forward
-    pass makes one ``(B, r, w)`` buffer, ``L @ A``, and takes the sigmoid
-    in place. The backward pass forms ``(g·s + g·s)·s·(1 − s)`` in that
-    buffer's shape, in that float order, and makes one product with ``Aᵀ``
-    summed over the stack. These are the
-    float operations of the unfused chain ``matmul``, ``sigmoid``, ``mul``
-    (of the result with itself) and ``tsum`` over the last two axes, so the
-    value is bit-identical to it. ``r = 0`` gives zeros.
-    """
-    logits = _as_tensor(logits)
-    s = _sigmoid_over(logits.data @ adjacency)
-    data = (s * s).sum(axis=(-2, -1))
-
-    def backward(g: Array) -> None:
-        grad = g.reshape(-1, 1, 1) * s
-        grad += grad
-        grad *= s
-        grad *= 1.0 - s
-        logits._accumulate(
-            (grad @ np.swapaxes(adjacency, -1, -2)).sum(axis=0))
-
-    return _node(data, (logits,), backward)
-
-
-def square_distance(s: Tensor, a: Array) -> Tensor:
-    """``Σ (A − S)²`` per graph of ``(B, w, w)`` stacks, ``(B,)``.
-
-    ``a`` is a constant; the tape's one parent is ``s``. The node keeps
-    ``A − S`` and its backward pass writes ``g·(A − S)·(−2)`` into one new
-    array. These are the float operations of the unfused chain ``sub``,
-    ``mul`` (of the difference with itself) and ``tsum`` over the last two
-    axes, whose gradient is ``−(g·(A − S) + g·(A − S))``, so the value and
-    the gradient are bit-identical to it.
+    ``a`` is a constant: an array of ``s``'s shape, or a scalar such as
+    ``0.0``, which gives ``Σ S²``. The tape's one parent is ``s``, and the
+    node keeps no array of its own: the backward pass recomputes ``A − S``
+    into one new array and scales it by ``g`` and then ``−2``. These are
+    the float operations of the unfused chain ``sub``, ``mul`` (of the
+    difference with itself) and ``tsum`` over the last two axes, whose
+    gradient is ``−(g·(A − S) + g·(A − S))``, so the value and the gradient
+    are bit-identical to it.
     """
     s = _as_tensor(s)
-    diff = a - s.data
+    diff = np.subtract(a, s.data)
     data = (diff * diff).sum(axis=(-2, -1))
 
     def backward(g: Array) -> None:
-        grad = g.reshape(-1, 1, 1) * diff
+        grad = np.subtract(a, s.data)
+        grad *= g.reshape(-1, 1, 1)
         grad *= -2.0
         s._accumulate(grad)
 

@@ -9,11 +9,11 @@ last weight and bias act on one row per graph (``linear_readout``). The
 augmenter's probe is one linear convolution, mean-pooled: a linear map of
 its pooled propagated features, so it is a ``linear_readout`` too. Every
 ``graphs.Graph`` has a node, so no pool divides by zero and no readout
-takes a mask. ``normalize_adjacency`` and ``masked_mean_pool`` also take
-a differentiable adjacency, but the counterfactual generator does not pass
-them one: it takes its differentiable rewrite's pool weights, under the
-same normalization, from one closed-form tape node,
-``autodiff.normalized_pool``.
+takes a mask. ``normalize_adjacency`` and ``masked_mean_pool`` are the
+detector's plan, which needs ``Â`` itself. The counterfactual generator
+calls neither: it takes the pool weights of its seeds and of its
+differentiable rewrite, under the same normalization, from one
+closed-form tape node, ``autodiff.normalized_pool``.
 """
 
 from __future__ import annotations

@@ -137,7 +137,13 @@ def _cut_rows_chain(logits, adjacency):
     return ad.tsum(s * s, axis=(-2, -1))
 
 
-def test_sigmoid_square_sums_matches_unfused_chain():
+def _cut_rows_distance(logits, adjacency):
+    """``Σ σ(L @ A_b)²`` per graph as ``counterfactual_loss`` builds it: the
+    rewrite's rows past a chunk's width and their squared distance from 0."""
+    return ad.square_distance(ad.sigmoid_matmul(logits, adjacency), 0.0)
+
+
+def test_cut_rows_distance_matches_unfused_chain():
     # the rows of a (n_max, n_max) logit matrix past a chunk's width w,
     # against w columns of a (B, w, w) stack, as counterfactual_loss uses it
     rng = np.random.default_rng(20)
@@ -147,7 +153,7 @@ def test_sigmoid_square_sums_matches_unfused_chain():
     weights = rng.normal(size=batch)
 
     results = []
-    for build in (ad.sigmoid_square_sums, _cut_rows_chain):
+    for build in (_cut_rows_distance, _cut_rows_chain):
         edge.zero_grad()
         out = build(ad.block(edge, n_max - width, width, first_row=width),
                     adjacency)
@@ -160,15 +166,14 @@ def test_sigmoid_square_sums_matches_unfused_chain():
     assert not got_grad[:width].any() and not got_grad[:, width:].any()
     assert got_grad[width:, :width].all()
     assert_grads_close(
-        lambda: ad.tsum(ad.sigmoid_square_sums(
+        lambda: ad.tsum(_cut_rows_distance(
             ad.block(edge, n_max - width, width, first_row=width), adjacency)
             * weights), [edge])
 
     # a chunk as wide as n_max cuts off no rows
     full = (rng.random((batch, n_max, n_max)) < 0.5).astype(float)
     edge.zero_grad()
-    out = ad.sigmoid_square_sums(ad.block(edge, 0, n_max, first_row=n_max),
-                                 full)
+    out = _cut_rows_distance(ad.block(edge, 0, n_max, first_row=n_max), full)
     np.testing.assert_array_equal(out.data, np.zeros(batch))
     ad.tsum(out * weights).backward()
     np.testing.assert_array_equal(edge.grad, np.zeros((n_max, n_max)))
@@ -223,22 +228,24 @@ def test_normalized_pool_matches_unfused_chain():
 
 
 def test_square_distance_is_the_unfused_chain_bit_for_bit():
+    # against an adjacency stack, and against the scalar 0 that the
+    # rewrite's cut-off rows are measured from
     rng = np.random.default_rng(22)
-    adjacency = (rng.random((3, 4, 4)) < 0.5).astype(float)
     stack = rng.uniform(size=(3, 4, 4))
     weights = rng.normal(size=3)
-    results = []
-    for build in (lambda s: ad.square_distance(s, adjacency),
-                  lambda s: ad.tsum((Tensor(adjacency) - s)
-                                    * (Tensor(adjacency) - s), axis=(-2, -1))):
-        s = Tensor(stack, requires_grad=True)
-        out = build(s)
-        ad.tsum(out * weights).backward()
-        results.append((out.data, s.grad))
-    (got, got_grad), (want, want_grad) = results
-    assert got.shape == (3,)
-    np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(got_grad, want_grad)
+    for a in ((rng.random((3, 4, 4)) < 0.5).astype(float), 0.0):
+        results = []
+        for build in (lambda s: ad.square_distance(s, a),
+                      lambda s: ad.tsum((Tensor(a) - s) * (Tensor(a) - s),
+                                        axis=(-2, -1))):
+            s = Tensor(stack, requires_grad=True)
+            out = build(s)
+            ad.tsum(out * weights).backward()
+            results.append((out.data, s.grad))
+        (got, got_grad), (want, want_grad) = results
+        assert got.shape == (3,)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got_grad, want_grad)
 
 
 def test_unary_grads():

@@ -240,10 +240,11 @@ def test_init_bounds_and_determinism():
 def test_gradients_through_forward_and_adjacency():
     # A constant soft adjacency, zero-padded as pad_batch pads: pooling
     # through Â's rows first must give the per-node mean, value and layer
-    # gradients alike, for a one-node graph too. A differentiable Â reaches
-    # only the augmenter's probe, a linear layer read out pooled, whose
-    # gradients must reach Â and X through the normalization and the pool,
-    # here with padded cells that are not zero.
+    # gradients alike, for a one-node graph too. No model passes these ops
+    # a differentiable Â (the augmenter pools its rewrite through
+    # autodiff.normalized_pool), but they still take one: a linear layer
+    # read out pooled must pass gradients to Â and X through the
+    # normalization and the pool, here with padded cells that are not zero.
     rng = np.random.default_rng(15)
     layers = [init_gcn_layer(2, 4, rng), init_gcn_layer(4, 3, rng)]
     for layer in layers:

@@ -79,3 +79,27 @@ def test_every_parameter_is_read():
               for where in _unread_parameters(
                   ast.parse(path.read_text("utf-8")))]
     assert unread == []
+
+
+def _unread_imports(tree):
+    """Each name an import binds in ``tree`` that the module never reads;
+    ``from __future__`` imports are exempt."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.extend((a.asname or a.name).split(".")[0]
+                         for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.extend(a.asname or a.name for a in node.names)
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [name for name in bound if name not in read]
+
+
+def test_every_imported_name_is_read():
+    # an import left behind when its last use goes (a helper a module no
+    # longer calls) still reads as a dependency; __init__ only re-exports
+    unread = [f"{path.name}: {name}" for path in sorted(SOURCE.glob("*.py"))
+              if path.name != "__init__.py"
+              for name in _unread_imports(ast.parse(path.read_text("utf-8")))]
+    assert unread == []
