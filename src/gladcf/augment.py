@@ -140,7 +140,7 @@ def perturb_structure(pair: PerturbationPair, adjacency: Array,
     return binary
 
 
-def mask_features(pair: PerturbationPair, features: Tensor | Array,
+def mask_features(pair: PerturbationPair, features: Array,
                   tau: float | None = None):
     """Gate node features through the sigmoid mask: the differentiable
     product without ``tau``, the numpy mask thresholded at ``tau`` with it.
@@ -150,12 +150,11 @@ def mask_features(pair: PerturbationPair, features: Tensor | Array,
     and gates with the mask's first ``w`` rows, broadcast across the stack;
     the rows past ``w`` would only meet zero padding.
     """
-    features_t = features if isinstance(features, Tensor) else Tensor(features)
-    gate = ad.sigmoid(ad.block(pair.mask_logits, *features_t.shape[-2:]))
+    gate = ad.sigmoid(ad.block(pair.mask_logits, *features.shape[-2:]))
     if tau is None:
-        return features_t * gate
+        return features * gate
     keep = (gate.data >= tau).astype(np.float64)
-    return keep * features_t.data
+    return keep * features
 
 
 # -- probe readout and the training loss -------------------------------------

@@ -16,7 +16,11 @@ rewrite of a constant adjacency stack, the squared distance of a stack
 from a constant (the original adjacency, or 0 for the rows a chunk cuts
 off), and the normalized pool weights of a stack in closed form, with no
 normalized ``(B, w, w)`` array. The sigmoid selects its numerator
-without a data-dependent branch. Everything is float64.
+without a data-dependent branch. Everything is float64. Five ops have
+no caller in the package: the benchmark's instrumentation binds
+``absolute``, ``add_diagonal``, ``power``, ``safe_nonzero`` and
+``take_nodes`` by name, and the tests build ``normalized_pool``'s
+gradient reference from ``add_diagonal``, ``safe_nonzero`` and ``power``.
 ``backward()`` runs an iterative topological sweep, so deep tapes cannot
 hit the recursion limit. A node whose inputs all have
 ``requires_grad=False`` records no tape entry at all, which makes "no grad"
@@ -323,8 +327,9 @@ def normalized_pool(s: Tensor, mask: Array,
     output gradient ``g`` and ``v = g ⊙ r / n``, the backward pass takes one
     mat-vec ``S·v``, the degree gradient ``δd = ((g/n) ⊙ q + m ⊙ (S·v + v))
     ⊙ (−½ d^-3/2)`` (0 where ``d ≤ 0``) and writes ``u ⊗ v + δd·1ᵀ`` as the
-    one ``(B, w, w)`` gradient. Values and gradients match the chain
-    ``masked_mean_pool(normalize_adjacency(S, m))`` up to the grouping of
+    one ``(B, w, w)`` gradient. Values match the NumPy chain
+    ``masked_mean_pool(normalize_adjacency(S, m))``, and values and
+    gradients match that chain built from tape ops, up to the grouping of
     float sums.
     """
     s = _as_tensor(s)
@@ -558,11 +563,7 @@ def clamp(t: Tensor, lo: float, hi: float) -> Tensor:
 
 
 def safe_nonzero(t: Tensor) -> Tensor:
-    """Replace non-positive entries with 1; gradient passes where input > 0.
-
-    Used on degree vectors so padded (zero-degree) rows normalize as degree 1
-    without a divide-by-zero.
-    """
+    """Replace non-positive entries with 1; gradient passes where input > 0."""
     t = _as_tensor(t)
     positive = t.data > 0
     data = np.where(positive, t.data, 1.0)
@@ -677,8 +678,7 @@ def add_diagonal(t: Tensor, diag: Array) -> Tensor:
     """Add a constant per-row diagonal to a (..., n, n) tensor.
 
     ``diag`` broadcasts against the leading axes; entries are plain numbers
-    (no gradient flows into them), which is all adjacency self-loop masking
-    needs.
+    (no gradient flows into them).
     """
     t = _as_tensor(t)
     n = t.shape[-1]

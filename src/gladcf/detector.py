@@ -4,8 +4,9 @@ and an imbalance-aware binary objective.
 Each branch is a two-layer GCN: one convolves the node features, the other
 the raw degree column. What the branches read of the graphs alone — the
 pool weights ``mᵀÂ/n``, ``Â·X`` and the sorted ``s = Â·d`` — is one plan
-per chunk (``plan_branches``), and the forward pass reads only that plan,
-so no training epoch and no scoring pass touches ``Â`` or the padded batch.
+per chunk (``plan_branches``), made in plain NumPy, and the forward pass
+reads only that plan, so no training epoch and no scoring pass touches
+``Â`` or the padded batch.
 Each branch's last layer is linear, so each branch is mean-pooled first
 and its last weight applied to one row per graph (``gcn.linear_readout``).
 The feature branch's hidden layer reads ``Â·X`` and is pooled in the same
@@ -180,7 +181,8 @@ class ChunkPlan:
 def plan_branches(params: DetectorParams, batch: PaddedBatch) -> ChunkPlan:
     """The batch's ``ChunkPlan``, a branch's input None where it is off.
 
-    One ``normalize_adjacency`` and one ``masked_mean_pool`` of its rows
+    Plain NumPy on the fixed graphs: no ``Tensor`` is built. One
+    ``normalize_adjacency`` and one ``masked_mean_pool`` of its rows
     serve both branches. The feature branch reads ``Â·X``. The degree
     branch's input is one column ``d``, the adjacency's row sums, so its
     pooled hidden unit ``j`` is ``Σᵢ pᵢ·relu(sᵢ·w_j + b_j)`` with
@@ -194,12 +196,12 @@ def plan_branches(params: DetectorParams, batch: PaddedBatch) -> ChunkPlan:
     # small array raises cv_bzr's peak RSS by 3 MB (glibc heap layout)
     degrees = batch.adjacency_stack.sum(axis=-1, keepdims=True)
     normalized = normalize_adjacency(batch.adjacency_stack, batch.node_mask)
-    pool = masked_mean_pool(normalized, batch.node_mask).data
+    pool = masked_mean_pool(normalized, batch.node_mask)
     inputs = ramp = None
     if params.feature_branch is not None:
-        inputs = ad.matmul(normalized, batch.feature_stack).data
+        inputs = normalized @ batch.feature_stack
     if params.degree_branch is not None:
-        s = ad.matmul(normalized, degrees).data[..., 0]
+        s = (normalized @ degrees)[..., 0]
         ramp = ad.ramp_sums(s, pool[:, 0])
     return ChunkPlan(pool, inputs, ramp)
 

@@ -10,10 +10,12 @@ augmenter's probe is one linear convolution, mean-pooled: a linear map of
 its pooled propagated features, so it is a ``linear_readout`` too. Every
 ``graphs.Graph`` has a node, so no pool divides by zero and no readout
 takes a mask. ``normalize_adjacency`` and ``masked_mean_pool`` are the
-detector's plan, which needs ``Â`` itself. The counterfactual generator
-calls neither: it takes the pool weights of its seeds and of its
-differentiable rewrite, under the same normalization, from one
-closed-form tape node, ``autodiff.normalized_pool``.
+detector's plan, which needs ``Â`` itself: the graphs are fixed, so both
+take and return plain arrays, and no ``Â`` anywhere is differentiable.
+The counterfactual generator calls neither: it takes the pool weights of
+its seeds and of its differentiable rewrite, under the same normalization,
+from ``autodiff.normalized_pool``, the one differentiable pool (a
+closed-form tape node).
 """
 
 from __future__ import annotations
@@ -49,24 +51,21 @@ def init_gcn_layer(in_dim: int, out_dim: int,
                           bias=Tensor(np.zeros(out_dim), requires_grad=True))
 
 
-def normalize_adjacency(adjacency: Tensor | Array, mask: Array) -> Tensor:
+def normalize_adjacency(adjacency: Array, mask: Array) -> Array:
     """Symmetrically normalized adjacency with masked self-loops.
 
     Computes ``D^{-1/2} (A + I·mask) D^{-1/2}`` where the self-loop diagonal
-    carries 1 only for real nodes and zero degrees are treated as 1. Accepts a
-    single ``(n, n)`` matrix with mask ``(n,)`` or a stack ``(B, n, n)`` with
-    mask ``(B, n)``.
+    carries 1 only for real nodes and a non-positive degree is read as 1.
+    Accepts a single ``(n, n)`` matrix with mask ``(n,)`` or a stack
+    ``(B, n, n)`` with mask ``(B, n)``; ``adjacency`` is not written.
     """
-    adjacency = adjacency if isinstance(adjacency, Tensor) else Tensor(adjacency)
-    mask = np.asarray(mask, dtype=np.float64)
-    with_loops = ad.add_diagonal(adjacency, mask)
-    degrees = ad.tsum(with_loops, axis=-1)
-    inv_sqrt = ad.power(ad.safe_nonzero(degrees), -0.5)
-    # (..., n) as a column and as a row, for one matrix or a stack alike
-    shape = inv_sqrt.shape
-    row = ad.reshape(inv_sqrt, shape + (1,))
-    col = ad.reshape(inv_sqrt, shape[:-1] + (1, shape[-1]))
-    return with_loops * row * col
+    with_loops = np.array(adjacency, dtype=np.float64)
+    idx = np.arange(with_loops.shape[-1])
+    with_loops[..., idx, idx] += mask
+    degrees = with_loops.sum(axis=-1)
+    degrees[~(degrees > 0)] = 1.0
+    r = degrees ** -0.5
+    return with_loops * r[..., :, None] * r[..., None, :]
 
 
 def gcn_layer(params: GCNLayerParams, propagated: Array,
@@ -91,12 +90,11 @@ def linear_readout(layer: GCNLayerParams, pooled: Tensor) -> Tensor:
     return ad.matmul(pooled, layer.weight) + layer.bias
 
 
-def masked_mean_pool(node_states: Tensor, mask: Array) -> Tensor:
-    """Average real-node rows of a ``(B, n, F)`` tensor into ``(B, 1, F)``.
+def masked_mean_pool(node_states: Array, mask: Array) -> Array:
+    """Average real-node rows of a ``(B, n, F)`` array into ``(B, 1, F)``.
 
     One batched product of each graph's row ``m / n`` with its states, so
     no masked copy of the states is made. Every graph has a real node.
     """
-    mask = np.asarray(mask, dtype=np.float64)
     scale = 1.0 / mask.sum(axis=-1)
-    return ad.matmul((mask * scale[:, None])[:, None, :], node_states)
+    return (mask * scale[:, None])[:, None, :] @ node_states

@@ -14,14 +14,14 @@ their graph in order of appearance.
 Every file is ASCII text of comma-separated decimal integers that fit in
 int64, one record per line, with optional spaces or tabs around each value.
 Lines may end in LF, CRLF or CR; blank and whitespace-only lines are skipped.
-Each file is read and parsed in blocks of whole lines of at most
-``BLOCK_BYTES``: Python's text layer splits the lines, NumPy finds the
-blank lines and any non-ASCII byte on the block's bytes, and one
-``np.loadtxt`` call parses the lines kept, so Python-only integer
-spellings such as ``1_000`` are rejected. No Python string per line is
-made. Loading 320 graphs whose edge file has 234,630 lines (2.5 MB) peaks
-at 10.4 MB in ``tracemalloc``, 4.2 MB of it the adjacencies; parsing each
-file whole peaked at 40.5 MB.
+Each file is read and parsed in blocks of whole lines: a block is
+``BLOCK_BYTES`` characters plus the rest of its last line. Python's text
+layer splits the lines, NumPy finds the blank lines and any non-ASCII
+byte on the block's bytes, and one ``np.loadtxt`` call parses the lines
+kept, so Python-only integer spellings such as ``1_000`` are rejected. No
+Python string per line is made. Loading 320 graphs whose edge file has
+234,630 lines (2.5 MB) peaks at 10.4 MB in ``tracemalloc``, 4.2 MB of it
+the adjacencies; parsing each file whole peaked at 40.5 MB.
 
 Bad input raises :class:`~gladcf.errors.TuFormatError` naming the file
 and, for a fault on one line, the first such line by its number in the
@@ -73,8 +73,8 @@ class FeatureConfig:
 # -- loading -------------------------------------------------------------------
 
 
-# Bytes per parse block: each file is read and parsed in blocks of whole
-# lines of at most this size (a longer line is a block of its own).
+# Characters per parse block: a block is this many characters of a file
+# plus the rest of its last line.
 BLOCK_BYTES = 1 << 18
 
 _LF = 10
@@ -86,7 +86,7 @@ _SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
 
 def _whole_line_blocks(fh) -> Iterator[Array]:
     """The text of binary file ``fh`` as ``uint8`` blocks of whole lines:
-    as many as fit in ``BLOCK_BYTES``, or one line longer than that.
+    ``BLOCK_BYTES`` characters plus the rest of the block's last line.
 
     Python's text layer splits the lines: LF, CRLF and CR each end one and
     are read as LF, and an LF ends the file if no break does. A non-ASCII
@@ -94,22 +94,13 @@ def _whole_line_blocks(fh) -> Iterator[Array]:
     """
     text = io.TextIOWrapper(fh, encoding="ascii", errors="surrogateescape",
                             newline=None)
-    data, more = "", True
-    while data or more:
-        cut = data.rfind("\n", 0, BLOCK_BYTES) + 1 or data.find("\n") + 1
-        if more and (len(data) < BLOCK_BYTES or not cut):
-            # fill the block; a line longer than a block is read on in
-            # doubling steps, and a short read is the end of the file
-            size = (BLOCK_BYTES - len(data) if len(data) < BLOCK_BYTES
-                    else len(data))
-            chunk = text.read(size)
-            data, more = data + chunk, len(chunk) == size
-            if data and not more and not data.endswith("\n"):
+    while data := text.read(BLOCK_BYTES):
+        if not data.endswith("\n"):
+            data += text.readline()
+            if not data.endswith("\n"):
                 data += "\n"
-        else:
-            yield np.frombuffer(data[:cut].encode("ascii", "surrogateescape"),
-                                dtype=np.uint8)
-            data = data[cut:]
+        yield np.frombuffer(data.encode("ascii", "surrogateescape"),
+                            dtype=np.uint8)
 
 
 def _line_blocks(path: Path) -> Iterator[tuple[Array, Array]]:
@@ -428,9 +419,9 @@ def _line_renderer(top: int) -> Callable[[Array], Array]:
     digits = np.empty((top + 1, width + 2), dtype=np.uint8)
     shown = np.ones((top + 1, width + 2), dtype=bool)
     for place in range(width):
-        power = 10 ** (width - 1 - place)
-        digits[:, place] = numbers // power % 10 + ord("0")
-        shown[:, place] = numbers >= power
+        unit = 10 ** (width - 1 - place)
+        digits[:, place] = numbers // unit % 10 + ord("0")
+        shown[:, place] = numbers >= unit
     shown[0, width - 1] = True  # zero shows its one digit
     digits[:, width:] = np.frombuffer(b", ", dtype=np.uint8)
 

@@ -199,7 +199,7 @@ def _per_node_states(params, batch):
     padded rows masked; this is the detector's function before any pooling.
     """
     mask = batch.node_mask
-    normalized = normalize_adjacency(batch.adjacency_stack, mask).data
+    normalized = normalize_adjacency(batch.adjacency_stack, mask)
     degrees = batch.adjacency_stack.sum(axis=-1, keepdims=True)
     states = []
     for layers, h in ((params.feature_branch, batch.feature_stack),
@@ -311,6 +311,25 @@ def test_plans_are_zero_at_padded_nodes():
         for constant in (plan.pool, plan.inputs, *plan.ramp):
             assert type(constant) is np.ndarray
     assert padded_nodes > 7 * len(graphs)
+
+
+def test_plan_branches_builds_no_tensor(monkeypatch):
+    # the plan reads fixed graphs only, so it is plain NumPy: not one Tensor
+    # is made, tape node or wrapper, with both branches on
+    rng = np.random.default_rng(24)
+    _, batch = _toy_batch(rng)
+    params = init_detector(5, TOY, rng)
+    built = []
+    init = Tensor.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(type(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counted)
+    plan = plan_branches(params, batch)
+    assert plan.inputs is not None and plan.ramp is not None
+    assert built == []
 
 
 def test_one_column_features_score_as_the_per_node_reference():

@@ -18,7 +18,7 @@ def test_ring_normalization_identity():
     # Every node of a ring has degree 2, so D̃ = 3I and Â = (A + I) / 3.
     a = ring_adjacency(6)
     mask = np.ones(6)
-    got = normalize_adjacency(a, mask).data
+    got = normalize_adjacency(a, mask)
     np.testing.assert_allclose(got, (a + np.eye(6)) / 3.0, atol=1e-12)
 
 
@@ -27,7 +27,7 @@ def test_normalization_hand_oracle_path3():
     a = path_adjacency(3)
     d = np.array([2.0, 3.0, 2.0])
     expected = (a + np.eye(3)) / np.sqrt(np.outer(d, d))
-    got = normalize_adjacency(a, np.ones(3)).data
+    got = normalize_adjacency(a, np.ones(3))
     np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
@@ -36,12 +36,30 @@ def test_normalization_padded_rows_stay_zero():
     a[0, :3, :3] = path_adjacency(3)
     a[1, :2, :2] = np.array([[0.0, 1.0], [1.0, 0.0]])
     mask = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 0.0, 0.0]])
-    got = normalize_adjacency(a, mask).data
+    got = normalize_adjacency(a, mask)
     assert np.all(got[0, 3, :] == 0) and np.all(got[0, :, 3] == 0)
     assert np.all(got[1, 2:, :] == 0) and np.all(got[1, :, 2:] == 0)
     # real part of batch element 0 matches the unpadded computation
     np.testing.assert_allclose(
-        got[0, :3, :3], normalize_adjacency(path_adjacency(3), np.ones(3)).data)
+        got[0, :3, :3], normalize_adjacency(path_adjacency(3), np.ones(3)))
+
+
+def test_plan_primitives_take_and_return_arrays():
+    # the detector's plan is plain NumPy: Â and its pool rows are arrays,
+    # for one matrix and for a stack, and the input is not written
+    a = np.zeros((2, 4, 4))
+    a[0, :3, :3] = path_adjacency(3)
+    a[1] = ring_adjacency(4)
+    before = a.copy()
+    mask = np.array([[1.0, 1.0, 1.0, 0.0], [1.0] * 4])
+    single = normalize_adjacency(a[1], mask[1])
+    normalized = normalize_adjacency(a, mask)
+    pool = masked_mean_pool(normalized, mask)
+    for out in (single, normalized, pool):
+        assert type(out) is np.ndarray and out.dtype == np.float64
+    assert pool.shape == (2, 1, 4)
+    np.testing.assert_array_equal(single, normalized[1])
+    np.testing.assert_array_equal(a, before)
 
 
 def test_extra_degree_equals_appended_half_columns():
@@ -82,15 +100,15 @@ def _readout(layers, x, normalized, mask):
 def _hidden(layer, x, normalized, mask):
     """The pooled hidden layer on ``x``, ``(B, h)``:
     ``p · relu(Â·X·W + b)`` with ``p = mᵀÂ/n``."""
-    pool = masked_mean_pool(normalized, mask).data
-    return gcn_layer(layer, normalized.data @ x, pool)
+    pool = masked_mean_pool(normalized, mask)
+    return gcn_layer(layer, normalized @ x, pool)
 
 
 def _node_rows(layer, x, normalized):
     """The hidden layer's per-node rows, ``(B, n, h)``: node ``i``'s row is
     the layer pooled with the one-hot weights of node ``i``."""
     b, n = normalized.shape[:2]
-    propagated = normalized.data @ x
+    propagated = normalized @ x
     return np.stack(
         [gcn_layer(layer, propagated,
                    np.broadcast_to(np.eye(n)[i], (b, 1, n))).data
@@ -140,9 +158,9 @@ def test_forward_hand_oracle():
     hidden = _hidden(params, x[None], normalized, mask).data[0]
     np.testing.assert_allclose(hidden, (a_hat @ rows).mean(axis=0),
                                atol=1e-12)
-    pooled = masked_mean_pool(Tensor((a_hat @ x)[None]), mask)
+    pooled = masked_mean_pool((a_hat @ x)[None], mask)
     assert pooled.shape == (1, 1, 2)
-    got = linear_readout(params, ad.reshape(pooled, (1, 2))).data[0]
+    got = linear_readout(params, pooled.reshape(1, 2)).data[0]
     np.testing.assert_allclose(got, per_node.mean(axis=0), atol=1e-12)
 
 
@@ -160,7 +178,7 @@ def test_layer_matches_dense_math_in_either_order(in_dim, out_dim):
     x = rng.normal(size=(2, 5, in_dim)) * mask[..., None]
     normalized = normalize_adjacency(a, mask)
     got = _hidden(layer, x, normalized, mask).data
-    norm, w = normalized.data, layer.weight.data
+    norm, w = normalized, layer.weight.data
     pool = (mask / mask.sum(axis=-1, keepdims=True))[:, None, :] @ norm
     for product in ((norm @ x) @ w, norm @ (x @ w)):
         rows = np.maximum(mask[..., None] * (product + layer.bias.data), 0.0)
@@ -183,7 +201,7 @@ def test_stacked_layers_relu_between_not_after():
     normalized = normalize_adjacency(a, mask)
     out = _readout(layers, x, normalized, mask).data
     # a manual replay: layer, relu, layer, mean — with no trailing relu
-    norm = normalized.data[0]
+    norm = normalized[0]
     h = norm @ (x[0] @ layers[0].weight.data) + layers[0].bias.data
     h = np.maximum(h, 0.0)
     h = norm @ (h @ layers[1].weight.data) + layers[1].bias.data
@@ -207,8 +225,8 @@ def test_padded_rows_zero_through_layers():
     np.testing.assert_array_equal(h[0, 3:], np.broadcast_to(
         layers[0].bias.data, (2, 3)))
     np.testing.assert_array_equal(
-        masked_mean_pool(normalized, mask).data[0, 0, 3:], 0.0)
-    np.testing.assert_array_equal((normalized.data @ x)[0, 3:], 0.0)
+        masked_mean_pool(normalized, mask)[0, 0, 3:], 0.0)
+    np.testing.assert_array_equal((normalized @ x)[0, 3:], 0.0)
     # the padding changes nothing the readout sees
     tight = _readout(layers, x[:, :3], normalize_adjacency(
         a[:, :3, :3], mask[:, :3]), mask[:, :3]).data
@@ -240,26 +258,26 @@ def test_init_bounds_and_determinism():
 def test_gradients_through_forward_and_adjacency():
     # A constant soft adjacency, zero-padded as pad_batch pads: pooling
     # through Â's rows first must give the per-node mean, value and layer
-    # gradients alike, for a one-node graph too. No model passes these ops
-    # a differentiable Â (the augmenter pools its rewrite through
-    # autodiff.normalized_pool), but they still take one: a linear layer
-    # read out pooled must pass gradients to Â and X through the
-    # normalization and the pool, here with padded cells that are not zero.
+    # gradients alike, for a one-node graph too. Â is a constant array (the
+    # augmenter pools its differentiable rewrite through
+    # autodiff.normalized_pool): a linear layer read out pooled must pass
+    # gradients to X through the pool, here with padded cells that are not
+    # zero.
     rng = np.random.default_rng(15)
     layers = [init_gcn_layer(2, 4, rng), init_gcn_layer(4, 3, rng)]
     for layer in layers:
         layer.bias.data[:] = rng.normal(size=layer.out_dim)
     mask = np.array([[1.0] * 5, [1.0] * 3 + [0.0] * 2, [1.0] + [0.0] * 4])
-    soft = Tensor(rng.uniform(0.1, 0.9, size=(3, 5, 5)), requires_grad=True)
+    soft = rng.uniform(0.1, 0.9, size=(3, 5, 5))
     features = Tensor(rng.normal(size=(3, 5, 2)) * mask[..., None],
                       requires_grad=True)
 
-    assert (soft.data[1, 3:] != 0).any()  # padded rows
-    assert (soft.data[1, :, 3:] != 0).any()  # and padded columns
+    assert (soft[1, 3:] != 0).any()  # padded rows
+    assert (soft[1, :, 3:] != 0).any()  # and padded columns
     constant = normalize_adjacency(
-        soft.data * mask[:, :, None] * mask[:, None, :], mask)
+        soft * mask[:, :, None] * mask[:, None, :], mask)
     got = _readout(layers, features.data, constant, mask).data
-    expected = _per_node_readout(layers, features.data, constant.data, mask)
+    expected = _per_node_readout(layers, features.data, constant, mask)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     weights = rng.normal(size=(3, 3))
@@ -272,15 +290,16 @@ def test_gradients_through_forward_and_adjacency():
     probe.bias.data[:] = rng.normal(size=3)
     linear = _pooled_linear(probe, features.data, constant, mask).data
     np.testing.assert_allclose(
-        linear, _per_node_readout([probe], features.data, constant.data,
-                                  mask), rtol=0, atol=1e-12)
+        linear, _per_node_readout([probe], features.data, constant, mask),
+        rtol=0, atol=1e-12)
+
+    unpadded = normalize_adjacency(soft, mask)
 
     def loss():
-        out = _pooled_linear(probe, features, normalize_adjacency(soft, mask),
-                             mask)
+        out = _pooled_linear(probe, features, unpadded, mask)
         return ad.tsum(out * weights)
 
-    assert_grads_close(loss, [soft, features, probe.weight, probe.bias])
+    assert_grads_close(loss, [features, probe.weight, probe.bias])
 
 
 def _degree_case(seed, hidden):
@@ -302,7 +321,7 @@ def _degree_case(seed, hidden):
     a[3], mask[3] = random_adjacency(rng, n, 0.5), 1.0
     degrees = a.sum(axis=-1, keepdims=True)
     normalized = normalize_adjacency(a, mask)
-    s = (normalized.data @ degrees)[..., 0]
+    s = (normalized @ degrees)[..., 0]
 
     layers = [init_gcn_layer(1, hidden, rng), init_gcn_layer(hidden, 3, rng)]
     w = layers[0].weight.data[0]
@@ -325,7 +344,7 @@ def test_degree_readout_closed_form_matches_per_node_path(seed):
     # values and every gradient must be the per-node path's, ties included.
     layers, normalized, mask, s = _degree_case(seed, hidden=12)
     b = mask.shape[0]
-    pool = masked_mean_pool(normalized, mask).data
+    pool = masked_mean_pool(normalized, mask)
     np.testing.assert_array_equal(pool[1, 0, 4:], 0.0)  # padded nodes
     ramp = ad.ramp_sums(s, pool[:, 0])
     first, last = layers
@@ -356,8 +375,8 @@ def test_degree_readout_closed_form_matches_per_node_path(seed):
 
 
 def test_masked_mean_pool():
-    states = Tensor(np.array([[[1.0, 2.0], [3.0, 4.0], [9.0, 9.0]],
-                              [[2.0, 2.0], [0.0, 0.0], [0.0, 0.0]]]))
+    states = np.array([[[1.0, 2.0], [3.0, 4.0], [9.0, 9.0]],
+                       [[2.0, 2.0], [0.0, 0.0], [0.0, 0.0]]])
     mask = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
-    got = masked_mean_pool(states, mask).data
+    got = masked_mean_pool(states, mask)
     np.testing.assert_allclose(got, [[[2.0, 3.0]], [[2.0, 2.0]]])

@@ -47,11 +47,11 @@ def test_every_line_is_a_block_and_crlf_pairs_stay_whole(monkeypatch):
     blocks = [bytes(b) for b in tu._whole_line_blocks(io.BytesIO(text))]
     assert blocks == [b"1, 2\n", b"\n", b" \t\n", b"3, 4\n", b"\n",
                       b"5, 6\n"]
-    # at 8 bytes, a block holds the most whole lines that fit, the last
-    # line too once the end of the file has ended it
+    # at 8 bytes, a block is 8 characters plus the rest of its last line,
+    # the file's last line too once the end of the file has ended it
     monkeypatch.setattr(tu, "BLOCK_BYTES", 8)
     blocks = [bytes(b) for b in tu._whole_line_blocks(io.BytesIO(text))]
-    assert blocks == [b"1, 2\n\n", b" \t\n3, 4\n", b"\n5, 6\n"]
+    assert blocks == [b"1, 2\n\n \t\n", b"3, 4\n\n5, 6\n"]
 
 
 # (edge file, expected message) on the TOY set, each fault behind blank,
